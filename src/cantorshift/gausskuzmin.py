@@ -37,7 +37,7 @@ from .numeral import (
     format_rational,
     parse_rational,
 )
-from .shifts import ShiftProgram, apply_program, required_depth
+from .shifts import ShiftProgram, _image_weights, apply_program
 
 __all__ = [
     "ConstRhs",
@@ -148,47 +148,6 @@ class GKSetSpec:
                    ShiftProgram.from_json(obj["lhs"]),
                    rhs_from_json(obj["rhs"]),
                    obj.get("relation", "lt"))
-
-
-# ---------------------------------------------------------------------------
-# Image intervals of a program over a cylinder
-# ---------------------------------------------------------------------------
-
-def _surviving_positions(word, depth: int) -> list[int]:
-    """Positions of 1..depth left after the program, in image order."""
-    pos = list(range(1, depth + 1))
-    for atom in word:
-        if atom.kind == "sigma":
-            if not pos:
-                raise InsufficientDepthError(
-                    "program consumes more digits than the chosen depth",
-                    required=required_depth(word))
-            pos.pop(0)
-        else:
-            if atom.index > len(pos):
-                raise InsufficientDepthError(
-                    f"deletion at {atom.index} exceeds the chosen depth",
-                    required=required_depth(word))
-            pos.pop(atom.index - 1)
-    return pos
-
-
-def _image_weights(word, q: QSequence, depth: int) -> tuple[list[int], int]:
-    """Per-position numerator weights of the program image, plus its
-    denominator.
-
-    The image of digits (c_1, ..., c_depth) is
-    [sum c_s * w_s, sum c_s * w_s + 1] / D with w_s = 0 for deleted
-    positions; surviving position s_j has weight D / (b_1 ... b_j)
-    over the image base values b_i.
-    """
-    surv = _surviving_positions(word, depth)
-    weights = [0] * depth
-    acc = 1
-    for s in reversed(surv):
-        weights[s - 1] = acc
-        acc *= q.at(s)
-    return weights, acc
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +321,16 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     wl, dl = _image_weights(spec.lhs.word, q, depth)
     wr, base_r, dr, tail_r = _resolve_rhs(spec, depth)
     wl_vec = np.array(wl, dtype=np.int64)
-    wr_vec = np.array(wr, dtype=np.int64)
     rhs_is_program = isinstance(spec.rhs, ProgramOnZ)
     want_lt = spec.relation == "lt"
     dl_f = float(dl)
-    dr_f = float(dr)
+    if rhs_is_program:
+        wr_vec = np.array(wr, dtype=np.int64)
+        dr_f = float(dr)
+    else:
+        # a fixed threshold may exceed int64, so it stays in Python ints;
+        # images lie in [0, 1], so clamping to [-1, 2] keeps a finite float
+        f_r = float(min(max(Fraction(base_r, dr), -1), 2))
 
     def exact_hit(lo_l: int, lo_r: int) -> bool:
         if want_lt:
@@ -384,14 +348,12 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
         lo_l = digs @ wl_vec
         if rhs_is_program:
             lo_r = digs @ wr_vec
-        else:
-            lo_r = np.full(m, base_r, dtype=np.int64)
+            f_r = (lo_r + (0.0 if want_lt else float(tail_r))) / dr_f
         f_l = (lo_l + (1.0 if want_lt else 0.0)) / dl_f
-        f_r = (lo_r + (0.0 if want_lt else float(tail_r))) / dr_f
         hit = f_l <= f_r if want_lt else f_l >= f_r
         near = np.abs(f_l - f_r) < _FLOAT_BAND
         for j in np.nonzero(near)[0]:
-            hit[j] = exact_hit(int(lo_l[j]), int(lo_r[j]))
+            hit[j] = exact_hit(int(lo_l[j]), int(lo_r[j]) if rhs_is_program else base_r)
         hits += int(hit.sum())
         done += m
     est = hits / samples

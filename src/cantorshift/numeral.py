@@ -432,28 +432,28 @@ def _scan(x: Fraction, q: QSequence, limit: int):
     `cyc` a pair (entry, period) marking the first recurrence of a
     (remainder, base-phase) state.  At most one of term/cyc is set; both
     None means the probe limit was reached first.
+    Every remainder is a/b over the denominator b of x, so its numerator
+    a and the base phase identify the state.
     """
     pre = len(q.prefix)
     c = len(q.cycle)
     digits: list[int] = []
-    r = x
+    a, b = x.numerator, x.denominator
     seen: dict = {}
     k = 0
     while k < limit:
-        if r == 0:
+        if a == 0:
             return digits, k, None
         if k >= pre:
-            state = (r, (k - pre) % c)
+            state = (a, (k - pre) % c)
             if state in seen:
                 j0 = seen[state]
                 return digits, None, (j0, k - j0)
             seen[state] = k
-        qk = q.at(k + 1)
-        d = (r.numerator * qk) // r.denominator
-        r = r * qk - d
+        d, a = divmod(a * q.at(k + 1), b)
         digits.append(d)
         k += 1
-    if r == 0:
+    if a == 0:
         return digits, k, None
     return digits, None, None
 
@@ -607,16 +607,7 @@ class Cylinder:
 
 def cylinder_info(base_digits, q: QSequence) -> Cylinder:
     """Endpoints and exact measure of the cylinder over a digit tuple."""
-    digits = tuple(int(d) for d in base_digits)
-    total = ZERO
-    denom = 1
-    for i, d in enumerate(digits):
-        qk = q.at(i + 1)
-        if not 0 <= d < qk:
-            raise DomainError(
-                f"digit {d} at position {i + 1} outside range 0..{qk - 1}")
-        denom *= qk
-        if d:
-            total += Fraction(d, denom)
+    d = DigitString(q, base_digits)
+    total, denom = _prefix_sum(d)
     width = Fraction(1, denom)
-    return Cylinder(digits, q, total, total + width, width)
+    return Cylinder(d.prefix, q, total, total + width, width)

@@ -7,12 +7,13 @@ Two primitive moves act on a digit string:
 * the position-m deletion `sigma_m`, which removes the m-th digit (and
   the m-th base value) and closes the gap.
 
-Both act on exact rationals (via full expansion) or directly on
-`DigitString` objects.  A `ShiftProgram` is a word of such moves applied
-left to right, each indexing into the *current* string, i.e. positions
-are re-counted after every deletion.  Programs can be spelled out or
-produced by a generator rule (constant repetition, an affine index
-schedule, an explicit table, or a congruence-filtered repetition).
+Both act on exact rationals, through one integer kernel that reads only
+the digits a program consumes, or directly on `DigitString` objects.  A
+`ShiftProgram` is a word of such moves applied left to right, each
+indexing into the *current* string, i.e. positions are re-counted after
+every deletion.  Programs can be spelled out or produced by a generator
+rule (constant repetition, an affine index schedule, an explicit table,
+or a congruence-filtered repetition).
 
 `normalize_program` rewrites a word into an equivalent one using the
 identities that collapse deletion patterns into pure shift powers:
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Union
 
 from .errors import DomainError, InsufficientDepthError
@@ -34,9 +36,6 @@ from .numeral import (
     DigitString,
     QSequence,
     _check_unit_interval,
-    eval_prefix,
-    expand,
-    expand_exact,
     truncated_tail,
 )
 
@@ -242,6 +241,78 @@ def required_depth(word) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Program images on rationals
+# ---------------------------------------------------------------------------
+
+def _surviving_positions(word, depth: int) -> list[int]:
+    """Positions of 1..depth left after the program, in image order."""
+    pos = list(range(depth, 0, -1))  # reversed, so a shift pops the end
+    for atom in word:
+        if atom.kind == "sigma":
+            if not pos:
+                raise InsufficientDepthError(
+                    "program consumes more digits than the chosen depth",
+                    required=required_depth(word))
+            pos.pop()
+        else:
+            if atom.index > len(pos):
+                raise InsufficientDepthError(
+                    f"deletion at {atom.index} exceeds the chosen depth",
+                    required=required_depth(word))
+            del pos[-atom.index]
+    return pos[::-1]
+
+
+def _image_weights(word, q: QSequence, depth: int) -> tuple[list[int], int]:
+    """Per-position numerator weights of the program image, plus its
+    denominator.
+
+    The image of digits (c_1, ..., c_depth) is
+    [sum c_s * w_s, sum c_s * w_s + 1] / D with w_s = 0 for deleted
+    positions; surviving position s_j has weight D / (b_1 ... b_j)
+    over the image base values b_i.
+    """
+    surv = _surviving_positions(word, depth)
+    weights = [0] * depth
+    acc = 1
+    for s in reversed(surv):
+        weights[s - 1] = acc
+        acc *= q.at(s)
+    return weights, acc
+
+
+def _greedy_head(x: Fraction, q: QSequence, depth: int) -> tuple[list[int], int, int]:
+    """The first `depth` greedy digits of x and the remainder a/b, the
+    value of the digits after them over the shifted base.
+
+    x = 1 is the all-maximal-digit string, whose remainder is 1.
+    """
+    _check_unit_interval(x)
+    if x == 1:
+        return [q.at(k) - 1 for k in range(1, depth + 1)], 1, 1
+    a, b = x.numerator, x.denominator
+    digits = []
+    for k in range(1, depth + 1):
+        e, a = divmod(a * q.at(k), b)
+        digits.append(e)
+    return digits, a, b
+
+
+def _rational_image(word, x: Fraction, q: QSequence) -> Fraction:
+    """Exact image of a rational under a program word.
+
+    Every digit past R = required_depth(word) survives, in order, behind
+    the surviving head digits, so the image is the head weighted by
+    `_image_weights` plus the remainder, all over D.  Cost: R greedy
+    steps and at most 2R base values read.
+    """
+    depth = required_depth(word)
+    digits, a, b = _greedy_head(x, q, depth)
+    w, d = _image_weights(word, q, depth)
+    return Fraction(sum(map(mul, digits, w)) * b + a, d * b)
+
+
+# ---------------------------------------------------------------------------
 # Primitive operators
 # ---------------------------------------------------------------------------
 
@@ -281,42 +352,27 @@ def _drop_at(d: DigitString, m: int) -> DigitString:
 def shift_n(x: Value, q: QSequence, n: int) -> Value:
     """Apply the left shift n times.
 
-    For a rational input the expansion is computed exactly and the first
-    n digits are dropped; the result is the exact value of the remainder
-    series over the shifted base.  DigitString inputs shift symbolically.
+    For a rational input the result is frac(x q_1 ... q_n), the exact
+    value of the remainder series over the shifted base (1 stays 1); it
+    costs n greedy steps.  DigitString inputs shift symbolically.
     """
     if n < 0:
         raise DomainError(f"shift count must be >= 0, got {n}")
     if isinstance(x, DigitString):
         return _drop_front(x, n)
-    if n == 0:
-        _check_unit_interval(x)
-        return x
-    return eval_prefix(_drop_front(expand_exact(x, q), n))
+    return _rational_image((SIGMA,) * n, x, q)
 
 
 def gen_shift(x: Value, q: QSequence, m: int) -> Value:
     """Delete the m-th digit of x (1-indexed) and renumber.
 
-    Rational inputs use the closed form
-        sigma_m(x) = x q_m - e_m / (q_1...q_{m-1})
-                       - (q_m - 1) sum_{i<m} e_i / (q_1...q_i),
-    which only needs the first m greedy digits.
+    A rational input costs m greedy steps: the first m - 1 digits keep
+    their weights and the remainder after digit m closes the image.
+    Both routes reject m < 1 with a DomainError.
     """
-    if m < 1:
-        raise DomainError(f"deletion index must be >= 1, got {m}")
     if isinstance(x, DigitString):
         return _drop_at(x, m)
-    digits = expand(x, q, m).prefix
-    qm = q.at(m)
-    out = x * qm - Fraction(digits[m - 1], q.partial_product(m - 1))
-    head = Fraction(0)
-    denom = 1
-    for i in range(m - 1):
-        denom *= q.at(i + 1)
-        if digits[i]:
-            head += Fraction(digits[i], denom)
-    return out - (qm - 1) * head
+    return _rational_image((GEN(m),), x, q)
 
 
 def drop_positions(d: DigitString, positions) -> DigitString:
@@ -335,7 +391,11 @@ def drop_positions(d: DigitString, positions) -> DigitString:
 
 
 def apply_program(program: ShiftProgram, x: Value, q: QSequence) -> Value:
-    """Run a program left to right; every atom indexes the current string."""
+    """Run a program left to right; every atom indexes the current string.
+
+    A rational input costs O(required depth) greedy steps, however long
+    the period of its expansion.
+    """
     if isinstance(x, DigitString):
         cur = x
         for i, atom in enumerate(program.word):
@@ -346,16 +406,7 @@ def apply_program(program: ShiftProgram, x: Value, q: QSequence) -> Value:
                     f"atom {i + 1} ({atom!r}) of the program: {exc}",
                     required=required_depth(program.word)) from exc
         return cur
-    val = x
-    base = q
-    for atom in program.word:
-        if atom.kind == "sigma":
-            val = shift_n(val, base, 1)
-            base = base.shift(1)
-        else:
-            val = gen_shift(val, base, atom.index)
-            base = base.remove_at(atom.index)
-    return val
+    return _rational_image(program.word, x, q)
 
 
 # ---------------------------------------------------------------------------
@@ -433,20 +484,13 @@ class ReconstructionCheck:
 def reconstruct_identity(x: Fraction, q: QSequence, n: int) -> ReconstructionCheck:
     """Verify that dropping n digits and reassembling recovers x exactly.
 
-    Both sides are computed through the digit machinery (not algebraic
-    rearrangement), so this genuinely exercises the expansion and shift
-    paths.
+    The shifted value comes from `shift_n` and the head from the first n
+    greedy digits under the identity program's weights, so both sides go
+    through the digit machinery, not an algebraic rearrangement.  Cost:
+    O(n) greedy steps.
     """
-    if n < 0:
-        raise DomainError(f"shift count must be >= 0, got {n}")
     shifted = shift_n(x, q, n)
-    partial = Fraction(0)
-    denom = 1
-    if n:
-        digits = expand(x, q, n).prefix
-        for i in range(n):
-            denom *= q.at(i + 1)
-            if digits[i]:
-                partial += Fraction(digits[i], denom)
-    rhs = partial + shifted / denom
+    digits, _, _ = _greedy_head(x, q, n)
+    w, denom = _image_weights((), q, n)
+    rhs = Fraction(sum(map(mul, digits, w)), denom) + shifted / denom
     return ReconstructionCheck(x == rhs, x, rhs, shifted)

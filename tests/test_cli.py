@@ -186,6 +186,21 @@ class TestGkCommands:
         assert abs(out["estimate"] - 0.5) <= 4 * out["std_err"]
         assert out["hits"] == round(out["estimate"] * out["samples"])
 
+    @pytest.mark.parametrize("rhs", [
+        {"const": "100000000000000000000001/100000000000000000000003"},
+        {"programOnX": {"program": {"word": [{"sigma": None}]},
+                        "x": "1/100000000000000000000003"}},
+    ])
+    def test_mc_threshold_beyond_int64(self, capsys, rhs):
+        spec = json.dumps({"q": 2, "lhs": {"word": [{"sigma": None}]}, "rhs": rhs})
+        code, out, err = run(capsys, "gk", "mc", "--spec", spec,
+                             "--samples", "100", "--seed", "1")
+        assert code == 0, err
+        result = json.loads(out)
+        assert result["samples"] == 100
+        # the threshold is within 1e-22 of 1 or of 0: every sample or none
+        assert result["hits"] == (100 if "const" in rhs else 0)
+
     def test_scan_csv(self, capsys):
         code, out, err = run(
             capsys, "gk", "scan", "--q", "2",

@@ -176,6 +176,101 @@ class TestReconstruction:
 
 
 # ---------------------------------------------------------------------------
+# Rational image kernel
+# ---------------------------------------------------------------------------
+
+@st.composite
+def kernel_points(draw, q):
+    """0, 1, a terminating point (denominator q_1...q_n) or a periodic one
+    (a prime factor >= 7 in the denominator, which no base value has)."""
+    kind = draw(st.sampled_from(["zero", "one", "terminating", "periodic"]))
+    if kind == "zero":
+        return F(0)
+    if kind == "one":
+        return F(1)
+    if kind == "terminating":
+        den = q.partial_product(draw(st.integers(1, 6)))
+        return F(draw(st.integers(1, den - 1)), den)
+    prime = draw(st.sampled_from([7, 11, 13, 97, 101]))
+    den = prime * draw(st.integers(1, 30))
+    return F(draw(st.integers(1, den - 1).filter(lambda n: n % prime)), den)
+
+
+@st.composite
+def kernel_cases(draw):
+    q = draw(bases())
+    word = draw(words())
+    if draw(st.booleans()):
+        # GEN(1) anywhere in the word, or the word emptied
+        word = draw(st.sampled_from([(), (GEN(1),) + word, word + (GEN(1),)]))
+    return q, word, draw(kernel_points(q))
+
+
+class CountingBase(QSequence):
+    """A constant base that counts the values read from it."""
+
+    def __init__(self, value):
+        super().__init__((), (value,), "constant")
+        object.__setattr__(self, "reads", 0)
+
+    def at(self, k):
+        object.__setattr__(self, "reads", self.reads + 1)
+        return super().at(k)
+
+
+class TestRationalKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_cases())
+    def test_programs_match_digit_string_oracle(self, case):
+        q, word, x = case
+        d = expand_exact(x, q)
+        p = ShiftProgram(word)
+        assert apply_program(p, x, q) == eval_prefix(apply_program(p, d, q))
+        assert shift_n(x, q, len(word)) == eval_prefix(shift_n(d, q, len(word)))
+        for m in {1, len(word) + 1}:
+            assert gen_shift(x, q, m) == eval_prefix(gen_shift(d, q, m))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 10**30), st.data(), bases(), st.integers(0, 40))
+    def test_large_denominators(self, den, data, q, n):
+        x = F(data.draw(st.integers(0, den - 1)), den)
+        y = x * q.partial_product(n)
+        assert shift_n(x, q, n) == y - (y.numerator // y.denominator)
+
+    def test_long_period_regressions(self):
+        q = QSequence.constant(2)
+        # binary periods 80020 and 1000002; the kernel reads one digit
+        assert shift_n(F(1, 80021), q, 1) == F(2, 80021)
+        assert shift_n(F(1, 1000003), q, 1) == F(2, 1000003)
+
+    @pytest.mark.parametrize("op, most", [
+        (lambda x, q: shift_n(x, q, 3), 2 * 3),
+        (lambda x, q: gen_shift(x, q, 4), 2 * 4),
+        (lambda x, q: apply_program(ShiftProgram((GEN(2), GEN(2), SIGMA)), x, q), 2 * 3),
+        (lambda x, q: apply_program(ShiftProgram((SIGMA, GEN(5), SIGMA)), x, q), 2 * 7),
+        # the shift, the head digits and their weights each read n values
+        (lambda x, q: reconstruct_identity(x, q, 5), 3 * 5),
+    ])
+    def test_reads_only_required_depth(self, op, most):
+        # the binary period of 1/1000003 is 1000002: a route that expands
+        # the whole period reads about a million base values
+        q = CountingBase(2)
+        op(F(1, 1000003), q)
+        assert 0 < q.reads <= most
+
+    @pytest.mark.parametrize("x", [F(3, 2), F(-1, 2)])
+    def test_every_program_checks_the_input(self, x):
+        q = QSequence.constant(2)
+        for p in (ShiftProgram.identity(), ShiftProgram((SIGMA,)), ShiftProgram((GEN(2),))):
+            with pytest.raises(DomainError):
+                apply_program(p, x, q)
+        with pytest.raises(DomainError):
+            shift_n(x, q, 0)
+        with pytest.raises(DomainError):
+            reconstruct_identity(x, q, 0)
+
+
+# ---------------------------------------------------------------------------
 # Programs
 # ---------------------------------------------------------------------------
 

@@ -224,40 +224,28 @@ def measure_bounds(spec: GKSetSpec, depth: int) -> MeasureBounds:
     want_lt = spec.relation == "lt"
     inside = 0
     straddle = 0
-
-    def classify(acc_l: int, r_l: int, acc_r: int, r_r: int) -> Optional[bool]:
-        # left image range [acc_l, acc_l + r_l + 1] / dl;
-        # right range [acc_r, acc_r + r_r + tail_r] / dr
-        left_below = (acc_l + r_l + 1) * dr <= acc_r * dl
-        left_above = acc_l * dr >= (acc_r + r_r + tail_r) * dl
-        if left_below:
-            return want_lt
-        if left_above:
-            return not want_lt
-        return None
-
-    def walk(i: int, acc_l: int, acc_r: int) -> None:
-        nonlocal inside, straddle
-        v = classify(acc_l, rem_l[i], acc_r, rem_r[i])
-        if v is True:
-            inside += leaves[i]
-            return
-        if v is False:
-            return
-        if i == depth:
-            straddle += 1
-            return
-        if wl[i] == 0 and wr[i] == 0:
+    # (digit index, left and right numerators so far, identical copies)
+    stack = [(0, 0, base_r, 1)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        i, acc_l, acc_r, mult = pop()
+        # left image range [acc_l, acc_l + rem_l[i] + 1] / dl;
+        # right range [acc_r, acc_r + rem_r[i] + tail_r] / dr
+        if (acc_l + rem_l[i] + 1) * dr <= acc_r * dl:
+            if want_lt:
+                inside += mult * leaves[i]
+        elif acc_l * dr >= (acc_r + rem_r[i] + tail_r) * dl:
+            if not want_lt:
+                inside += mult * leaves[i]
+        elif i == depth:
+            straddle += mult
+        elif wl[i] == 0 and wr[i] == 0:
             # neither side reads this digit: all children are identical
-            in0, st0 = inside, straddle
-            walk(i + 1, acc_l, acc_r)
-            inside += (inside - in0) * (qv[i] - 1)
-            straddle += (straddle - st0) * (qv[i] - 1)
-            return
-        for c in range(qv[i]):
-            walk(i + 1, acc_l + c * wl[i], acc_r + c * wr[i])
+            push((i + 1, acc_l, acc_r, mult * qv[i]))
+        else:
+            for c in range(qv[i]):
+                push((i + 1, acc_l + c * wl[i], acc_r + c * wr[i], mult))
 
-    walk(0, 0, base_r)
     total = leaves[0]
     return MeasureBounds(Fraction(inside, total),
                          Fraction(inside + straddle, total),

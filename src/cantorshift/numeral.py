@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
 from .errors import DomainError, InsufficientDepthError
@@ -357,49 +358,38 @@ class DigitString:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+def _horner(digits, base: QSequence) -> tuple[int, int]:
+    """(N, D) with N / D = sum_k digits[k-1] / (b_1 ... b_k) and
+    D = b_1 ... b_len(digits), in integers."""
+    num, den = 0, 1
+    for k, dig in enumerate(digits, 1):
+        b = base.at(k)
+        num = num * b + dig
+        den *= b
+    return num, den
+
+
 def _prefix_sum(d: DigitString) -> tuple[Fraction, int]:
     """(sum of the explicit prefix terms, q_1...q_depth)."""
-    total = ZERO
-    denom = 1
-    for i, dig in enumerate(d.prefix):
-        denom *= d.base.at(i + 1)
-        if dig:
-            total += Fraction(dig, denom)
-    return total, denom
+    num, den = _horner(d.prefix, d.base)
+    return Fraction(num, den), den
 
 
 def _periodic_tail_value(base: QSequence, pattern: tuple[int, ...]) -> Fraction:
     """Exact value of sum_{j>=1} pattern[(j-1) mod L] / (b_1 b_2 ... b_j)
     over the given base.
 
-    Walks the joint (pattern phase, base phase) state machine until the
-    state recurs, then closes the geometric tail in one step.  Always
-    terminates: the state space is finite.
+    Past the base prefix (j0 values) the joint (pattern phase, base
+    phase) state first recurs after lcm(L, cycle) positions, at j.  With
+    the partial sums N_i / D_i the series is then geometric, and its
+    value is (N_j - N_j0) / (D_j - D_j0).
     """
     L = len(pattern)
-    pre = len(base.prefix)
-    c = len(base.cycle)
-    seen = {}
-    partials = [ZERO]
-    denoms = [1]
-    j = 0
-    while True:
-        if j >= pre:
-            state = (j % L, (j - pre) % c)
-            if state in seen:
-                j0 = seen[state]
-                break
-            seen[state] = j
-        b = base.at(j + 1)
-        denoms.append(denoms[-1] * b)
-        term = Fraction(pattern[j % L], denoms[-1])
-        partials.append(partials[-1] + term)
-        j += 1
-    # tail after j0 repeats with ratio denoms[j0]/denoms[j]
-    head = partials[j0]
-    block = (partials[j] - partials[j0]) * denoms[j0]
-    ratio = Fraction(denoms[j0], denoms[j])
-    return head + Fraction(1, denoms[j0]) * (block / (1 - ratio))
+    j0 = len(base.prefix)
+    digits = [pattern[i % L] for i in range(j0 + lcm(L, len(base.cycle)))]
+    n0, d0 = _horner(digits[:j0], base)
+    n, d = _horner(digits, base)
+    return Fraction(n - n0, d - d0)
 
 
 def eval_prefix(d: DigitString) -> Union[Fraction, Interval]:

@@ -7,13 +7,15 @@ Two primitive moves act on a digit string:
 * the position-m deletion `sigma_m`, which removes the m-th digit (and
   the m-th base value) and closes the gap.
 
-Both act on exact rationals, through one integer kernel that reads only
-the digits a program consumes, or directly on `DigitString` objects.  A
-`ShiftProgram` is a word of such moves applied left to right, each
+A `ShiftProgram` is a word of such moves applied left to right, each
 indexing into the *current* string, i.e. positions are re-counted after
-every deletion.  Programs can be spelled out or produced by a generator
-rule (constant repetition, an affine index schedule, an explicit table,
-or a congruence-filtered repetition).
+every deletion.  Its meaning is which digit positions survive, and in
+what order; one function computes that for both kinds of input.  An
+exact rational goes through one integer kernel that reads only the
+digits the program consumes; a `DigitString` image is built once from
+the surviving positions.  Programs can be spelled out or produced by a
+generator rule (constant repetition, an affine index schedule, an
+explicit table, or a congruence-filtered repetition).
 
 `normalize_program` rewrites a word into an equivalent one using the
 identities that collapse deletion patterns into pure shift powers:
@@ -245,21 +247,21 @@ def required_depth(word) -> int:
 # ---------------------------------------------------------------------------
 
 def _surviving_positions(word, depth: int) -> list[int]:
-    """Positions of 1..depth left after the program, in image order."""
+    """Positions of 1..depth left after the program, in image order.
+
+    Every atom deletes one position; a shift (index 0) deletes the
+    first.  An atom that reaches past the positions still left raises,
+    naming the atom and the depth the whole word needs.
+    """
     pos = list(range(depth, 0, -1))  # reversed, so a shift pops the end
-    for atom in word:
-        if atom.kind == "sigma":
-            if not pos:
-                raise InsufficientDepthError(
-                    "program consumes more digits than the chosen depth",
-                    required=required_depth(word))
-            pos.pop()
-        else:
-            if atom.index > len(pos):
-                raise InsufficientDepthError(
-                    f"deletion at {atom.index} exceeds the chosen depth",
-                    required=required_depth(word))
-            del pos[-atom.index]
+    try:
+        for atom in word:
+            del pos[-(atom.index or 1)]
+    except IndexError:
+        i = depth - len(pos)  # atoms run so far
+        raise InsufficientDepthError(
+            f"atom {i + 1} ({word[i]!r}) of the program runs past the "
+            f"{depth} digits available", required=required_depth(word)) from None
     return pos[::-1]
 
 
@@ -313,40 +315,35 @@ def _rational_image(word, x: Fraction, q: QSequence) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Primitive operators
+# Program images on digit strings, and the operators
 # ---------------------------------------------------------------------------
 
 Value = Union[Fraction, DigitString]
 
 
-def _drop_front(d: DigitString, n: int) -> DigitString:
-    if n == 0:
-        return d
-    if d.tail.kind == "truncated":
-        if n > d.depth:
-            raise InsufficientDepthError(
-                f"shift by {n} needs {n} digits, string truncated at {d.depth}",
-                required=n)
-        return DigitString(d.base.shift(n), d.prefix[n:],
-                           truncated_tail(d.depth - n))
-    dd = d.materialize(n)
-    return DigitString(d.base.shift(n), dd.prefix[n:], dd.tail)
+def _string_image(word, d: DigitString) -> DigitString:
+    """The image of a digit string under a program word, built once.
+
+    An atom maps a known prefix length l to max(l, k) - 1, so the word
+    maps it to max(l, R) - len(word) with R = required_depth(word): one
+    materialisation to max(depth, R) fixes the image prefix, the rotation
+    of a periodic tail and the base.  A truncated string is not extended;
+    a word that needs more than its depth raises.
+    """
+    truncated = d.tail.kind == "truncated"
+    n = d.depth if truncated else max(d.depth, required_depth(word))
+    surv = _surviving_positions(word, n)
+    full = d.materialize(n)
+    rest = d.base.shift(n)
+    base = QSequence(tuple(map(d.base.at, surv)) + rest.prefix, rest.cycle)
+    tail = truncated_tail(len(surv)) if truncated else full.tail
+    return DigitString(base, tuple(full.prefix[s - 1] for s in surv), tail)
 
 
-def _drop_at(d: DigitString, m: int) -> DigitString:
-    if m < 1:
-        raise DomainError(f"deletion index must be >= 1, got {m}")
-    if d.tail.kind == "truncated":
-        if m > d.depth:
-            raise InsufficientDepthError(
-                f"deleting digit {m} needs {m} digits, string truncated at {d.depth}",
-                required=m)
-        return DigitString(d.base.remove_at(m),
-                           d.prefix[:m - 1] + d.prefix[m:],
-                           truncated_tail(d.depth - 1))
-    dd = d.materialize(m)
-    return DigitString(d.base.remove_at(m),
-                       dd.prefix[:m - 1] + dd.prefix[m:], dd.tail)
+def _image(word, x: Value, q: QSequence) -> Value:
+    if isinstance(x, DigitString):
+        return _string_image(word, x)
+    return _rational_image(word, x, q)
 
 
 def shift_n(x: Value, q: QSequence, n: int) -> Value:
@@ -354,13 +351,12 @@ def shift_n(x: Value, q: QSequence, n: int) -> Value:
 
     For a rational input the result is frac(x q_1 ... q_n), the exact
     value of the remainder series over the shifted base (1 stays 1); it
-    costs n greedy steps.  DigitString inputs shift symbolically.
+    costs n greedy steps.  A DigitString input gives one image built from
+    the surviving positions n + 1, n + 2, ...: their digits and base values.
     """
     if n < 0:
         raise DomainError(f"shift count must be >= 0, got {n}")
-    if isinstance(x, DigitString):
-        return _drop_front(x, n)
-    return _rational_image((SIGMA,) * n, x, q)
+    return _image((SIGMA,) * n, x, q)
 
 
 def gen_shift(x: Value, q: QSequence, m: int) -> Value:
@@ -370,43 +366,30 @@ def gen_shift(x: Value, q: QSequence, m: int) -> Value:
     their weights and the remainder after digit m closes the image.
     Both routes reject m < 1 with a DomainError.
     """
-    if isinstance(x, DigitString):
-        return _drop_at(x, m)
-    return _rational_image((GEN(m),), x, q)
+    return _image((GEN(m),), x, q)
 
 
 def drop_positions(d: DigitString, positions) -> DigitString:
     """Delete a set of digit positions counted in the *original* string.
 
-    Positions are removed from highest to lowest so earlier indices stay
-    valid while later ones are deleted.
+    The positions, highest first, form a word of deletions whose indices
+    all still name original positions; its image is built once from the
+    surviving positions.
     """
     pos = sorted(set(int(p) for p in positions), reverse=True)
     if pos and pos[-1] < 1:
         raise DomainError("digit positions must be >= 1")
-    out = d
-    for p in pos:
-        out = _drop_at(out, p)
-    return out
+    return _string_image(tuple(map(GEN, pos)), d)
 
 
 def apply_program(program: ShiftProgram, x: Value, q: QSequence) -> Value:
     """Run a program left to right; every atom indexes the current string.
 
     A rational input costs O(required depth) greedy steps, however long
-    the period of its expansion.
+    the period of its expansion; a DigitString input materialises at
+    most the required depth once.
     """
-    if isinstance(x, DigitString):
-        cur = x
-        for i, atom in enumerate(program.word):
-            try:
-                cur = _drop_front(cur, 1) if atom.kind == "sigma" else _drop_at(cur, atom.index)
-            except InsufficientDepthError as exc:
-                raise InsufficientDepthError(
-                    f"atom {i + 1} ({atom!r}) of the program: {exc}",
-                    required=required_depth(program.word)) from exc
-        return cur
-    return _rational_image(program.word, x, q)
+    return _image(program.word, x, q)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,15 @@ class TestGkCommands:
         # the threshold is within 1e-22 of 1 or of 0: every sample or none
         assert result["hits"] == (100 if "const" in rhs else 0)
 
+    def test_bounds_deeper_than_the_recursion_limit(self, capsys):
+        # 1400 shifts read 1400 digits: a walk that recursed per digit
+        # died with a RecursionError traceback here
+        spec = json.dumps({"q": 2, "lhs": {"word": [{"sigma": None}] * 1400},
+                           "rhs": {"const": "1/2"}})
+        out = run_json(capsys, "gk", "bounds", "--depth", "1500", "--spec", spec)
+        assert out == {"decided_mass": "1/1", "depth": 1500,
+                       "lower": "1/2", "upper": "1/2"}
+
     def test_scan_csv(self, capsys):
         code, out, err = run(
             capsys, "gk", "scan", "--q", "2",

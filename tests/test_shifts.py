@@ -60,6 +60,38 @@ def truncated_string(q: QSequence, digits) -> DigitString:
     return DigitString(q, tuple(digits), truncated_tail(len(digits)))
 
 
+def naive_image(word, x, q):
+    """Plain-list reference for a program image: (value, base).
+
+    Greedy digits of x and the base values go into Python lists, up to
+    the depth the word reads; each atom then deletes one entry of both
+    lists, and the value is their Horner sum closed by the remainder.
+    The base comes from `shift`/`remove_at` one atom at a time.
+    """
+    bases = [q.at(k) for k in range(1, required_depth(word) + 1)]
+    digits, rest = [], x
+    for b in bases:
+        if rest == 1:  # 1 is the all-maximal-digit string
+            digits.append(b - 1)
+        else:
+            digits.append(int(rest * b))
+            rest = rest * b - digits[-1]
+    base = q
+    for atom in word:
+        if atom.kind == "sigma":
+            digits.pop(0)
+            bases.pop(0)
+            base = base.shift(1)
+        else:
+            del digits[atom.index - 1]
+            del bases[atom.index - 1]
+            base = base.remove_at(atom.index)
+    value = rest
+    for dig, b in zip(reversed(digits), reversed(bases)):
+        value = (dig + value) / b
+    return value, base
+
+
 # ---------------------------------------------------------------------------
 # Primitive operators
 # ---------------------------------------------------------------------------
@@ -222,13 +254,20 @@ class TestRationalKernel:
     @settings(max_examples=200, deadline=None)
     @given(kernel_cases())
     def test_programs_match_digit_string_oracle(self, case):
+        # both routes against the plain-list reference, which maps atoms
+        # to positions on its own
         q, word, x = case
         d = expand_exact(x, q)
-        p = ShiftProgram(word)
-        assert apply_program(p, x, q) == eval_prefix(apply_program(p, d, q))
-        assert shift_n(x, q, len(word)) == eval_prefix(shift_n(d, q, len(word)))
-        for m in {1, len(word) + 1}:
-            assert gen_shift(x, q, m) == eval_prefix(gen_shift(d, q, m))
+        n = len(word)
+        ops = [(word, lambda v: apply_program(ShiftProgram(word), v, q)),
+               ((SIGMA,) * n, lambda v: shift_n(v, q, n))]
+        ops += [((GEN(m),), lambda v, m=m: gen_shift(v, q, m)) for m in {1, n + 1}]
+        for w, op in ops:
+            value, base = naive_image(w, x, q)
+            assert op(x) == value
+            image = op(d)
+            assert eval_prefix(image) == value
+            assert image.base == base
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 10**30), st.data(), bases(), st.integers(0, 40))
@@ -307,8 +346,11 @@ class TestPrograms:
     @given(words(), unit_rationals(max_den=200), bases())
     def test_routes_agree_generally(self, word, x, q):
         p = ShiftProgram(word)
-        ds = expand_exact(x, q)
-        assert eval_prefix(apply_program(p, ds, q)) == apply_program(p, x, q)
+        value, base = naive_image(word, x, q)
+        assert apply_program(p, x, q) == value
+        image = apply_program(p, expand_exact(x, q), q)
+        assert eval_prefix(image) == value
+        assert image.base == base
 
     def test_insufficient_depth_names_atom(self):
         q = QSequence.constant(2)
@@ -316,8 +358,26 @@ class TestPrograms:
         p = ShiftProgram((SIGMA, SIGMA, GEN(2)))
         with pytest.raises(InsufficientDepthError) as e:
             apply_program(p, d, q)
-        assert "atom 3" in str(e.value)
+        assert "atom 3 (GEN(2))" in str(e.value)
         assert e.value.required == required_depth(p.word)
+
+    def test_string_image_checks_the_period_at_most_twice(self, monkeypatch):
+        # building a string with a periodic tail checks the whole period;
+        # a route that materialised and rebuilt the string per atom
+        # checked it twice per atom here
+        q = QSequence.constant(2)
+        d = expand_exact(F(1, 4093), q)  # period 4092
+        calls = []
+        check = DigitString._check_periodic_range
+        monkeypatch.setattr(DigitString, "_check_periodic_range",
+                            lambda self: calls.append(1) or check(self))
+        word = (SIGMA, SIGMA, GEN(2), GEN(2), GEN(2), GEN(2))
+        image = apply_program(ShiftProgram(word), d, q)
+        assert len(calls) <= 2
+        assert eval_prefix(image) == naive_image(word, F(1, 4093), q)[0]
+        calls.clear()
+        drop_positions(d, [2, 7, 4])
+        assert len(calls) <= 2
 
 
 class TestRequiredDepth:

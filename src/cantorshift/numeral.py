@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 from typing import Optional, Union
 
 from .errors import DomainError, InsufficientDepthError
@@ -414,6 +414,15 @@ def eval_prefix(d: DigitString) -> Union[Fraction, Interval]:
 # Expansion
 # ---------------------------------------------------------------------------
 
+def _cycle_part(b: int, pi: int) -> int:
+    """The largest divisor of b whose prime factors all divide pi."""
+    rest, g = b, gcd(b, pi)
+    while g > 1:
+        rest //= g
+        g = gcd(rest, g)
+    return b // rest
+
+
 def _scan(x: Fraction, q: QSequence, limit: int):
     """Greedy digit extraction with remainder-state tracking.
 
@@ -422,24 +431,30 @@ def _scan(x: Fraction, q: QSequence, limit: int):
     `cyc` a pair (entry, period) marking the first recurrence of a
     (remainder, base-phase) state.  At most one of term/cyc is set; both
     None means the probe limit was reached first.
+
     Every remainder is a/b over the denominator b of x, so its numerator
-    a and the base phase identify the state.
+    a and the base phase identify the state.  Past the base prefix, one
+    base cycle maps a to a * P mod b, where P is the product of the
+    cycle, so a lies on a cycle of states iff b / gcd(a, b) is prime to
+    P, that is iff the part of b built from P's primes divides a.  The
+    first such state is the entry; the scan keeps only it and runs until
+    it recurs at the same base phase.
     """
     pre = len(q.prefix)
     c = len(q.cycle)
     digits: list[int] = []
     a, b = x.numerator, x.denominator
-    seen: dict = {}
+    part = _cycle_part(b, prod(q.cycle))
+    entry = start = None
     k = 0
     while k < limit:
         if a == 0:
             return digits, k, None
-        if k >= pre:
-            state = (a, (k - pre) % c)
-            if state in seen:
-                j0 = seen[state]
-                return digits, None, (j0, k - j0)
-            seen[state] = k
+        if entry is None:
+            if k >= pre and a % part == 0:
+                entry, start = k, a
+        elif a == start and (k - entry) % c == 0:
+            return digits, None, (entry, k - entry)
         d, a = divmod(a * q.at(k + 1), b)
         digits.append(d)
         k += 1

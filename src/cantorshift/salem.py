@@ -19,11 +19,14 @@ or an explicit finite matrix of per-step columns (exploratory).  Columns
 are consumed in order for matrix systems; fixed systems accept identity,
 rule-based, or finite-list reorders.
 
-Evaluation is exact (a closed finite sum, plus a geometric closure for
-all-max tails) whenever the digit string terminates and the reorder is
-injective; otherwise it truncates the series once the tail bound
-derived from the largest |p_i| drops below the requested tolerance, and
-reports that bound.
+Evaluation at a rational point is exact for a fixed tuple with an
+unbounded reorder (identity or a rule): past the digit string's prefix
+the digits read repeat with one period, so the self-similarity
+equations close in one step, g(tail) = S / (1 - P) over one period with
+partial sum S and weight product P.  Finite systems and truncated digit
+strings instead truncate the series once the tail bound derived from
+the largest |p_i| drops below the requested tolerance, and report that
+bound (or stop exactly when the system runs out of steps).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import sqrt
+from math import lcm, sqrt
 from typing import Optional, Union
 
 import numpy as np
@@ -73,7 +76,10 @@ def _swap_pairs(k: int) -> int:
     return k + 1 if k % 2 == 1 else k - 1
 
 
-_RULES = {"swap-pairs": _swap_pairs}
+# name -> (bijection of the steps, period r): steps mr+1 .. mr+r read
+# positions mr + rule(1), ..., mr + rule(r), so every block of r steps
+# reads exactly its own block of r positions
+_RULES = {"swap-pairs": (_swap_pairs, 2)}
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,7 @@ class Reorder:
         if self.kind == "identity":
             return k
         if self.kind == "rule":
-            return _RULES[self.name](k)
+            return _RULES[self.name][0](k)
         if k > len(self.values):
             raise InsufficientDepthError(
                 f"reorder schedule has {len(self.values)} steps; step {k} undefined")
@@ -117,9 +123,14 @@ class Reorder:
         """Number of steps, or None for the unbounded kinds."""
         return len(self.values) if self.kind == "list" else None
 
-    def covers_positions(self) -> bool:
-        """True when every position is consumed exactly once over all steps."""
-        return self.kind in ("identity", "rule")
+    def period(self) -> Optional[int]:
+        """Block length r of an unbounded kind: steps mr+1 .. mr+r read
+        positions mr + position(1), ..., mr + position(r).  None for a list."""
+        if self.kind == "identity":
+            return 1
+        if self.kind == "rule":
+            return _RULES[self.name][1]
+        return None
 
     def to_json(self) -> dict:
         if self.kind == "identity":
@@ -158,8 +169,7 @@ class SalemSystem:
     Exactly one of `weights` / `columns` is set.  `horizon` bounds how
     much of a list reorder the validator certifies as a permutation;
     `strict_reorder=False` turns off that certification for exploratory
-    schedules with repeats (exact terminating-sum shortcuts are then
-    disabled and everything runs through the tolerance path).
+    schedules with repeats (`integral` then refuses their exact mean).
     """
 
     weights: Optional[tuple[Fraction, ...]] = None
@@ -357,7 +367,13 @@ def ensure_valid(system: SalemSystem) -> None:
 @dataclass(frozen=True)
 class EvalResult:
     """Value of the series and a rigorous bound on the truncation error
-    (zero when the sum was closed exactly)."""
+    (zero when the sum was closed exactly).
+
+    `terms` counts the series steps summed.  A closed zero or max tail
+    counts the steps up to the end of the digit prefix (rounded up to a
+    whole reorder block); a closed periodic tail adds one period of the
+    digits read; a truncated sum counts the steps before it stopped.
+    """
 
     value: Fraction
     error_bound: Fraction
@@ -374,6 +390,24 @@ def _as_tol(tol) -> Fraction:
     return t
 
 
+def _series(read, D: int, a, c) -> tuple[int, int, int]:
+    """(N, A, D^m) with N / D^m the series sum over the m digits in `read`
+    and A / D^m their weight product, for weights a_e / D and partial
+    sums c_e / D.  Two halves combine as (N1 D2 + A1 N2, A1 A2, D1 D2);
+    splitting in halves keeps the big-integer products balanced, where
+    one Horner loop over a long period would cost its length squared."""
+    if len(read) <= 32:
+        num, prod = 0, 1
+        for e in read:
+            num = num * D + c[e] * prod
+            prod *= a[e]
+        return num, prod, D ** len(read)
+    mid = len(read) // 2
+    n1, a1, d1 = _series(read[:mid], D, a, c)
+    n2, a2, d2 = _series(read[mid:], D, a, c)
+    return n1 * d2 + a1 * n2, a1 * a2, d1 * d2
+
+
 def _eval_stage(d: DigitString, system: SalemSystem, tol: Fraction,
                 stage: int) -> EvalResult:
     """Sum the series terms after the first `stage` steps.
@@ -382,34 +416,35 @@ def _eval_stage(d: DigitString, system: SalemSystem, tol: Fraction,
     remainder that the j-th self-similarity equation relates to stage
     j - 1 (for in-order consumption it coincides with the value at the
     j-fold shifted point).
-    """
-    dp = d.depth
-    tail = d.tail.kind
-    limit = system.stage_limit()
 
-    exact_stop = (tail in ("zero", "max") and system.strict_reorder
-                  and system.reorder.covers_positions() and limit is None)
-    if exact_stop:
-        consumed = sum(1 for t in range(1, stage + 1)
-                       if system.reorder.position(t) <= dp)
-        remaining = dp - consumed
-        total = ZERO
-        prod = ONE
-        k = stage
-        while remaining > 0:
-            k += 1
-            n = system.reorder.position(k)
-            dig = d.digit(n)
-            total += system.beta_row(n)[dig] * prod
-            prod *= system.p_row(n)[dig]
-            if n <= dp:
-                remaining -= 1
-        if tail == "max":
-            # every later step reads a maximal digit: close the geometric tail
-            p = system.weights
-            betas = _betas(p)
-            total += prod * betas[-1] / (1 - p[-1])
-        return EvalResult(total, ZERO, k - stage)
+    A fixed system with an unbounded reorder closes a zero, max or
+    periodic tail exactly.  Past the step K >= max(stage, depth) that
+    ends a reorder block, the steps read the tail pattern (0 for a zero
+    tail, q - 1 for a max tail) in blocks of T = lcm(pattern length,
+    reorder period) steps that repeat.  With the head's sum H and
+    product P_H and one block's sum B and product P_B, the series is
+    H + P_H * B / (1 - P_B).
+    """
+    t = d.tail
+    limit = system.stage_limit()
+    if limit is None and t.kind != "truncated":
+        w = system.weights
+        pattern = {"zero": (0,), "max": (len(w) - 1,)}.get(t.kind, t.period)
+        L = len(pattern)
+        r = system.reorder.period()
+        K = -(-max(stage, d.depth) // r) * r
+        T = lcm(L, r)
+        digits = d.prefix + pattern * (1 + (K + T - d.depth) // L)
+        perm = [system.reorder.position(i) - 1 for i in range(1, r + 1)]
+        read = [digits[m + i] for m in range(0, K + T, r) for i in perm][stage:]
+        D = lcm(*(p.denominator for p in w))
+        a = [p.numerator * (D // p.denominator) for p in w]
+        c = [b.numerator * (D // b.denominator) for b in _betas(w)]
+        n_head, p_head, d_head = _series(read[:K - stage], D, a, c)
+        n_block, p_block, d_block = _series(read[K - stage:], D, a, c)
+        gap = d_block - p_block  # D^T (1 - P_B) > 0, as every |p| < 1
+        value = Fraction(n_head * gap + p_head * n_block, d_head * gap)
+        return EvalResult(value, ZERO, K - stage + (T if t.kind == "periodic" else 0))
 
     # tolerance path: stop once the remainder bound sinks below tol, or
     # the system runs out of steps (then the finite sum is exact)
@@ -449,9 +484,10 @@ def evaluate(x, q: int, system: SalemSystem, tol=DEFAULT_TOL) -> EvalResult:
     """Value of the system's function at x, with a truncation-error bound.
 
     x may be a Fraction in [0, 1] or a DigitString over the constant
-    base q.  Terminating and all-max expansions under injective
-    covering reorders evaluate exactly (error bound 0); any other input
-    is summed until the tail bound drops below `tol`.
+    base q.  A fixed system with an identity or rule reorder evaluates
+    every zero, max or periodic tail exactly (error bound 0), so every
+    rational x is exact; a truncated string or a finite system is summed
+    until the tail bound drops below `tol` or its steps run out.
     """
     ensure_valid(system)
     d = _prepare_point(x, q, system)
@@ -464,8 +500,9 @@ def residual(x, q: int, system: SalemSystem, k: int, tol=DEFAULT_TOL) -> Fractio
     The left side is the stage k-1 remainder of the series at x, the
     right side is beta_{d} + p_{d} times the stage-k remainder, where d
     is the digit consumed at step k.  For the series solution this is 0
-    up to the evaluation tolerances (|residual| <= 2 * tol); both sides
-    go through the same evaluation engine used by `evaluate`.
+    up to the evaluation tolerances (|residual| <= 2 * tol), and exactly
+    0 where `evaluate` is exact; both sides go through the same
+    evaluation engine used by `evaluate`.
     """
     if k < 1:
         raise DomainError(f"equation index must be >= 1, got {k}")
@@ -552,6 +589,7 @@ class McMean:
 
 
 _MC_CAP = 20_000
+_MC_BLOCK_BYTES = 64 * 2**20  # cap on one chunk's digit block
 
 
 def mc_mean(system: SalemSystem, samples: int, seed: int,
@@ -562,6 +600,8 @@ def mc_mean(system: SalemSystem, samples: int, seed: int,
     numpy's seeded generator in a fixed chunk order.  The series is cut
     at enough terms for a 1e-9 tail bound (capped); the remaining bias
     is far below the reported standard error at practical sample sizes.
+    A chunk draws at most `chunk` rows, and fewer when the digit block
+    would exceed 64 MiB.
     """
     ensure_valid(system)
     if samples < 2:
@@ -586,6 +626,7 @@ def mc_mean(system: SalemSystem, samples: int, seed: int,
         b_cols = [np.array([float(b) for b in system.beta_row(n)]) for n in positions]
 
     dtype = np.int8 if q <= 127 else np.int64
+    chunk = max(1, min(chunk, _MC_BLOCK_BYTES // (maxpos * np.dtype(dtype).itemsize)))
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0

@@ -120,8 +120,15 @@ class TestSalemCommands:
         out = run_json(capsys, "salem", "eval", "--system", SYSTEM, "--x", "1/2")
         assert out == {"value": "1/3", "error_bound": "0/1", "terms": 1}
 
+    def test_eval_exact_flag_periodic_point(self, capsys):
+        out = run_json(capsys, "salem", "eval", "--system", SYSTEM,
+                       "--x", "1/3", "--exact")
+        assert out == {"value": "1/7", "error_bound": "0/1", "terms": 2}
+
     def test_eval_exact_flag_failure(self, capsys):
-        code, out, err = run(capsys, "salem", "eval", "--system", SYSTEM,
+        # 64 columns outlast the tolerance, so the sum is truncated
+        columns = json.dumps({"q": 2, "columns": [["1/2", "1/2"]] * 64})
+        code, out, err = run(capsys, "salem", "eval", "--system", columns,
                              "--x", "1/3", "--exact")
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "domain"

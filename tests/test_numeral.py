@@ -1,5 +1,6 @@
 """Digit expansion, evaluation, classification, cylinders."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,7 @@ from cantorshift import (
     periodic_tail,
     truncated_tail,
 )
+from cantorshift.numeral import _decision_bound, _scan
 
 
 @st.composite
@@ -325,6 +327,69 @@ class TestClassify:
             assert r.zero_form.prefix != r.max_form.prefix or True
         if r.kind == "q-irrational":
             assert eval_prefix(r.certificate) == x
+
+
+# ---------------------------------------------------------------------------
+# Remainder-state scan
+# ---------------------------------------------------------------------------
+
+def reference_scan(x: F, q: QSequence, limit: int):
+    # keeps every (remainder, base phase) state in a dict and stops at the
+    # first one seen twice
+    pre, c = len(q.prefix), len(q.cycle)
+    digits, r, seen = [], x, {}
+    for k in range(limit):
+        if r == 0:
+            return digits, k, None
+        if k >= pre:
+            state = (r, (k - pre) % c)
+            if state in seen:
+                return digits, None, (seen[state], k - seen[state])
+            seen[state] = k
+        scaled = r * q.at(k + 1)
+        digits.append(scaled.numerator // scaled.denominator)
+        r = scaled - digits[-1]
+    return digits, (limit if r == 0 else None), None
+
+
+@st.composite
+def pre_periodic_bases(draw):
+    prefix = draw(st.lists(st.integers(2, 12), max_size=4))
+    cycle = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))
+    return QSequence(tuple(prefix), tuple(cycle))
+
+
+class TestScan:
+    @settings(max_examples=300, deadline=None)
+    @given(unit_rationals(max_den=3000), pre_periodic_bases(), st.data())
+    def test_matches_state_dict_reference(self, x, q, data):
+        bound = _decision_bound(x, q)
+        limit = data.draw(st.sampled_from([bound, 0, 1, 7, 40, 300]))
+        assert _scan(x, q, limit) == reference_scan(x, q, limit)
+
+    def test_entry_and_period_worked(self):
+        # 1/28 over 3, 2, 3, 2, ...: the remainders 1, 3, 6, 18 (over 28) are
+        # not multiples of 4, the part of 28 built from the primes of the
+        # cycle product 6; 8 is the first that is, and it returns 4 steps later
+        assert _scan(F(1, 28), QSequence((3,), (2, 3)), 100) == (
+            [0, 0, 0, 1, 0, 1, 2, 0], None, (4, 4))
+        # 1/7 over 2, 2, 4, ...: remainder 1/7 comes back after 5 steps at
+        # another base phase, and at the same phase only after 9
+        assert _scan(F(1, 7), QSequence.periodic((2, 2, 4)), 100) == (
+            [0, 0, 2, 0, 1, 0, 1, 0, 1], None, (0, 9))
+
+    def test_memory_per_digit(self):
+        # 2 has order 20028 modulo the prime 20029; a dict of the states
+        # costs about 150 bytes per digit, the digit list and the string's
+        # tuples about 26
+        tracemalloc.start()
+        try:
+            d = expand_exact(F(1, 20029), QSequence.constant(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(d.tail.period) == 20028
+        assert peak <= 40 * 20028
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cantorshift.salem as salem_module
 from cantorshift import (
+    MAX_TAIL,
+    ZERO_TAIL,
     DigitString,
     DomainError,
     InsufficientDepthError,
@@ -17,8 +21,10 @@ from cantorshift import (
     evaluate,
     emit_table,
     expand,
+    expand_exact,
     integral,
     mc_mean,
+    periodic_tail,
     residual,
     truncated_tail,
     validate_system,
@@ -149,10 +155,126 @@ class TestEvaluate:
 
 
 # ---------------------------------------------------------------------------
+# Exact closure of zero, max and periodic tails
+# ---------------------------------------------------------------------------
+
+SWAP = Reorder("rule", name="swap-pairs")
+
+
+def oracle_sum(prefix, pattern, weights, swap, steps):
+    """(sum, product) of the first `steps` series terms in plain Fractions:
+    digit n is prefix[n-1], then `pattern` repeats; swap-pairs reads
+    positions 2, 1, 4, 3, ..."""
+    betas = [sum(weights[:i], F(0)) for i in range(len(weights))]
+    total, prod = F(0), F(1)
+    for k in range(1, steps + 1):
+        n = (k + 1 if k % 2 else k - 1) if swap else k
+        e = (prefix[n - 1] if n <= len(prefix)
+             else pattern[(n - len(prefix) - 1) % len(pattern)])
+        total += betas[e] * prod
+        prod *= weights[e]
+    return total, prod
+
+
+def oracle_value(prefix, pattern, weights, swap):
+    # past an even step k0 >= len(prefix) the digits read repeat every
+    # 2 * len(pattern) steps, under either order
+    k0 = len(prefix) + len(prefix) % 2
+    head, p_head = oracle_sum(prefix, pattern, weights, swap, k0)
+    both, p_both = oracle_sum(prefix, pattern, weights, swap, k0 + 2 * len(pattern))
+    p_block = p_both / p_head if p_head else F(0)
+    block = (both - head) / p_head if p_head else F(0)
+    return head + p_head * block / (1 - p_block)
+
+
+CLOSED_SYSTEMS = [
+    fixed(["1/3", "2/3"]),
+    fixed(["1/3", "2/3"], reorder=SWAP),
+    fixed(["9/10", "1/10"]),
+    fixed(["3/5", "-1/5", "3/5"]),
+    fixed(["3/5", "-1/5", "3/5"], reorder=SWAP),
+    fixed(["1/2", "0", "1/2"], reorder=SWAP),
+]
+
+
+@st.composite
+def closed_points(draw):
+    """A system and a digit string over its base with a zero, max or
+    periodic tail (pattern given directly, repeats and rotations included)."""
+    s = draw(st.sampled_from(CLOSED_SYSTEMS))
+    digit = st.integers(0, s.q - 1)
+    prefix = tuple(draw(st.lists(digit, max_size=7)))
+    kind = draw(st.sampled_from(["zero", "max", "periodic"]))
+    if kind == "zero":
+        tail, pattern = ZERO_TAIL, (0,)
+    elif kind == "max":
+        tail, pattern = MAX_TAIL, (s.q - 1,)
+    else:
+        pattern = tuple(draw(st.lists(digit, min_size=1, max_size=5)))
+        tail = periodic_tail(pattern)
+    return s, DigitString(QSequence.constant(s.q), prefix, tail), pattern
+
+
+class TestClosure:
+    @settings(max_examples=200, deadline=None)
+    @given(closed_points())
+    def test_digit_strings_match_fraction_oracle(self, point):
+        s, d, pattern = point
+        weights = list(s.weights)
+        swap = s.reorder.kind == "rule"
+        want = oracle_value(d.prefix, pattern, weights, swap)
+        # the oracle against a plain partial sum and its tail bound
+        partial, _ = oracle_sum(d.prefix, pattern, weights, swap, 150)
+        m = s.global_max
+        assert abs(want - partial) <= m ** 150 / (1 - m)
+        r = evaluate(d, s.q, s)
+        assert r.value == want and r.error_bound == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(CLOSED_SYSTEMS), st.integers(1, 60), st.data())
+    def test_rationals_match_fraction_oracle(self, s, den, data):
+        x = F(data.draw(st.integers(0, den)), den)
+        d = expand_exact(x, QSequence.constant(s.q))
+        pattern = {"zero": (0,), "max": (s.q - 1,)}.get(d.tail.kind, d.tail.period)
+        r = evaluate(x, s.q, s)
+        assert r.error_bound == 0
+        assert r.value == oracle_value(d.prefix, pattern, list(s.weights),
+                                       s.reorder.kind == "rule")
+
+    def test_skewed_weights_close_in_one_period(self):
+        r = evaluate(F(1, 3), 2, fixed(["999/1000", "1/1000"]))
+        assert r.value == F(998001, 999001) and r.error_bound == 0
+        # the tolerance loop needed 219 terms here
+        assert evaluate(F(1, 3), 2, fixed(["9/10", "1/10"])).terms == 2
+
+    def test_terms_count_head_and_one_period(self):
+        s = fixed(["1/3", "2/3"])
+        assert evaluate(F(1, 2), 2, s).terms == 1       # zero tail: head only
+        assert evaluate(F(1, 7), 2, s).terms == 3       # period (0, 0, 1)
+        q2 = QSequence.constant(2)
+        swapped = fixed(["1/3", "2/3"], reorder=SWAP)
+        assert evaluate(DigitString(q2, (1,), MAX_TAIL), 2, swapped).terms == 2
+        assert evaluate(F(1, 7), 2, swapped).terms == 6  # lcm(3, 2)
+
+    def test_truncated_strings_keep_the_tolerance_loop(self):
+        s = fixed(["1/3", "2/3"])
+        d = DigitString(QSequence.constant(2), (0, 1) * 32, truncated_tail(64))
+        r = evaluate(d, 2, s, tol=F(1, 10**6))
+        assert 0 < r.error_bound <= F(1, 10**6)
+        assert abs(r.value - F(1, 7)) <= r.error_bound
+
+
+# ---------------------------------------------------------------------------
 # Residuals of the defining relations
 # ---------------------------------------------------------------------------
 
 class TestResidual:
+    def test_exact_zero_on_periodic_points(self):
+        for s in (fixed(["7/10", "-1/5", "1/2"]), fixed(["1/4", "3/4"], reorder=SWAP)):
+            for x in (F(1, 7), F(2, 11), F(5, 13), F(1, 1)):
+                for k in (1, 2, 3, 4):
+                    assert residual(x, s.q, s, k) == 0
+
     def test_zero_on_terminating_points(self):
         s = fixed(["1/3", "2/3"])
         for num in range(0, 17):
@@ -307,6 +429,48 @@ class TestIntegral:
         s = fixed(["7/10", "-1/5", "1/2"])
         r = mc_mean(s, samples=60000, seed=3)
         assert abs(r.mean - 0.6) <= 4 * r.std_err
+
+    def test_mc_results_pinned(self):
+        # floats recorded before chunks were capped by the digit block's
+        # size; these blocks fit under the cap, so nothing changes
+        cases = [
+            (fixed(["1/3", "2/3"]), 5000, 11, {},
+             0.3396862061398122, 0.0036991173160572954, 54),
+            (fixed(["97/100", "3/100"]), 3000, 5, {},
+             0.9707092602279245, 0.000735869239161165, 796),
+            (fixed(["7/10", "-1/5", "1/2"]), 4000, 3, {},
+             0.5989196607024114, 0.0029339442315583996, 62),
+            (fixed(["1/4", "3/4"], reorder=SWAP), 3000, 2, {},
+             0.24879102463792258, 0.004105853082120415, 77),
+            (SalemSystem.matrix([[F(k + 1, 2 * k + 3), F(k + 2, 2 * k + 3)]
+                                 for k in range(12)]), 2500, 9, {"chunk": 1000},
+             0.38296168358601, 0.0056344890814001135, 12),
+        ]
+        for s, samples, seed, kw, mean, std_err, terms in cases:
+            r = mc_mean(s, samples, seed, **kw)
+            assert (r.mean, r.std_err, r.terms) == (mean, std_err, terms)
+
+    def test_mc_block_cap_sets_the_chunk(self, monkeypatch):
+        # every digit block drawn stays under the cap; only the chunking moves
+        s = fixed(["1/3", "2/3"])  # 54 terms: 54 one-byte digits per row
+        want = mc_mean(s, samples=5000, seed=4)
+        shapes = []
+        default_rng = np.random.default_rng
+
+        class Recorder:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def integers(self, low, high, size, dtype):
+                shapes.append(size)
+                return self.rng.integers(low, high, size=size, dtype=dtype)
+
+        monkeypatch.setattr(np.random, "default_rng", Recorder)
+        monkeypatch.setattr(salem_module, "_MC_BLOCK_BYTES", 54 * 1000)
+        r = mc_mean(s, samples=5000, seed=4)
+        assert r.mean == pytest.approx(want.mean, rel=1e-12)
+        assert r.std_err == pytest.approx(want.std_err, rel=1e-9)
+        assert shapes == [(1000, 54)] * 5
 
 
 # ---------------------------------------------------------------------------

@@ -448,6 +448,10 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # exact values at long periods have denominators of many thousand
+    # digits, past the interpreter's default int -> str limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

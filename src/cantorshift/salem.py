@@ -393,19 +393,12 @@ def _as_tol(tol) -> Fraction:
 def _series(read, D: int, a, c) -> tuple[int, int, int]:
     """(N, A, D^m) with N / D^m the series sum over the m digits in `read`
     and A / D^m their weight product, for weights a_e / D and partial
-    sums c_e / D.  Two halves combine as (N1 D2 + A1 N2, A1 A2, D1 D2);
-    splitting in halves keeps the big-integer products balanced, where
-    one Horner loop over a long period would cost its length squared."""
-    if len(read) <= 32:
-        num, prod = 0, 1
-        for e in read:
-            num = num * D + c[e] * prod
-            prod *= a[e]
-        return num, prod, D ** len(read)
-    mid = len(read) // 2
-    n1, a1, d1 = _series(read[:mid], D, a, c)
-    n2, a2, d2 = _series(read[mid:], D, a, c)
-    return n1 * d2 + a1 * n2, a1 * a2, d1 * d2
+    sums c_e / D, in integers."""
+    num, prod = 0, 1
+    for e in read:
+        num = num * D + c[e] * prod
+        prod *= a[e]
+    return num, prod, D ** len(read)
 
 
 def _eval_stage(d: DigitString, system: SalemSystem, tol: Fraction,
@@ -432,8 +425,13 @@ def _eval_stage(d: DigitString, system: SalemSystem, tol: Fraction,
         pattern = {"zero": (0,), "max": (len(w) - 1,)}.get(t.kind, t.period)
         L = len(pattern)
         r = system.reorder.period()
-        K = -(-max(stage, d.depth) // r) * r
         T = lcm(L, r)
+        # the steps past the first block end K0 >= depth repeat every T
+        # steps, so a later stage has the remainder of one within T of K0
+        K0 = -(-d.depth // r) * r
+        if stage > K0:
+            stage -= (stage - K0) // T * T
+        K = -(-max(stage, d.depth) // r) * r
         digits = d.prefix + pattern * (1 + (K + T - d.depth) // L)
         perm = [system.reorder.position(i) - 1 for i in range(1, r + 1)]
         read = [digits[m + i] for m in range(0, K + T, r) for i in perm][stage:]
@@ -488,6 +486,13 @@ def evaluate(x, q: int, system: SalemSystem, tol=DEFAULT_TOL) -> EvalResult:
     every zero, max or periodic tail exactly (error bound 0), so every
     rational x is exact; a truncated string or a finite system is summed
     until the tail bound drops below `tol` or its steps run out.
+
+    The exact value at a point of period L is a rational of about L times
+    log2(D) bits for the common weight denominator D, and summing and
+    reducing it costs time quadratic in L: seconds at L = 80020 with
+    D = 100, many minutes near L = 10^6.  For a bounded-cost value at
+    such a point, pass `expand(x, QSequence.constant(q), depth,
+    probe_limit=0)`: a truncated string takes the tolerance loop.
     """
     ensure_valid(system)
     d = _prepare_point(x, q, system)

@@ -133,6 +133,14 @@ class TestSalemCommands:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "domain"
 
+    def test_eval_long_period_prints_the_exact_value(self, capsys):
+        # period 20028: the denominator has about 9600 decimal digits
+        out = run_json(capsys, "salem", "eval", "--system", SYSTEM,
+                       "--x", "1/20029", "--exact")
+        num, den = out["value"].split("/")
+        assert len(den) > 4300 and out["error_bound"] == "0/1"
+        assert out["terms"] == 20028
+
     def test_residual(self, capsys):
         out = run_json(capsys, "salem", "residual", "--system", SYSTEM,
                        "--x", "3/4", "--k", "2")

@@ -275,6 +275,13 @@ class TestResidual:
                 for k in (1, 2, 3, 4):
                     assert residual(x, s.q, s, k) == 0
 
+    def test_late_equations_cost_one_period(self):
+        # a stage past the prefix is reduced by whole periods first, so
+        # k = 10**9 builds no list of 10**9 digits
+        for s in (fixed(["1/3", "2/3"]), fixed(["1/4", "3/4"], reorder=SWAP)):
+            for x in (F(1, 3), F(1, 7), F(1, 2)):
+                assert residual(x, 2, s, 10**9) == 0
+
     def test_zero_on_terminating_points(self):
         s = fixed(["1/3", "2/3"])
         for num in range(0, 17):

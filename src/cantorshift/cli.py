@@ -292,9 +292,7 @@ def _cmd_gk_scan(args) -> None:
     if args.depth is not None:
         depth_rule = lambda n: args.depth
     else:
-        offset = args.depth_offset
-        depth_rule = None if offset == 6 else (
-            lambda n: family(n).required_depth + offset)
+        depth_rule = lambda n: family(n).required_depth + args.depth_offset
     rows = limit_scan(family, params, depth_rule)
     if args.digits is not None:
         fmt = lambda v: _decimal(v, args.digits)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from functools import wraps
+
 
 class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""
@@ -23,3 +25,18 @@ class InvalidSystemError(ValueError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+def json_decoder(func):
+    """Make a JSON decoder raise DomainError on input of the wrong shape:
+    a missing key, or a value of the wrong type or out of float range."""
+
+    @wraps(func)
+    def decode(*args, **kwargs):
+        try:
+            return func(*args, **kwargs)
+        except (AttributeError, LookupError, OverflowError, TypeError) as exc:
+            raise DomainError(
+                f"malformed input to {func.__qualname__}: {exc!r}") from exc
+
+    return decode

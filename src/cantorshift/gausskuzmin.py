@@ -31,13 +31,13 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDepthError
+from .errors import DomainError, InsufficientDepthError, json_decoder
 from .numeral import (
     QSequence,
     format_rational,
     parse_rational,
 )
-from .shifts import ShiftProgram, _image_weights, apply_program
+from .shifts import ShiftProgram, _surviving_positions, apply_program
 
 __all__ = [
     "ConstRhs",
@@ -96,6 +96,7 @@ class ProgramOnX:
 Rhs = Union[ConstRhs, ProgramOnZ, ProgramOnX]
 
 
+@json_decoder
 def rhs_from_json(obj) -> Rhs:
     if not isinstance(obj, dict):
         raise DomainError("threshold JSON must be an object")
@@ -141,6 +142,7 @@ class GKSetSpec:
                 "rhs": self.rhs.to_json(), "relation": self.relation}
 
     @classmethod
+    @json_decoder
     def from_json(cls, obj) -> "GKSetSpec":
         if not isinstance(obj, dict):
             raise DomainError("set spec JSON must be an object")
@@ -173,6 +175,24 @@ class MeasureBounds:
                 "upper": format_rational(self.upper),
                 "depth": self.depth,
                 "decided_mass": format_rational(self.decided_mass)}
+
+
+def _image_weights(word, q: QSequence, depth: int) -> tuple[list[int], int]:
+    """Per-position numerator weights of the program image, plus its
+    denominator.
+
+    The image of digits (c_1, ..., c_depth) is
+    [sum c_s * w_s, sum c_s * w_s + 1] / D with w_s = 0 for deleted
+    positions; surviving position s_j has weight D / (b_1 ... b_j)
+    over the image base values b_i.
+    """
+    surv = _surviving_positions(word, depth)
+    weights = [0] * depth
+    acc = 1
+    for s in reversed(surv):
+        weights[s - 1] = acc
+        acc *= q.at(s)
+    return weights, acc
 
 
 def _resolve_rhs(spec: GKSetSpec, depth: int):

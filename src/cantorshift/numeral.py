@@ -14,6 +14,17 @@ come out as reduced rationals.
 Numbers whose expansion terminates (other than 0 and 1) have a second
 representation ending in the maximal digits q_k - 1; the all-zero-tail
 form is treated as canonical throughout.
+
+Evaluation.  Every exact value in the package is one integer series:
+`_series` runs a Horner loop over steps (den, num, ratio) and returns
+(N, A, E), the sum N / E and the weight product A / E.  A digit e_k over
+base value q_k is the step (q_k, e_k, 1); the Salem functions of
+`salem` use (D, c_e, a_e) for weights over a common denominator D.  A
+tail that repeats one block of steps forever is closed by `_close`, the
+only place H + P_H * B / (1 - P_B) is formed, from the head's sum and
+product and the block's.  A `DigitString` says how its zero, max or
+periodic tail continues: `digit` for one position, `digits_to` and
+`tail_past` for a run of them.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Optional, Union
 
-from .errors import DomainError, InsufficientDepthError
+from .errors import DomainError, InsufficientDepthError, json_decoder
 
 __all__ = [
     "QSequence",
@@ -176,6 +187,7 @@ class QSequence:
         raise ValueError("pre-periodic derived sequence has no declared JSON kind")
 
     @classmethod
+    @json_decoder
     def from_json(cls, obj) -> "QSequence":
         if isinstance(obj, int):
             return cls.constant(obj)
@@ -223,6 +235,7 @@ class Tail:
         return {"truncated": self.depth}
 
     @classmethod
+    @json_decoder
     def from_json(cls, obj) -> "Tail":
         if obj == "zero":
             return ZERO_TAIL
@@ -296,17 +309,11 @@ class DigitString:
 
     def _check_periodic_range(self):
         start = len(self.prefix)
-        pat = self.tail.period
-        L = len(pat)
-        pre_b = len(self.base.prefix)
-        c = len(self.base.cycle)
-        steps = max(0, pre_b - start) + L * c
-        for i in range(steps):
-            qk = self.base.at(start + 1 + i)
-            d = pat[i % L]
-            if not 0 <= d < qk:
+        end = max(start, len(self.base.prefix)) + len(self.tail.period) * len(self.base.cycle)
+        for k, d in enumerate(self.digits_to(end)[start:], start + 1):
+            if not 0 <= d < self.base.at(k):
                 raise DomainError(
-                    f"periodic tail digit {d} outside range at position {start + 1 + i}")
+                    f"periodic tail digit {d} outside range at position {k}")
 
     @property
     def depth(self) -> int:
@@ -328,23 +335,31 @@ class DigitString:
         raise InsufficientDepthError(
             f"digit {k} unknown: string truncated at depth {t.depth}", required=k)
 
-    def materialize(self, n: int) -> "DigitString":
-        """An equal-valued string whose explicit prefix has length >= n."""
+    def digits_to(self, n: int) -> tuple[int, ...]:
+        """The first n digits, n >= depth, continuing the prefix by the tail."""
         d = len(self.prefix)
-        if n <= d:
-            return self
         t = self.tail
-        if t.kind == "truncated":
+        if n > d and t.kind == "truncated":
             raise InsufficientDepthError(
                 f"cannot materialize to depth {n}: truncated at {d}", required=n)
-        ext = tuple(self.digit(k) for k in range(d + 1, n + 1))
-        if t.kind == "periodic":
-            L = len(t.period)
-            r = (n - d) % L
-            new_tail = periodic_tail(t.period[r:] + t.period[:r])
-        else:
-            new_tail = t
-        return DigitString(self.base, self.prefix + ext, new_tail)
+        if t.kind == "max":
+            return self.prefix + tuple(self.base.at(k) - 1 for k in range(d + 1, n + 1))
+        pat = t.period or (0,)
+        return self.prefix + pat * ((n - d) // len(pat)) + pat[:(n - d) % len(pat)]
+
+    def tail_past(self, n: int) -> Tail:
+        """The tail that continues `digits_to(n)`."""
+        t = self.tail
+        if t.kind != "periodic":
+            return t
+        r = (n - len(self.prefix)) % len(t.period)
+        return Tail("periodic", period=t.period[r:] + t.period[:r])
+
+    def materialize(self, n: int) -> "DigitString":
+        """An equal-valued string whose explicit prefix has length >= n."""
+        if n <= len(self.prefix):
+            return self
+        return DigitString(self.base, self.digits_to(n), self.tail_past(n))
 
     def to_json(self) -> dict:
         return {"prefix": list(self.prefix), "tail": self.tail.to_json()}
@@ -358,38 +373,33 @@ class DigitString:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _horner(digits, base: QSequence) -> tuple[int, int]:
-    """(N, D) with N / D = sum_k digits[k-1] / (b_1 ... b_k) and
-    D = b_1 ... b_len(digits), in integers."""
-    num, den = 0, 1
-    for k, dig in enumerate(digits, 1):
-        b = base.at(k)
-        num = num * b + dig
-        den *= b
-    return num, den
+def _series(steps) -> tuple[int, int, int]:
+    """(N, A, E) for steps (den_k, num_k, ratio_k): N / E is the sum of
+    num_k / den_k * prod_{j<k} ratio_j / den_j and A / E the product of
+    all ratio_k / den_k, in integers.
 
-
-def _prefix_sum(d: DigitString) -> tuple[Fraction, int]:
-    """(sum of the explicit prefix terms, q_1...q_depth)."""
-    num, den = _horner(d.prefix, d.base)
-    return Fraction(num, den), den
-
-
-def _periodic_tail_value(base: QSequence, pattern: tuple[int, ...]) -> Fraction:
-    """Exact value of sum_{j>=1} pattern[(j-1) mod L] / (b_1 b_2 ... b_j)
-    over the given base.
-
-    Past the base prefix (j0 values) the joint (pattern phase, base
-    phase) state first recurs after lcm(L, cycle) positions, at j.  With
-    the partial sums N_i / D_i the series is then geometric, and its
-    value is (N_j - N_j0) / (D_j - D_j0).
+    A digit e_k over base value q_k is the step (q_k, e_k, 1).
     """
-    L = len(pattern)
-    j0 = len(base.prefix)
-    digits = [pattern[i % L] for i in range(j0 + lcm(L, len(base.cycle)))]
-    n0, d0 = _horner(digits[:j0], base)
-    n, d = _horner(digits, base)
-    return Fraction(n - n0, d - d0)
+    n, a, e = 0, 1, 1
+    for den, num, ratio in steps:
+        n = n * den + num * a
+        a *= ratio
+        e *= den
+    return n, a, e
+
+
+def _close(head, block) -> Fraction:
+    """H + P_H * B / (1 - P_B) for `_series` triples of a head and of
+    one block of steps that repeats forever after it; needs |P_B| < 1."""
+    n_head, a_head, e_head = head
+    n_block, a_block, e_block = block
+    gap = e_block - a_block  # E_B (1 - P_B)
+    return Fraction(n_head * gap + a_head * n_block, e_head * gap)
+
+
+def _steps(digits, base: QSequence):
+    """`_series` steps of digits at positions 1, 2, ... over base."""
+    return [(base.at(k), e, 1) for k, e in enumerate(digits, 1)]
 
 
 def eval_prefix(d: DigitString) -> Union[Fraction, Interval]:
@@ -397,17 +407,18 @@ def eval_prefix(d: DigitString) -> Union[Fraction, Interval]:
 
     Zero, max, and periodic tails give an exact Fraction; a truncated tail
     gives the exact interval of all numbers sharing the known prefix.
+
+    Past K = max(depth, base prefix) the (tail phase, base phase) pair
+    repeats every T = lcm(tail period, base cycle) positions, so the
+    digits after K are one block of T digits repeated.
     """
-    total, denom = _prefix_sum(d)
     t = d.tail
-    if t.kind == "zero":
-        return total
-    if t.kind == "max":
-        return total + Fraction(1, denom)
-    if t.kind == "periodic":
-        tail = _periodic_tail_value(d.base.shift(len(d.prefix)), t.period)
-        return total + tail / denom
-    return Interval(total, total + Fraction(1, denom))
+    if t.kind == "truncated":
+        return cylinder_info(d.prefix, d.base).interval()
+    K = max(d.depth, len(d.base.prefix))
+    T = lcm(len(t.period) or 1, len(d.base.cycle))
+    steps = _steps(d.digits_to(K + T), d.base)
+    return _close(_series(steps[:K]), _series(steps[K:]))
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +487,6 @@ def _check_unit_interval(x: Fraction):
         raise DomainError(f"value {x} outside [0, 1]")
 
 
-def _max_string(q: QSequence, depth: int) -> DigitString:
-    return DigitString(q, tuple(q.at(k) - 1 for k in range(1, depth + 1)), MAX_TAIL)
-
-
 _DEFAULT_PROBE_SLACK = 4096
 
 
@@ -499,7 +506,7 @@ def expand(x: Fraction, q: QSequence, depth: int,
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
     if x == 1:
-        return _max_string(q, depth)
+        return DigitString(q, (), MAX_TAIL).materialize(depth)
     if probe_limit is None:
         probe_limit = min(_decision_bound(x, q),
                           max(depth, len(q.prefix)) + _DEFAULT_PROBE_SLACK)
@@ -613,6 +620,5 @@ class Cylinder:
 def cylinder_info(base_digits, q: QSequence) -> Cylinder:
     """Endpoints and exact measure of the cylinder over a digit tuple."""
     d = DigitString(q, base_digits)
-    total, denom = _prefix_sum(d)
-    width = Fraction(1, denom)
-    return Cylinder(d.prefix, q, total, total + width, width)
+    n, a, e = _series(_steps(d.prefix, q))
+    return Cylinder(d.prefix, q, Fraction(n, e), Fraction(n + a, e), Fraction(a, e))

@@ -23,7 +23,9 @@ Evaluation at a rational point is exact for a fixed tuple with an
 unbounded reorder (identity or a rule): past the digit string's prefix
 the digits read repeat with one period, so the self-similarity
 equations close in one step, g(tail) = S / (1 - P) over one period with
-partial sum S and weight product P.  Finite systems and truncated digit
+partial sum S and weight product P.  The sums are `numeral._series` over
+the steps read and the closure is `numeral._close`, the same kernel that
+evaluates Cantor-series digit strings.  Finite systems and truncated digit
 strings instead truncate the series once the tail bound derived from
 the largest |p_i| drops below the requested tolerance, and report that
 bound (or stop exactly when the system runs out of steps).
@@ -39,12 +41,14 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDepthError, InvalidSystemError
+from .errors import DomainError, InsufficientDepthError, InvalidSystemError, json_decoder
 from .numeral import (
     ONE,
     ZERO,
     DigitString,
     QSequence,
+    _close,
+    _series,
     expand_exact,
     format_rational,
     parse_rational,
@@ -249,6 +253,7 @@ class SalemSystem:
         return out
 
     @classmethod
+    @json_decoder
     def from_json(cls, obj) -> "SalemSystem":
         if not isinstance(obj, dict):
             raise DomainError("system JSON must be an object")
@@ -390,17 +395,6 @@ def _as_tol(tol) -> Fraction:
     return t
 
 
-def _series(read, D: int, a, c) -> tuple[int, int, int]:
-    """(N, A, D^m) with N / D^m the series sum over the m digits in `read`
-    and A / D^m their weight product, for weights a_e / D and partial
-    sums c_e / D, in integers."""
-    num, prod = 0, 1
-    for e in read:
-        num = num * D + c[e] * prod
-        prod *= a[e]
-    return num, prod, D ** len(read)
-
-
 def _eval_stage(d: DigitString, system: SalemSystem, tol: Fraction,
                 stage: int) -> EvalResult:
     """Sum the series terms after the first `stage` steps.
@@ -412,36 +406,30 @@ def _eval_stage(d: DigitString, system: SalemSystem, tol: Fraction,
 
     A fixed system with an unbounded reorder closes a zero, max or
     periodic tail exactly.  Past the step K >= max(stage, depth) that
-    ends a reorder block, the steps read the tail pattern (0 for a zero
-    tail, q - 1 for a max tail) in blocks of T = lcm(pattern length,
-    reorder period) steps that repeat.  With the head's sum H and
-    product P_H and one block's sum B and product P_B, the series is
-    H + P_H * B / (1 - P_B).
+    ends a reorder block, the steps read the tail's digits in blocks of
+    T = lcm(tail period, reorder period) steps that repeat (a zero or
+    max tail has period 1).  `_series` sums the head and one block, and
+    `_close` returns H + P_H * B / (1 - P_B).
     """
     t = d.tail
     limit = system.stage_limit()
     if limit is None and t.kind != "truncated":
         w = system.weights
-        pattern = {"zero": (0,), "max": (len(w) - 1,)}.get(t.kind, t.period)
-        L = len(pattern)
         r = system.reorder.period()
-        T = lcm(L, r)
+        T = lcm(len(t.period) or 1, r)
         # the steps past the first block end K0 >= depth repeat every T
         # steps, so a later stage has the remainder of one within T of K0
         K0 = -(-d.depth // r) * r
         if stage > K0:
             stage -= (stage - K0) // T * T
         K = -(-max(stage, d.depth) // r) * r
-        digits = d.prefix + pattern * (1 + (K + T - d.depth) // L)
+        digits = d.digits_to(K + T)
         perm = [system.reorder.position(i) - 1 for i in range(1, r + 1)]
-        read = [digits[m + i] for m in range(0, K + T, r) for i in perm][stage:]
         D = lcm(*(p.denominator for p in w))
-        a = [p.numerator * (D // p.denominator) for p in w]
-        c = [b.numerator * (D // b.denominator) for b in _betas(w)]
-        n_head, p_head, d_head = _series(read[:K - stage], D, a, c)
-        n_block, p_block, d_block = _series(read[K - stage:], D, a, c)
-        gap = d_block - p_block  # D^T (1 - P_B) > 0, as every |p| < 1
-        value = Fraction(n_head * gap + p_head * n_block, d_head * gap)
+        step = [(D, b.numerator * (D // b.denominator),
+                 p.numerator * (D // p.denominator)) for p, b in zip(w, _betas(w))]
+        steps = [step[digits[m + i]] for m in range(0, K + T, r) for i in perm][stage:]
+        value = _close(_series(steps[:K - stage]), _series(steps[K - stage:]))
         return EvalResult(value, ZERO, K - stage + (T if t.kind == "periodic" else 0))
 
     # tolerance path: stop once the remainder bound sinks below tol, or

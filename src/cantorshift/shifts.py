@@ -11,11 +11,13 @@ A `ShiftProgram` is a word of such moves applied left to right, each
 indexing into the *current* string, i.e. positions are re-counted after
 every deletion.  Its meaning is which digit positions survive, and in
 what order; one function computes that for both kinds of input.  An
-exact rational goes through one integer kernel that reads only the
-digits the program consumes; a `DigitString` image is built once from
-the surviving positions.  Programs can be spelled out or produced by a
-generator rule (constant repetition, an affine index schedule, an
-explicit table, or a congruence-filtered repetition).
+exact rational reads only the digits the program consumes and sums the
+surviving ones with `numeral._series`, the package's one integer series
+kernel, closed by the remainder; a `DigitString` image is built once
+from the surviving positions of the source's digits and tail.
+Programs can be spelled out or produced by a generator rule (constant
+repetition, an affine index schedule, an explicit table, or a
+congruence-filtered repetition).
 
 `normalize_program` rewrites a word into an equivalent one using the
 identities that collapse deletion patterns into pure shift powers:
@@ -30,14 +32,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Optional, Union
 
-from .errors import DomainError, InsufficientDepthError
+from .errors import DomainError, InsufficientDepthError, json_decoder
 from .numeral import (
     DigitString,
     QSequence,
     _check_unit_interval,
+    _series,
+    _steps,
     truncated_tail,
 )
 
@@ -195,6 +198,7 @@ class ShiftProgram:
         return cls((SIGMA,) * n)
 
     @classmethod
+    @json_decoder
     def from_generator(cls, rule: dict, k: Optional[int] = None) -> "ShiftProgram":
         return cls(_rule_word(rule, k), generator=dict(rule))
 
@@ -215,6 +219,7 @@ class ShiftProgram:
         return out
 
     @classmethod
+    @json_decoder
     def from_json(cls, obj) -> "ShiftProgram":
         if not isinstance(obj, dict):
             raise DomainError("program JSON must be an object")
@@ -265,24 +270,6 @@ def _surviving_positions(word, depth: int) -> list[int]:
     return pos[::-1]
 
 
-def _image_weights(word, q: QSequence, depth: int) -> tuple[list[int], int]:
-    """Per-position numerator weights of the program image, plus its
-    denominator.
-
-    The image of digits (c_1, ..., c_depth) is
-    [sum c_s * w_s, sum c_s * w_s + 1] / D with w_s = 0 for deleted
-    positions; surviving position s_j has weight D / (b_1 ... b_j)
-    over the image base values b_i.
-    """
-    surv = _surviving_positions(word, depth)
-    weights = [0] * depth
-    acc = 1
-    for s in reversed(surv):
-        weights[s - 1] = acc
-        acc *= q.at(s)
-    return weights, acc
-
-
 def _greedy_head(x: Fraction, q: QSequence, depth: int) -> tuple[list[int], int, int]:
     """The first `depth` greedy digits of x and the remainder a/b, the
     value of the digits after them over the shifted base.
@@ -304,14 +291,15 @@ def _rational_image(word, x: Fraction, q: QSequence) -> Fraction:
     """Exact image of a rational under a program word.
 
     Every digit past R = required_depth(word) survives, in order, behind
-    the surviving head digits, so the image is the head weighted by
-    `_image_weights` plus the remainder, all over D.  Cost: R greedy
-    steps and at most 2R base values read.
+    the surviving head digits, so the image is the `_series` of the
+    surviving head digits over their base values, closed by the
+    remainder.  Cost: R greedy steps and at most 2R base values read.
     """
     depth = required_depth(word)
     digits, a, b = _greedy_head(x, q, depth)
-    w, d = _image_weights(word, q, depth)
-    return Fraction(sum(map(mul, digits, w)) * b + a, d * b)
+    n, w, e = _series([(q.at(s), digits[s - 1], 1)
+                       for s in _surviving_positions(word, depth)])
+    return Fraction(n * b + w * a, e * b)
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +321,11 @@ def _string_image(word, d: DigitString) -> DigitString:
     truncated = d.tail.kind == "truncated"
     n = d.depth if truncated else max(d.depth, required_depth(word))
     surv = _surviving_positions(word, n)
-    full = d.materialize(n)
+    digits = d.digits_to(n)
     rest = d.base.shift(n)
     base = QSequence(tuple(map(d.base.at, surv)) + rest.prefix, rest.cycle)
-    tail = truncated_tail(len(surv)) if truncated else full.tail
-    return DigitString(base, tuple(full.prefix[s - 1] for s in surv), tail)
+    tail = truncated_tail(len(surv)) if truncated else d.tail_past(n)
+    return DigitString(base, tuple(digits[s - 1] for s in surv), tail)
 
 
 def _image(word, x: Value, q: QSequence) -> Value:
@@ -474,6 +462,6 @@ def reconstruct_identity(x: Fraction, q: QSequence, n: int) -> ReconstructionChe
     """
     shifted = shift_n(x, q, n)
     digits, _, _ = _greedy_head(x, q, n)
-    w, denom = _image_weights((), q, n)
-    rhs = Fraction(sum(map(mul, digits, w)), denom) + shifted / denom
+    head, w, denom = _series(_steps(digits, q))
+    rhs = Fraction(head, denom) + shifted * w / denom
     return ReconstructionCheck(x == rhs, x, rhs, shifted)

@@ -271,6 +271,34 @@ class TestGkCommands:
 # Error handling and determinism
 # ---------------------------------------------------------------------------
 
+def _spec(lhs=None, rhs=None):
+    return json.dumps({"q": 2, "lhs": lhs or {"word": [{"sigma": None}]},
+                       "rhs": rhs or {"const": "1/2"}})
+
+
+# well-formed JSON of the wrong shape: each of these once escaped `main`
+# as a KeyError, TypeError or AttributeError traceback
+WRONG_SHAPE = [
+    *(("expand", "--x", "1/3", "--depth", "3", "--q", q)
+      for q in ("null", "1.5", '"abc"', '{"kind":"periodic","values":5}')),
+    ("gk", "bounds", "--depth", "3", "--spec", "{}"),
+    *(("gk", "bounds", "--depth", "3", "--spec", spec) for spec in (
+        _spec(lhs={"word": 5}),
+        _spec(lhs={"word": [{"gen": None}]}),
+        _spec(lhs={"generator": {"kind": "const-repeat"}, "k": 2}),
+        _spec(rhs={"programOnX": {}}))),
+    ("shift", "--x", "1/3", "--q", "2", "--program", '{"word":5}'),
+    *(("salem", "eval", "--x", "1/3", "--system", json.dumps(system))
+      for system in ({"p": 5}, {"columns": [5]},
+                     {"p": ["1/2", "1/2"], "reorder": "x"},
+                     {"p": ["1/2", "1/2"], "reorder": {"kind": "list", "values": 5}})),
+    ("evaluate", "--q", "2", "--prefix", "1", "--tail", '{"periodic":5}'),
+    ("gk", "scan", "--q", "2", "--family", '{"kind":"affine"}',
+     "--rhs", '{"const":"1/2"}', "--params", "1:3"),
+    ("gk", "scan", "--q", "2", "--family", '{"kind":"const-repeat","m":2}',
+     "--rhs", '{"programOnX":{"program":{"word":[]}}}', "--params", "1:3"),
+]
+
 class TestErrors:
     def test_usage_error(self, capsys):
         code, out, err = run(capsys, "shift", "--x", "1/2", "--q", "2")
@@ -291,6 +319,19 @@ class TestErrors:
         code, _, err = run(capsys, "normalize", "--program", "{oops")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "domain"
+
+    @pytest.mark.parametrize("argv", WRONG_SHAPE)
+    def test_wrong_shape_json_follows_error_contract(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code in (1, 2, 3)
+        lines = [json.loads(line) for line in err.splitlines()]
+        assert "error" in lines[-1]
+        if argv[:2] == ("gk", "scan"):
+            # a scan reports each rejected parameter, then fails
+            assert code == 2
+            assert all("warning" in line for line in lines[:-1])
+        else:
+            assert len(lines) == 1
 
     def test_insufficient_depth_exit_code(self, capsys):
         code, _, err = run(capsys, "gk", "bounds", "--spec", SPEC,

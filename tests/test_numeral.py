@@ -38,6 +38,13 @@ def bases(draw):
 
 
 @st.composite
+def pre_periodic_bases(draw):
+    prefix = draw(st.lists(st.integers(2, 12), max_size=4))
+    cycle = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))
+    return QSequence(tuple(prefix), tuple(cycle))
+
+
+@st.composite
 def unit_rationals(draw, max_den=400):
     den = draw(st.integers(1, max_den))
     num = draw(st.integers(0, den))
@@ -202,7 +209,7 @@ class TestExpand:
             assert v == x
 
     @settings(max_examples=150, deadline=None)
-    @given(unit_rationals(), bases())
+    @given(unit_rationals(), st.one_of(bases(), pre_periodic_bases()))
     def test_expand_exact_always_resolves(self, x, q):
         d = expand_exact(x, q)
         assert d.tail.kind in ("zero", "periodic", "max")
@@ -253,10 +260,17 @@ class TestDigitString:
             assert m.depth >= n
             assert eval_prefix(m) == eval_prefix(d)
 
-    def test_max_tail_evaluates_to_supremum(self):
-        q = QSequence.explicit([2, 3, 4])
-        assert eval_prefix(DigitString(q, (), Tail.from_json("max"))) == 1
-        assert eval_prefix(DigitString(q, (0,), Tail.from_json("max"))) == F(1, 2)
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(bases(), pre_periodic_bases()), st.data())
+    def test_max_tail_evaluates_to_supremum(self, q, data):
+        e = QSequence.explicit([2, 3, 4])
+        assert eval_prefix(DigitString(e, (), Tail.from_json("max"))) == 1
+        assert eval_prefix(DigitString(e, (0,), Tail.from_json("max"))) == F(1, 2)
+        # the prefix may end before or after the base prefix
+        prefix = [data.draw(st.integers(0, q.at(k) - 1)) for k in range(
+            1, data.draw(st.integers(0, len(q.prefix) + 3)) + 1)]
+        d = DigitString(q, prefix, Tail.from_json("max"))
+        assert eval_prefix(d) == direct_sum(prefix, q) + F(1, q.partial_product(len(prefix)))
 
     def test_periodic_tail_value_constant_base(self):
         d = DigitString(QSequence.constant(2), (), periodic_tail((0, 1)))
@@ -264,16 +278,30 @@ class TestDigitString:
         d2 = DigitString(QSequence.constant(10), (), periodic_tail((3,)))
         assert eval_prefix(d2) == F(1, 3)
 
-    def test_periodic_tail_value_mixed_base(self):
-        # pattern (1, 2) over base cycling (2, 3): value checked against a
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(bases(), pre_periodic_bases()), st.data())
+    def test_periodic_tail_value_mixed_base(self, q, data):
+        # pattern (1, 2) over base cycling (2, 3), and drawn patterns whose
+        # length need not divide the base cycle, after a prefix that may
+        # end before or after the base prefix: value checked against a
         # long partial sum plus a tail bracket
-        q = QSequence.periodic([2, 3])
-        d = DigitString(q, (), periodic_tail((1, 2)))
+        p = QSequence.periodic([2, 3])
+        d = DigitString(p, (), periodic_tail((1, 2)))
         v = eval_prefix(d)
         digits = [d.digit(k) for k in range(1, 41)]
-        lo = direct_sum(digits, q)
-        hi = lo + F(1, q.partial_product(40))
+        lo = direct_sum(digits, p)
+        hi = lo + F(1, p.partial_product(40))
         assert lo < v <= hi
+        prefix = [data.draw(st.integers(0, q.at(k) - 1)) for k in range(
+            1, data.draw(st.integers(0, len(q.prefix) + 3)) + 1)]
+        pattern = data.draw(st.lists(
+            st.integers(0, min(q.prefix + q.cycle) - 1), min_size=1, max_size=5))
+        d = DigitString(q, prefix, periodic_tail(pattern))
+        v = eval_prefix(d)
+        digits = [d.digit(k) for k in range(1, 61)]
+        lo = direct_sum(digits, q)
+        hi = lo + F(1, q.partial_product(60))
+        assert lo <= v <= hi  # equal for an all-zero pattern
 
     def test_json_round_trip(self):
         q = QSequence.constant(2)
@@ -350,13 +378,6 @@ def reference_scan(x: F, q: QSequence, limit: int):
         digits.append(scaled.numerator // scaled.denominator)
         r = scaled - digits[-1]
     return digits, (limit if r == 0 else None), None
-
-
-@st.composite
-def pre_periodic_bases(draw):
-    prefix = draw(st.lists(st.integers(2, 12), max_size=4))
-    cycle = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))
-    return QSequence(tuple(prefix), tuple(cycle))
 
 
 class TestScan:

@@ -116,8 +116,13 @@ class GKSetSpec:
     """A measurable set given by a program comparison.
 
     relation "lt" is the strict set {P(z) < R}; "ge" is its complement
-    {P(z) >= R}.  Both have the same boundary (a null set), so the
-    bounds machinery handles them symmetrically.
+    {P(z) >= R}, so the two measures sum to 1.  The boundary {P(z) = R}
+    is a null set for a constant or `ProgramOnX` threshold, but not
+    always for `ProgramOnZ`: past `required_depth` every digit survives
+    on both sides, so two images with equal partial sums and equal
+    denominators agree on the whole cylinder (q=3, GEN(2) GEN(3)
+    against two shifts ties on a set of measure 1/9).  Such a tie
+    belongs to "ge".
     """
 
     q: QSequence
@@ -319,7 +324,10 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     float arithmetic with an exact integer re-check for samples landing
     within 1e-9 of the threshold, so the hit decision matches the exact
     classifier except on cylinders the exact bracket also leaves open
-    (counted as misses).  Deterministic for fixed (samples, seed).
+    (counted as misses).  The one exception is a tie with a `ProgramOnZ`
+    threshold, equal image numerators over equal denominators: both
+    images then agree for every tail, so the sample is a hit for "ge"
+    however wide its cylinder.  Deterministic for fixed (samples, seed).
     """
     if samples < 1:
         raise DomainError("need at least 1 sample")
@@ -331,6 +339,7 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     wl_vec = np.array(wl, dtype=np.int64)
     rhs_is_program = isinstance(spec.rhs, ProgramOnZ)
     want_lt = spec.relation == "lt"
+    ties_hit = rhs_is_program and not want_lt and dl == dr
     dl_f = float(dl)
     if rhs_is_program:
         wr_vec = np.array(wr, dtype=np.int64)
@@ -350,18 +359,20 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
-        digs = np.empty((m, depth), dtype=np.int64)
+        digs = np.empty((depth, m), dtype=np.int64)
         for i in range(depth):
-            digs[:, i] = rng.integers(0, qv[i], size=m)
-        lo_l = digs @ wl_vec
+            digs[i] = rng.integers(0, qv[i], size=m)
+        lo_l = wl_vec @ digs
         if rhs_is_program:
-            lo_r = digs @ wr_vec
+            lo_r = wr_vec @ digs
             f_r = (lo_r + (0.0 if want_lt else float(tail_r))) / dr_f
         f_l = (lo_l + (1.0 if want_lt else 0.0)) / dl_f
         hit = f_l <= f_r if want_lt else f_l >= f_r
         near = np.abs(f_l - f_r) < _FLOAT_BAND
         for j in np.nonzero(near)[0]:
             hit[j] = exact_hit(int(lo_l[j]), int(lo_r[j]) if rhs_is_program else base_r)
+        if ties_hit:
+            hit |= lo_l == lo_r
         hits += int(hit.sum())
         done += m
     est = hits / samples

@@ -1,9 +1,11 @@
 """Exact measure brackets and sampling for program-comparison sets."""
 
 from fractions import Fraction as F
+from math import sqrt
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cantorshift import (
     ConstRhs,
@@ -25,6 +27,7 @@ from cantorshift import (
     rhs_from_json,
     sigma_family,
 )
+import cantorshift.gausskuzmin as gk_module
 from cantorshift.gausskuzmin import _image_weights
 
 Q2 = QSequence.constant(2)
@@ -194,6 +197,119 @@ class TestSampling:
     def test_sample_count_validated(self):
         with pytest.raises(DomainError):
             measure_mc(shift_below(Q2, 1, F(1, 3)), samples=0, seed=0)
+
+
+def measure_mc_by_columns(spec, samples, seed, extra_depth=32, chunk=65536):
+    """The sampling loop before ties counted as "ge", drawing digits
+    column by column into an (m, depth) block.  A test oracle for
+    `measure_mc` on specs without ties."""
+    q = spec.q
+    depth = gk_module._mc_depth(q, spec.required_depth, extra_depth)
+    qv = [q.at(i) for i in range(1, depth + 1)]
+    wl, dl = _image_weights(spec.lhs.word, q, depth)
+    wr, base_r, dr, tail_r = gk_module._resolve_rhs(spec, depth)
+    on_z = isinstance(spec.rhs, ProgramOnZ)
+    want_lt = spec.relation == "lt"
+    if not on_z:
+        f_r = float(min(max(F(base_r, dr), -1), 2))
+    rng = np.random.default_rng(seed)
+    hits = done = 0
+    while done < samples:
+        m = min(chunk, samples - done)
+        digs = np.empty((m, depth), dtype=np.int64)
+        for i in range(depth):
+            digs[:, i] = rng.integers(0, qv[i], size=m)
+        lo_l = digs @ np.array(wl, dtype=np.int64)
+        if on_z:
+            lo_r = digs @ np.array(wr, dtype=np.int64)
+            f_r = (lo_r + (0.0 if want_lt else float(tail_r))) / float(dr)
+        f_l = (lo_l + (1.0 if want_lt else 0.0)) / float(dl)
+        hit = f_l <= f_r if want_lt else f_l >= f_r
+        for j in np.nonzero(np.abs(f_l - f_r) < gk_module._FLOAT_BAND)[0]:
+            a, b = int(lo_l[j]), int(lo_r[j]) if on_z else base_r
+            hit[j] = ((a + 1) * dr <= b * dl if want_lt
+                      else a * dr >= (b + tail_r) * dl)
+        hits += int(hit.sum())
+        done += m
+    est = hits / samples
+    se = sqrt(max(est * (1.0 - est), 0.0) / samples)
+    return gk_module.McMeasure(est, se, hits, samples, seed, depth)
+
+
+ATOMS = st.sampled_from([SIGMA, GEN(2), GEN(3)])
+PROGRAMS = st.lists(ATOMS, max_size=3).map(lambda w: ShiftProgram(tuple(w)))
+BASES = st.sampled_from([Q2, Q3, QSequence.periodic([2, 3]),
+                         QSequence.explicit([3, 2, 4])])
+FRACTIONS = st.fractions(min_value=0, max_value=1, max_denominator=50)
+
+
+@st.composite
+def mc_specs(draw):
+    """Specs without a tie of positive mass: a constant or `ProgramOnX`
+    threshold, or a `ProgramOnZ` one under "lt" or with unequal image
+    denominators."""
+    q = draw(BASES)
+    lhs = draw(PROGRAMS)
+    relation = draw(st.sampled_from(["lt", "ge"]))
+    kind = draw(st.sampled_from(["const", "x", "z"]))
+    if kind == "const":
+        rhs = ConstRhs(draw(FRACTIONS))
+    elif kind == "x":
+        rhs = ProgramOnX(draw(PROGRAMS), draw(FRACTIONS))
+    else:
+        rhs = ProgramOnZ(draw(PROGRAMS))
+    spec = GKSetSpec(q, lhs, rhs, relation)
+    if kind == "z" and relation == "ge":
+        depth = gk_module._mc_depth(q, spec.required_depth, 32)
+        assume(_image_weights(lhs.word, q, depth)[1]
+               != _image_weights(rhs.program.word, q, depth)[1])
+    return spec
+
+
+TIE_SPECS = {
+    "tie-q3": (Q3, (GEN(2), GEN(3)), (SIGMA, SIGMA)),
+    "gen2-vs-sigma-q2": (Q2, (GEN(2),), (SIGMA,)),
+}
+
+
+def tie_spec(name, relation):
+    q, lhs, rhs = TIE_SPECS[name]
+    return GKSetSpec(q, ShiftProgram(lhs), ProgramOnZ(ShiftProgram(rhs)), relation)
+
+
+class TestSamplingKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(spec=mc_specs(), samples=st.integers(1, 3000), seed=st.integers(0, 2**31),
+           chunk=st.sampled_from([None, 7, 500]), extra=st.integers(1, 32))
+    def test_matches_column_loop(self, spec, samples, seed, chunk, extra):
+        kw = {} if chunk is None else {"chunk": chunk}
+        if chunk == 7:
+            samples = min(samples, 100)
+        want = measure_mc_by_columns(spec, samples, seed, extra, **kw)
+        assert measure_mc(spec, samples, seed, extra, **kw) == want
+
+    @pytest.mark.parametrize("name", sorted(TIE_SPECS))
+    def test_tied_samples_count_as_ge(self, name):
+        lt = measure_mc(tie_spec(name, "lt"), samples=20000, seed=1)
+        ge = measure_mc(tie_spec(name, "ge"), samples=20000, seed=2)
+        se = (lt.std_err ** 2 + ge.std_err ** 2) ** 0.5
+        assert abs(lt.estimate + ge.estimate - 1) <= 4 * se
+
+    def test_tie_q3_ge_measure(self):
+        # the tie {GEN(2) GEN(3) z = z shifted twice} has measure 1/9 and
+        # belongs to "ge": 4/9 + 1/9
+        r = measure_mc(tie_spec("tie-q3", "ge"), samples=20000, seed=3)
+        assert abs(r.estimate - 5 / 9) <= 4 * r.std_err
+
+    def test_tie_counts_on_a_wide_cylinder(self):
+        # one free digit: 1/dl is far wider than the float band, so only
+        # the tie rule can count the tied samples
+        spec = tie_spec("tie-q3", "ge")
+        lt = measure_mc(tie_spec("tie-q3", "lt"), samples=5000, seed=4, extra_depth=1)
+        ge = measure_mc(spec, samples=5000, seed=4, extra_depth=1)
+        assert ge.depth == spec.required_depth + 1
+        assert lt.hits + ge.hits <= 5000
+        assert abs(ge.estimate - 5 / 9) <= 4 * ge.std_err
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Digit-weight series systems: evaluation, residuals, integrals, sampling."""
 
 from fractions import Fraction as F
+from math import sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -478,6 +480,101 @@ class TestIntegral:
         assert r.mean == pytest.approx(want.mean, rel=1e-12)
         assert r.std_err == pytest.approx(want.std_err, rel=1e-9)
         assert shapes == [(1000, 54)] * 5
+
+
+def mc_mean_per_column(system, samples, seed, chunk=65536):
+    """The sampling loop before row blocks: one pass over the whole chunk
+    per term.  A test oracle for `mc_mean`, which must match it bit for
+    bit."""
+    q = system.q
+    m = float(system.global_max)
+    limit = system.stage_limit()
+    k_tol = 1
+    bound = m
+    while bound >= 1e-9 * (1.0 - m) and k_tol < salem_module._MC_CAP:
+        k_tol += 1
+        bound *= m
+    terms = k_tol if limit is None else min(k_tol, limit)
+    positions = [system.reorder.position(t) for t in range(1, terms + 1)]
+    maxpos = max(positions, default=1)
+    p_cols = [np.array([float(p) for p in system.p_row(n)]) for n in positions]
+    b_cols = [np.array([float(b) for b in system.beta_row(n)]) for n in positions]
+    dtype = np.int8 if q <= 127 else np.int64
+    chunk = max(1, min(chunk, salem_module._MC_BLOCK_BYTES
+                       // (maxpos * np.dtype(dtype).itemsize)))
+    rng = np.random.default_rng(seed)
+    total = total_sq = 0.0
+    done = 0
+    while done < samples:
+        mrows = min(chunk, samples - done)
+        digs = rng.integers(0, q, size=(mrows, maxpos), dtype=dtype)
+        vals = np.zeros(mrows)
+        prod = np.ones(mrows)
+        for t, n in enumerate(positions):
+            col = digs[:, n - 1]
+            vals += b_cols[t][col] * prod
+            prod *= p_cols[t][col]
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += mrows
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)
+    return salem_module.McMean(mean, sqrt(var / samples), samples, seed, terms)
+
+
+@st.composite
+def weight_tuples(draw, q):
+    # any partial sums in (0, 1) give a valid tuple; unsorted ones give
+    # signed weights
+    den = draw(st.sampled_from([7, 16, 100]))
+    betas = [F(draw(st.integers(1, den - 1)), den) for _ in range(q - 1)]
+    edges = [F(0)] + betas + [F(1)]
+    return [b - a for a, b in zip(edges, edges[1:])]
+
+
+@st.composite
+def mc_systems(draw):
+    kind = draw(st.sampled_from(["fixed", "swap-pairs", "matrix", "skewed"]))
+    q = draw(st.integers(2, 4))
+    if kind == "skewed":
+        # p_max >= 0.97: every row's product underflows long before the
+        # last term, so whole blocks stop early
+        top = draw(st.sampled_from([F(97, 100), F(99, 100), F(999, 1000)]))
+        rest = [(1 - top) / (q - 1)] * (q - 1)
+        at = draw(st.integers(0, q - 1))
+        return SalemSystem.fixed(rest[:at] + [top] + rest[at:])
+    if kind == "matrix":
+        cols = draw(st.lists(weight_tuples(q), min_size=1, max_size=40))
+        return SalemSystem.matrix(cols)
+    reorder = SWAP if kind == "swap-pairs" else Reorder()
+    return SalemSystem.fixed(draw(weight_tuples(q)), reorder=reorder)
+
+
+class TestMcBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(system=mc_systems(), samples=st.integers(2, 9000),
+           seed=st.integers(0, 2**31), chunk=st.sampled_from([None, 1, 100, 2500, 5000]),
+           rows=st.sampled_from([None, 1, 7, 1000]))
+    def test_matches_per_column_loop(self, system, samples, seed, chunk, rows):
+        kw = {} if chunk is None else {"chunk": chunk}
+        rows = salem_module._MC_ROWS if rows is None else rows
+        # both loops make one numpy pass per term and block (or chunk):
+        # cap those passes so that small blocks and 20000-term systems
+        # stay quick
+        terms = mc_mean(system, 2, 0).terms
+        samples = min(samples, max(2, 10000 // terms * min(rows, chunk or rows)))
+        want = mc_mean_per_column(system, samples, seed, **kw)
+        with mock.patch.object(salem_module, "_MC_ROWS", rows):
+            assert mc_mean(system, samples, seed, **kw) == want
+
+    def test_dead_blocks_stop_early(self):
+        # 999/1000 runs 20000 terms, but a 1/1000 factor underflows a
+        # row's product within a few hundred: the blocks stop early and
+        # the result still matches the full loop
+        s = fixed(["999/1000", "1/1000"])
+        r = mc_mean(s, samples=600, seed=2)
+        assert r.terms == salem_module._MC_CAP
+        assert r == mc_mean_per_column(s, 600, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ a threshold:
 
 where P is a `ShiftProgram` and R is a constant, a second program of
 the same z, or a program applied to a fixed point.  Such a set is (up
-to a null boundary) a union of rank-d cylinders once d exceeds the
+to its boundary {P(z) = R}) a union of rank-d cylinders once d exceeds the
 digits the programs consume, so its measure can be bracketed exactly:
 classify every rank-d cylinder as inside, outside, or straddling by
 comparing the two image intervals, and weight by the cylinder measure
@@ -17,16 +17,22 @@ shrinks as d grows.
 A program image over a rank-d cylinder is itself an interval with
 rational endpoints: the digits surviving the program contribute a known
 partial sum, the unseen tail contributes [0, 1/(product of surviving
-bases)].  All comparisons below are integer arithmetic on the interval
-endpoint numerators, so the bounds are exact, and cylinders whose
-subtree is already decided are counted wholesale without enumeration.
+bases)].  Both endpoint numerators are linear in the digits, so each
+cylinder test is one integer comparison of the scaled difference of the
+two images, sum c_s*e_s, against two thresholds.  The walk takes the
+positions in decreasing significance (q_s - 1)*|e_s| and counts a
+subtree wholesale once its range of sums is inside, outside, or
+straddling as a whole.  Positions with e_s = 0 (read by neither side,
+or with equal weight over equal denominators, as past `required_depth`
+on a tie) scale every count alike and are left out.  The bounds are
+exact, and the counts do not depend on the order of the walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import gcd, sqrt
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -201,10 +207,13 @@ def _image_weights(word, q: QSequence, depth: int) -> tuple[list[int], int]:
 
 
 def _resolve_rhs(spec: GKSetSpec, depth: int):
-    """(weights, denominator, tail) triple for the right side.
+    """(weights, base numerator, denominator, tail) for the right side.
 
-    A constant becomes a degenerate zero-width "image" (no free tail);
-    a program of z gets real weights and a one-unit tail.
+    Its image over a cylinder is [base + sum c_s*w_s,
+    base + sum c_s*w_s + tail] / denominator.  A constant (or a program
+    applied to a fixed point) becomes a degenerate zero-width "image":
+    zero weights, its own numerator as base and no tail.  A program of
+    z gets real weights, base 0 and a one-unit tail.
     """
     rhs = spec.rhs
     if isinstance(rhs, ProgramOnZ):
@@ -221,10 +230,18 @@ def measure_bounds(spec: GKSetSpec, depth: int) -> MeasureBounds:
     """Exact lower/upper bounds on the measure at cylinder rank `depth`.
 
     Requires depth >= (digits consumed by the programs) + 1 so at least
-    one free digit constrains the comparison.  Cost is bounded by the
-    number of rank-`depth` cylinders but usually far smaller: subtrees
-    whose comparison is already decided, and digit positions neither
-    side reads, are counted without enumeration.
+    one free digit constrains the comparison.
+
+    With e_s = wl_s*dr - wr_s*dl, a rank-`depth` cylinder with digits
+    c_s lies inside "lt" iff sum c_s*e_s <= base_r*dl - dr, inside "ge"
+    iff sum c_s*e_s >= (base_r + tail_r)*dl, and straddles otherwise.
+    Cost: positions are walked in decreasing (q_s - 1)*|e_s| order,
+    and a node is counted wholesale once its partial sum plus the
+    positive and negative terms still to come lies on one side of a
+    threshold or strictly between the two, so only nodes whose range of
+    sums crosses a threshold are expanded.  Positions with e_s = 0 are
+    left out: they scale every count and the number of cylinders by the
+    same factor.  So the tie tails past `required_depth` cost nothing.
     """
     req = spec.required_depth
     if depth < req + 1:
@@ -236,42 +253,49 @@ def measure_bounds(spec: GKSetSpec, depth: int) -> MeasureBounds:
     wl, dl = _image_weights(spec.lhs.word, q, depth)
     wr, base_r, dr, tail_r = _resolve_rhs(spec, depth)
 
-    # suffix sums: largest numerator the remaining digits can still add
-    rem_l = [0] * (depth + 1)
-    rem_r = [0] * (depth + 1)
-    leaves = [0] * (depth + 1)
-    leaves[depth] = 1
-    for i in range(depth - 1, -1, -1):
-        rem_l[i] = rem_l[i + 1] + (qv[i] - 1) * wl[i]
-        rem_r[i] = rem_r[i + 1] + (qv[i] - 1) * wr[i]
-        leaves[i] = leaves[i + 1] * qv[i]
+    diff = [a * dr - b * dl for a, b in zip(wl, wr)]
+    # every sum is a multiple of g, so the thresholds round inwards
+    g = gcd(*diff) or 1
+    below = (base_r * dl - dr) // g
+    above = -(-(base_r + tail_r) * dl // g)
+    # a position with e = 0 moves no sum: it multiplies every count and
+    # the total alike, so it drops out of every fraction below
+    steps = []
+    for qs, e in zip(qv, diff):
+        if e:
+            e //= g
+            span = (qs - 1) * e
+            steps.append((abs(span), span, qs, e))
+    steps.sort()
 
-    want_lt = spec.relation == "lt"
-    inside = 0
-    straddle = 0
-    # (digit index, left and right numerators so far, identical copies)
-    stack = [(0, 0, base_r, 1)]
+    # the walk takes positions from the end of `steps`; a node with r
+    # positions left and partial sum acc has leaves[r] leaves, whose
+    # sums span [acc + down[r], acc + up[r]]
+    up, down, leaves = [0], [0], [1]
+    for _, span, qs, _ in steps:
+        up.append(up[-1] + span if span > 0 else up[-1])
+        down.append(down[-1] + span if span < 0 else down[-1])
+        leaves.append(leaves[-1] * qs)
+
+    low = high = straddle = 0
+    stack = [(len(steps), 0)]
     pop, push = stack.pop, stack.append
     while stack:
-        i, acc_l, acc_r, mult = pop()
-        # left image range [acc_l, acc_l + rem_l[i] + 1] / dl;
-        # right range [acc_r, acc_r + rem_r[i] + tail_r] / dr
-        if (acc_l + rem_l[i] + 1) * dr <= acc_r * dl:
-            if want_lt:
-                inside += mult * leaves[i]
-        elif acc_l * dr >= (acc_r + rem_r[i] + tail_r) * dl:
-            if not want_lt:
-                inside += mult * leaves[i]
-        elif i == depth:
-            straddle += mult
-        elif wl[i] == 0 and wr[i] == 0:
-            # neither side reads this digit: all children are identical
-            push((i + 1, acc_l, acc_r, mult * qv[i]))
+        r, acc = pop()
+        hi, lo = acc + up[r], acc + down[r]
+        if hi <= below:
+            low += leaves[r]
+        elif lo >= above:
+            high += leaves[r]
+        elif below < lo and hi < above:
+            straddle += leaves[r]
         else:
-            for c in range(qv[i]):
-                push((i + 1, acc_l + c * wl[i], acc_r + c * wr[i], mult))
+            _, _, qs, e = steps[r - 1]
+            for c in range(qs):
+                push((r - 1, acc + c * e))
 
-    total = leaves[0]
+    total = leaves[-1]
+    inside = low if spec.relation == "lt" else high
     return MeasureBounds(Fraction(inside, total),
                          Fraction(inside + straddle, total),
                          depth,
@@ -284,7 +308,12 @@ def measure_bounds(spec: GKSetSpec, depth: int) -> MeasureBounds:
 
 @dataclass(frozen=True)
 class McMeasure:
-    """Sampling estimate of the set's measure, with binomial std error."""
+    """Sampling estimate of the set's measure.
+
+    `std_err` is the Wald estimate sqrt(p(1 - p)/samples) at p =
+    `estimate`.  It is 0 when no sample hits or every sample does, and
+    it understates the spread when the true measure is near 0 or 1.
+    """
 
     estimate: float
     std_err: float

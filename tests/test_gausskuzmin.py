@@ -1,5 +1,10 @@
 """Exact measure brackets and sampling for program-comparison sets."""
 
+import itertools
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import sqrt
 
@@ -7,8 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import cantorshift
 from cantorshift import (
+    MAX_TAIL,
+    ZERO_TAIL,
     ConstRhs,
+    DigitString,
     DomainError,
     GEN,
     GKSetSpec,
@@ -20,6 +29,7 @@ from cantorshift import (
     ShiftProgram,
     apply_program,
     cylinder_info,
+    eval_prefix,
     generator_family,
     limit_scan,
     measure_bounds,
@@ -310,6 +320,181 @@ class TestSamplingKernel:
         assert ge.depth == spec.required_depth + 1
         assert lt.hits + ge.hits <= 5000
         assert abs(ge.estimate - 5 / 9) <= 4 * ge.std_err
+
+
+# ---------------------------------------------------------------------------
+# The difference walk
+# ---------------------------------------------------------------------------
+
+def measure_bounds_by_position(spec, depth):
+    """The cylinder walk before it tracked the scaled difference: both
+    image numerators, digit positions in order, only positions neither
+    side reads collapsed.  A test oracle for `measure_bounds`."""
+    req = spec.required_depth
+    if depth < req + 1:
+        raise InsufficientDepthError(
+            f"depth {depth} too shallow: programs consume {req} digits, "
+            f"need depth >= {req + 1}", required=req + 1)
+    q = spec.q
+    qv = [q.at(i) for i in range(1, depth + 1)]
+    wl, dl = _image_weights(spec.lhs.word, q, depth)
+    wr, base_r, dr, tail_r = gk_module._resolve_rhs(spec, depth)
+    rem_l = [0] * (depth + 1)
+    rem_r = [0] * (depth + 1)
+    leaves = [0] * (depth + 1)
+    leaves[depth] = 1
+    for i in range(depth - 1, -1, -1):
+        rem_l[i] = rem_l[i + 1] + (qv[i] - 1) * wl[i]
+        rem_r[i] = rem_r[i + 1] + (qv[i] - 1) * wr[i]
+        leaves[i] = leaves[i + 1] * qv[i]
+    want_lt = spec.relation == "lt"
+    inside = straddle = 0
+    stack = [(0, 0, base_r, 1)]
+    while stack:
+        i, acc_l, acc_r, mult = stack.pop()
+        if (acc_l + rem_l[i] + 1) * dr <= acc_r * dl:
+            if want_lt:
+                inside += mult * leaves[i]
+        elif acc_l * dr >= (acc_r + rem_r[i] + tail_r) * dl:
+            if not want_lt:
+                inside += mult * leaves[i]
+        elif i == depth:
+            straddle += mult
+        elif wl[i] == 0 and wr[i] == 0:
+            stack.append((i + 1, acc_l, acc_r, mult * qv[i]))
+        else:
+            for c in range(qv[i]):
+                stack.append((i + 1, acc_l + c * wl[i], acc_r + c * wr[i], mult))
+    total = leaves[0]
+    return gk_module.MeasureBounds(F(inside, total), F(inside + straddle, total),
+                                   depth, F(total - straddle, total))
+
+
+def measure_bounds_by_leaf(spec, depth):
+    """Classify every rank-`depth` cylinder on its own.  Each image
+    interval runs from the program applied to the cylinder's digits
+    followed by zeros to the same digits followed by maximal digits."""
+    q = spec.q
+
+    def image(program, digits):
+        return tuple(eval_prefix(apply_program(program, DigitString(q, digits, tail), q))
+                     for tail in (ZERO_TAIL, MAX_TAIL))
+
+    rhs = spec.rhs
+    if isinstance(rhs, ConstRhs):
+        fixed = (rhs.value, rhs.value)
+    elif isinstance(rhs, ProgramOnX):
+        v = apply_program(rhs.program, rhs.x, q)
+        fixed = (v, v)
+    inside = straddle = total = 0
+    for digits in itertools.product(*(range(q.at(i)) for i in range(1, depth + 1))):
+        lo_l, hi_l = image(spec.lhs, digits)
+        lo_r, hi_r = image(rhs.program, digits) if isinstance(rhs, ProgramOnZ) else fixed
+        total += 1
+        if hi_l <= lo_r:
+            inside += spec.relation == "lt"
+        elif lo_l >= hi_r:
+            inside += spec.relation == "ge"
+        else:
+            straddle += 1
+    return gk_module.MeasureBounds(F(inside, total), F(inside + straddle, total),
+                                   depth, F(total - straddle, total))
+
+
+def outcome(call, *args):
+    """The result of a call, or the type, message and `required` of the
+    package error it raised."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "required", None)
+
+
+WALK_BASES = st.sampled_from([Q2, Q3, QSequence.periodic([2, 3]),
+                              QSequence.explicit([3, 2, 4, 2])])
+WALK_WORDS = st.lists(st.sampled_from([SIGMA] + [GEN(m) for m in range(1, 6)]),
+                      max_size=4).map(lambda w: ShiftProgram(tuple(w)))
+
+
+@st.composite
+def walk_specs(draw):
+    q = draw(WALK_BASES)
+    kind = draw(st.sampled_from(["const", "x", "z"]))
+    if kind == "const":
+        rhs = ConstRhs(draw(st.fractions(min_value=-1, max_value=2, max_denominator=40)))
+    elif kind == "x":
+        rhs = ProgramOnX(draw(WALK_WORDS), draw(FRACTIONS))
+    else:
+        rhs = ProgramOnZ(draw(WALK_WORDS))
+    return GKSetSpec(q, draw(WALK_WORDS), rhs, draw(st.sampled_from(["lt", "ge"])))
+
+
+class TestWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=walk_specs(), extra=st.integers(-1, 9))
+    def test_matches_walk_by_position(self, spec, extra):
+        # depths below required_depth + 1 compare the refusals
+        depth = spec.required_depth + extra
+        assert outcome(measure_bounds, spec, depth) == \
+            outcome(measure_bounds_by_position, spec, depth)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=walk_specs(), depth=st.integers(1, 8))
+    def test_matches_leaf_by_leaf(self, spec, depth):
+        assume(spec.required_depth < depth)
+        assume(spec.q.partial_product(depth) <= 1000)
+        assert measure_bounds(spec, depth) == measure_bounds_by_leaf(spec, depth)
+
+    @pytest.mark.parametrize("name", sorted(TIE_SPECS))
+    @pytest.mark.parametrize("relation", ["lt", "ge"])
+    def test_tie_specs_match_walk_by_position(self, name, relation):
+        # the tie tails past required_depth are the positions left out
+        spec = tie_spec(name, relation)
+        depth = spec.required_depth + 6
+        assert measure_bounds(spec, depth) == measure_bounds_by_position(spec, depth)
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter; a walk that turns exponential
+    again fails on the timeout instead of hanging the suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cantorshift.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import sys; from cantorshift.cli import main; sys.exit(main({list(argv)!r}))"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=30, env=env)
+
+
+def program_json(word):
+    return ShiftProgram(word).to_json()
+
+
+class TestDeepWalks:
+    """Specs whose cost grew exponentially with depth or family step
+    while the walk went by position."""
+
+    @pytest.mark.parametrize("name, depth, want", [
+        ("tie-q3", 60, '{"decided_mass": "8/9", "depth": 60, "lower": "4/9", "upper": "5/9"}'),
+        ("gen2-vs-sigma-q2", 40, '{"decided_mass": "1/2", "depth": 40, "lower": "1/4", "upper": "3/4"}'),
+    ], ids=["tie-q3", "gen2-vs-sigma-q2"])
+    def test_tie_bounds(self, name, depth, want):
+        q, lhs, rhs = TIE_SPECS[name]
+        spec = {"q": q.to_json(), "lhs": program_json(lhs),
+                "rhs": {"programOnZ": program_json(rhs)}}
+        r = run_cli("gk", "bounds", "--depth", str(depth), "--spec", json.dumps(spec))
+        assert (r.returncode, r.stdout, r.stderr) == (0, want + "\n", "")
+
+    def test_affine_scan_against_a_shift(self):
+        r = run_cli("gk", "scan", "--q", "2",
+                    "--family", '{"kind": "affine", "a": 1, "b": 1}',
+                    "--rhs", json.dumps({"programOnZ": program_json((SIGMA,))}),
+                    "--params", "10:13")
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout == ("n,lower,upper,decided_mass\n"
+                            "10,32767/65536,32769/65536,32767/32768\n"
+                            "11,65535/131072,65537/131072,65535/65536\n"
+                            "12,131071/262144,131073/262144,131071/131072\n"
+                            "13,262143/524288,262145/524288,262143/262144\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types and input limits shared across the package."""
 
 from functools import wraps
+
+# Largest sample count `mc_mean` and `measure_mc` accept.  A larger one is
+# refused with a DomainError before any digit is drawn.
+MAX_SAMPLES = 10**7
 
 
 class DomainError(ValueError):

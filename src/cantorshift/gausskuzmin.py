@@ -37,7 +37,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDepthError, json_decoder
+from .errors import MAX_SAMPLES, DomainError, InsufficientDepthError, json_decoder
 from .numeral import (
     QSequence,
     format_rational,
@@ -356,10 +356,13 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     (counted as misses).  The one exception is a tie with a `ProgramOnZ`
     threshold, equal image numerators over equal denominators: both
     images then agree for every tail, so the sample is a hit for "ge"
-    however wide its cylinder.  Deterministic for fixed (samples, seed).
+    however wide its cylinder.  Deterministic for fixed (samples, seed);
+    `samples` runs from 1 to `MAX_SAMPLES` (10**7).
     """
     if samples < 1:
         raise DomainError("need at least 1 sample")
+    if samples > MAX_SAMPLES:
+        raise DomainError(f"samples {samples} exceed the limit of {MAX_SAMPLES}")
     q = spec.q
     depth = _mc_depth(q, spec.required_depth, extra_depth)
     qv = [q.at(i) for i in range(1, depth + 1)]

@@ -41,7 +41,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDepthError, InvalidSystemError, json_decoder
+from .errors import (
+    MAX_SAMPLES, DomainError, InsufficientDepthError, InvalidSystemError, json_decoder,
+)
 from .numeral import (
     ONE,
     ZERO,
@@ -584,7 +586,9 @@ class McMean:
 _MC_CAP = 20_000
 _MC_BLOCK_BYTES = 64 * 2**20  # cap on one chunk's digit block
 _MC_ROWS = 4096  # rows summed together: their float buffers stay in L2
-_MC_LIVE_EVERY = 64  # terms between checks for a block whose products all vanished
+# terms between checks for a block whose rows are all frozen, so that no
+# later term can move a row's float sum (see mc_mean)
+_MC_LIVE_EVERY = 64
 
 
 def mc_mean(system: SalemSystem, samples: int, seed: int,
@@ -593,22 +597,29 @@ def mc_mean(system: SalemSystem, samples: int, seed: int,
 
     The series is cut at enough terms for a 1e-9 tail bound (capped);
     the remaining bias is far below the reported standard error at
-    practical sample sizes.  A chunk draws at most `chunk` rows of
-    digits from numpy's seeded generator, and fewer when the digit
-    block would exceed 64 MiB.
+    practical sample sizes.  `samples` runs from 2 to `MAX_SAMPLES`
+    (10**7).  A chunk draws at most `chunk` rows of digits from numpy's
+    seeded generator, and fewer when the digit block would exceed 64 MiB.
 
     Within a chunk the rows are summed in blocks of 4096: each term
     gathers the block's digit column once into a reused index buffer
     and looks up beta and p into two reused float buffers, so the
     running values and products stay in cache.  Every 64 terms a block
-    whose products have all underflowed to zero stops, since each later
-    term would add only a signed zero.  The float operations on each row
+    stops once each of its rows is frozen: |prod| * 2**55 <= |v| for the
+    row's running product prod and value v, which also covers a product
+    that has underflowed to 0.  Every p and beta of a valid system lies
+    in [-1, 1] as a float, so |prod| never grows and no later term
+    exceeds |v| * 2**-55, less than a quarter ulp of v.  v + term then
+    rounds back to v, also for a negative term when v is a power of two,
+    and v = 0 gains only a signed zero.  The float operations on each row
     are the ones of the plain per-term loop, in the same order, so the
     result is bit-identical for a fixed (samples, seed, chunk).
     """
     ensure_valid(system)
     if samples < 2:
         raise DomainError("need at least 2 samples")
+    if samples > MAX_SAMPLES:
+        raise DomainError(f"samples {samples} exceed the limit of {MAX_SAMPLES}")
     q = system.q
     m = float(system.global_max)
     limit = system.stage_limit()
@@ -649,8 +660,12 @@ def mc_mean(system: SalemSystem, samples: int, seed: int,
             idx, b, p, prod = idx_buf[:k], b_buf[:k], p_buf[:k], prod_buf[:k]
             prod.fill(1.0)
             for t, (b_col, p_col, j) in enumerate(steps):
-                if t and not t % _MC_LIVE_EVERY and not prod.any():
-                    break
+                if t and not t % _MC_LIVE_EVERY:
+                    # frozen iff |v| - |prod| * 2**55 >= 0; the float
+                    # difference keeps the sign of the exact one
+                    np.multiply(np.abs(prod, out=p), 2.0**55, out=p)
+                    if np.subtract(np.abs(v, out=b), p, out=b).min() >= 0:
+                        break
                 idx[...] = block[:, j]
                 # every digit lies in [0, q), so "clip" never moves one
                 np.take(b_col, idx, out=b, mode="clip")

@@ -7,6 +7,7 @@ subprocess nor the installed entry point.
 
 import json
 
+import numpy as np
 import pytest
 
 from cantorshift.cli import main
@@ -332,6 +333,18 @@ class TestErrors:
             assert all("warning" in line for line in lines[:-1])
         else:
             assert len(lines) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("salem", "mc", "--system", SYSTEM),
+        ("gk", "mc", "--spec", SPEC),
+    ])
+    def test_sample_count_past_the_cap_is_refused(self, capsys, monkeypatch, argv):
+        # refused before any draw; sampling a billion would take minutes
+        monkeypatch.setattr(np.random, "default_rng", None)
+        code, out, err = run(capsys, *argv, "--samples", "1000000000", "--seed", "1")
+        assert code == 2 and out == ""
+        obj = json.loads(err)["error"]
+        assert obj["type"] == "domain" and "limit of 10000000" in obj["message"]
 
     def test_insufficient_depth_exit_code(self, capsys):
         code, _, err = run(capsys, "gk", "bounds", "--spec", SPEC,

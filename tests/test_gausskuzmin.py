@@ -208,6 +208,14 @@ class TestSampling:
         with pytest.raises(DomainError):
             measure_mc(shift_below(Q2, 1, F(1, 3)), samples=0, seed=0)
 
+    def test_sample_count_capped_before_drawing(self, monkeypatch):
+        spec = shift_below(Q2, 1, F(1, 3))
+        monkeypatch.setattr(gk_module, "MAX_SAMPLES", 1000)
+        assert measure_mc(spec, samples=1000, seed=0).samples == 1000
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(DomainError, match="limit of 1000"):
+            measure_mc(spec, samples=1001, seed=0)
+
 
 def measure_mc_by_columns(spec, samples, seed, extra_depth=32, chunk=65536):
     """The sampling loop before ties counted as "ge", drawing digits

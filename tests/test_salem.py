@@ -459,6 +459,14 @@ class TestIntegral:
             r = mc_mean(s, samples, seed, **kw)
             assert (r.mean, r.std_err, r.terms) == (mean, std_err, terms)
 
+    def test_mc_sample_count_capped_before_drawing(self, monkeypatch):
+        s = fixed(["1/3", "2/3"])
+        monkeypatch.setattr(salem_module, "MAX_SAMPLES", 1000)
+        assert mc_mean(s, samples=1000, seed=0).samples == 1000
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(DomainError, match="limit of 1000"):
+            mc_mean(s, samples=1001, seed=0)
+
     def test_mc_block_cap_sets_the_chunk(self, monkeypatch):
         # every digit block drawn stays under the cap; only the chunking moves
         s = fixed(["1/3", "2/3"])  # 54 terms: 54 one-byte digits per row
@@ -534,12 +542,17 @@ def weight_tuples(draw, q):
 
 @st.composite
 def mc_systems(draw):
-    kind = draw(st.sampled_from(["fixed", "swap-pairs", "matrix", "skewed"]))
+    kind = draw(st.sampled_from(["fixed", "swap-pairs", "matrix", "skewed",
+                                 "moderate"]))
     q = draw(st.integers(2, 4))
-    if kind == "skewed":
+    if kind in ("skewed", "moderate"):
         # p_max >= 0.97: every row's product underflows long before the
-        # last term, so whole blocks stop early
-        top = draw(st.sampled_from([F(97, 100), F(99, 100), F(999, 1000)]))
+        # last term.  p_max <= 0.95: no product underflows, but every
+        # row's sum stops moving in float well before the last term.
+        # Either way whole blocks stop early.
+        tops = ([F(97, 100), F(99, 100), F(999, 1000)] if kind == "skewed"
+                else [F(4, 5), F(9, 10), F(19, 20)])
+        top = draw(st.sampled_from(tops))
         rest = [(1 - top) / (q - 1)] * (q - 1)
         at = draw(st.integers(0, q - 1))
         return SalemSystem.fixed(rest[:at] + [top] + rest[at:])
@@ -568,13 +581,43 @@ class TestMcBlocks:
             assert mc_mean(system, samples, seed, **kw) == want
 
     def test_dead_blocks_stop_early(self):
-        # 999/1000 runs 20000 terms, but a 1/1000 factor underflows a
-        # row's product within a few hundred: the blocks stop early and
-        # the result still matches the full loop
+        # 999/1000 runs 20000 terms, but a block stops once every row is
+        # frozen: its product has underflowed to 0, or has sunk below
+        # 2**-55 of its value, which a few 1/1000 factors bring about.
+        # The result still matches the full loop
         s = fixed(["999/1000", "1/1000"])
         r = mc_mean(s, samples=600, seed=2)
         assert r.terms == salem_module._MC_CAP
         assert r == mc_mean_per_column(s, 600, 2)
+
+    @pytest.mark.parametrize("system, samples", [
+        # no product of 9/10 and 1/10 underflows within 219 terms, yet
+        # every row's sum stops moving after a few dozen
+        (fixed(["9/10", "1/10"]), 3000),
+        # negative weights make products, and so terms, change sign
+        (fixed(["9/10", "-1/5", "3/10"]), 3000),
+        # every |p| is near 1, so a product sinks about 0.1 bit per term
+        # and its row freezes only after some 600 of the 796 terms.  Over
+        # 20 rows the sums show the terms that a much looser test, such
+        # as 2**-45, would skip
+        (fixed(["97/100", "-9/10", "93/100"]), 20),
+        # p_0 = 2**-600: a row starting with two 0 digits keeps the value
+        # 0 while its product underflows to 0.  Such a row is frozen too
+        (SalemSystem.fixed([F(1, 2**600), F(9, 10) - F(1, 2**600), F(1, 10)]), 3000),
+    ], ids=["9/10", "signed", "slow-signed", "zero-rows"])
+    def test_frozen_blocks_stop_early(self, system, samples):
+        with mock.patch.object(np, "take", wraps=np.take) as take:
+            r = mc_mean(system, samples, 5)
+        # one block, which takes beta and p once per term it sums
+        assert take.call_count < 2 * r.terms
+        assert r == mc_mean_per_column(system, samples, 5)
+
+    def test_short_signed_and_matrix_systems(self):
+        # fewer than 64 terms: no block is checked, every term is summed
+        for s in (fixed(["3/5", "-1/5", "3/5"]),
+                  SalemSystem.matrix([[F(k + 1, 2 * k + 3), F(k + 2, 2 * k + 3)]
+                                      for k in range(40)])):
+            assert mc_mean(s, 3000, 5) == mc_mean_per_column(s, 3000, 5)
 
 
 # ---------------------------------------------------------------------------

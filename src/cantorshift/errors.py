@@ -6,6 +6,11 @@ from functools import wraps
 # refused with a DomainError before any digit is drawn.
 MAX_SAMPLES = 10**7
 
+# Largest decimal exponent, in size, that `numeral.parse_rational` expands.
+# 1e-30000000 would build a 30-million-digit denominator first, so a larger
+# one is refused with a DomainError.
+MAX_EXPONENT = 10**4
+
 
 class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""

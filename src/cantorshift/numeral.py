@@ -29,12 +29,13 @@ periodic tail continues: `digit` for one position, `digits_to` and
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Optional, Union
 
-from .errors import DomainError, InsufficientDepthError, json_decoder
+from .errors import MAX_EXPONENT, DomainError, InsufficientDepthError, json_decoder
 
 __all__ = [
     "QSequence",
@@ -61,11 +62,19 @@ ONE = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "num/den", integer, or decimal notation into a Fraction."""
+    """Parse "num/den", integer, or decimal notation into a Fraction.
+
+    A decimal exponent larger than `errors.MAX_EXPONENT` in size is
+    refused before any power of ten is built."""
     try:
-        return Fraction(str(text))
+        # a superset of the exponents `Fraction` reads (it takes
+        # underscores from Python 3.11 on)
+        exp = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", str(text), re.IGNORECASE)
+        if exp is None or abs(int(exp.group(1))) <= MAX_EXPONENT:
+            return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational number: {text!r}") from exc
+    raise DomainError(f"decimal exponent in {text!r} exceeds the limit of {MAX_EXPONENT}")
 
 
 def format_rational(x: Fraction) -> str:

@@ -19,16 +19,21 @@ or an explicit finite matrix of per-step columns (exploratory).  Columns
 are consumed in order for matrix systems; fixed systems accept identity,
 rule-based, or finite-list reorders.
 
+Every sum here runs through `numeral._series`, the integer kernel that
+also evaluates Cantor-series digit strings.  A weight column becomes one
+row of steps (D, c_e, a_e) over its common denominator D, with
+beta_e = c_e / D and p_e = a_e / D; `SalemSystem` keeps those rows.
+
 Evaluation at a rational point is exact for a fixed tuple with an
 unbounded reorder (identity or a rule): past the digit string's prefix
 the digits read repeat with one period, so the self-similarity
 equations close in one step, g(tail) = S / (1 - P) over one period with
-partial sum S and weight product P.  The sums are `numeral._series` over
-the steps read and the closure is `numeral._close`, the same kernel that
-evaluates Cantor-series digit strings.  Finite systems and truncated digit
-strings instead truncate the series once the tail bound derived from
-the largest |p_i| drops below the requested tolerance, and report that
-bound (or stop exactly when the system runs out of steps).
+partial sum S and weight product P, formed by `numeral._close`.  Finite
+systems and truncated digit strings instead truncate the series once the
+tail bound derived from the largest |p_i| drops below the requested
+tolerance, and report that bound (or stop exactly when the system runs
+out of steps).  That stopping step depends on the system alone, and the
+terms up to it are summed in one call.
 """
 
 from __future__ import annotations
@@ -241,6 +246,13 @@ class SalemSystem:
         cols = (self.weights,) if self.weights is not None else self.columns
         return max(abs(p) for col in cols for p in col)
 
+    @cached_property
+    def _step_rows(self) -> tuple[list[tuple[int, int, int]], ...]:
+        """The `_series` step of each digit: one row for a fixed tuple,
+        one per matrix column (see `_step_row`)."""
+        cols = (self.weights,) if self.weights is not None else self.columns
+        return tuple(_step_row(col) for col in cols)
+
     def to_json(self) -> dict:
         out: dict = {"q": self.q}
         if self.weights is not None:
@@ -282,6 +294,15 @@ def _betas(col: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     for p in col[:-1]:
         out.append(out[-1] + p)
     return tuple(out)
+
+
+def _step_row(col: tuple[Fraction, ...]) -> list[tuple[int, int, int]]:
+    """`_series` steps (D, c_e, a_e) of a weight column over its common
+    denominator D: digit e adds beta_e = c_e / D and multiplies by
+    p_e = a_e / D."""
+    D = lcm(*(p.denominator for p in col))
+    return [(D, b.numerator * (D // b.denominator), p.numerator * (D // p.denominator))
+            for p, b in zip(col, _betas(col))]
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +433,18 @@ def _eval_stage(d: DigitString, system: SalemSystem, tol: Fraction,
     T = lcm(tail period, reorder period) steps that repeat (a zero or
     max tail has period 1).  `_series` sums the head and one block, and
     `_close` returns H + P_H * B / (1 - P_B).
+
+    Every other case takes the tolerance path.  The remainder bound r
+    after step k is a product of column maxima |p|, so the last step k
+    depends on the system and `tol` alone: the first where r sinks below
+    tol * (1 - max |p|), or the system's last step (the sum is then
+    exact).  Each step reads its digit as it is taken, so a truncated
+    string raises as soon as the first digit it lacks is needed, and
+    one `_series` call sums the steps stage + 1 .. k.
     """
     t = d.tail
     limit = system.stage_limit()
     if limit is None and t.kind != "truncated":
-        w = system.weights
         r = system.reorder.period()
         T = lcm(len(t.period) or 1, r)
         # the steps past the first block end K0 >= depth repeat every T
@@ -427,32 +455,27 @@ def _eval_stage(d: DigitString, system: SalemSystem, tol: Fraction,
         K = -(-max(stage, d.depth) // r) * r
         digits = d.digits_to(K + T)
         perm = [system.reorder.position(i) - 1 for i in range(1, r + 1)]
-        D = lcm(*(p.denominator for p in w))
-        step = [(D, b.numerator * (D // b.denominator),
-                 p.numerator * (D // p.denominator)) for p, b in zip(w, _betas(w))]
+        step = system._step_rows[0]
         steps = [step[digits[m + i]] for m in range(0, K + T, r) for i in perm][stage:]
         value = _close(_series(steps[:K - stage]), _series(steps[K - stage:]))
         return EvalResult(value, ZERO, K - stage + (T if t.kind == "periodic" else 0))
 
-    # tolerance path: stop once the remainder bound sinks below tol, or
-    # the system runs out of steps (then the finite sum is exact)
+    # tolerance path: take steps until the remainder bound sinks below
+    # tol, or the system runs out of steps (then the finite sum is
+    # exact); each step's digit is read as it is taken, so a truncated
+    # string raises at its first missing digit
     m = system.global_max
     target = tol * (1 - m)
-    total = ZERO
-    prod = ONE
     r = ONE
     k = stage
-    while True:
-        if limit is not None and k >= limit:
-            return EvalResult(total, ZERO, k - stage)
-        if r < target:
-            return EvalResult(total, r / (1 - m), k - stage)
+    steps = []
+    while (limit is None or k < limit) and r >= target:
         k += 1
         n = system.reorder.position(k)
-        dig = d.digit(n)
-        total += system.beta_row(n)[dig] * prod
-        prod *= system.p_row(n)[dig]
-        r *= max(abs(p) for p in system.p_row(n)) if not system.is_fixed else m
+        steps.append(system._step_rows[0 if system.is_fixed else n - 1][d.digit(n)])
+        r *= m if system.is_fixed else max(abs(p) for p in system.p_row(n))
+    bound = ZERO if limit is not None and k >= limit else r / (1 - m)
+    return EvalResult(Fraction(*_series(steps)[::2]), bound, k - stage)
 
 
 def _prepare_point(x, q: int, system: SalemSystem) -> DigitString:
@@ -482,7 +505,11 @@ def evaluate(x, q: int, system: SalemSystem, tol=DEFAULT_TOL) -> EvalResult:
     reducing it costs time quadratic in L: seconds at L = 80020 with
     D = 100, many minutes near L = 10^6.  For a bounded-cost value at
     such a point, pass `expand(x, QSequence.constant(q), depth,
-    probe_limit=0)`: a truncated string takes the tolerance loop.
+    probe_limit=0)`: a truncated string takes the tolerance path.  The
+    string is truncated only while `depth` is at most the point's
+    preperiod plus one period; past that the scan finds the period and
+    returns a periodic string, whose value is exact and costs as much
+    again.
     """
     ensure_valid(system)
     d = _prepare_point(x, q, system)
@@ -530,14 +557,12 @@ def integral(system: SalemSystem) -> Fraction:
     if not system.strict_reorder:
         raise DomainError(
             "exact mean needs an injective reorder; use the sampling estimate")
-    total = ZERO
-    scale = ONE
-    for k in range(1, limit + 1):
-        n = k if system.columns is not None else system.reorder.position(k)
-        betas = system.beta_row(n)
-        total += sum(betas[1:], ZERO) / q * scale
-        scale /= q
-    return total
+    # step k adds s_k / q times q^(1-k), for s_k the sum of its betas;
+    # a matrix is validated to the identity order, so step k reads column k
+    rows = (system._step_rows[0 if system.is_fixed else k - 1]
+            for k in range(1, limit + 1))
+    return Fraction(*_series((q * D, sum(c for _, c, _ in row[1:]), D)
+                             for row in rows for D in (row[0][0],))[::2])
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +657,12 @@ def mc_mean(system: SalemSystem, samples: int, seed: int,
     positions = [system.reorder.position(t) for t in range(1, terms + 1)]
     maxpos = max(positions, default=1)
 
-    if system.is_fixed:
-        p_cols = [np.array([float(p) for p in system.weights])] * terms
-        b_cols = [np.array([float(b) for b in _betas(system.weights)])] * terms
-    else:
-        p_cols = [np.array([float(p) for p in system.p_row(n)]) for n in positions]
-        b_cols = [np.array([float(b) for b in system.beta_row(n)]) for n in positions]
-    steps = list(zip(b_cols, p_cols, [n - 1 for n in positions]))
+    # int / int rounds correctly, as float(Fraction) does
+    used = system._step_rows[:terms]  # a matrix is read in identity order
+    b_rows = [np.array([c / D for D, c, _ in row]) for row in used]
+    p_rows = [np.array([a / D for D, _, a in row]) for row in used]
+    at = [0 if system.is_fixed else n - 1 for n in positions]
+    steps = [(b_rows[i], p_rows[i], n - 1) for i, n in zip(at, positions)]
 
     dtype = np.int8 if q <= 127 else np.int64
     chunk = max(1, min(chunk, _MC_BLOCK_BYTES // (maxpos * np.dtype(dtype).itemsize)))

@@ -6,6 +6,7 @@ subprocess nor the installed entry point.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -345,6 +346,21 @@ class TestErrors:
         assert code == 2 and out == ""
         obj = json.loads(err)["error"]
         assert obj["type"] == "domain" and "limit of 10000000" in obj["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ("salem", "eval", "--system", SYSTEM, "--x", "1/3", "--tol", "1e-30000000"),
+        ("shift", "--x", "1e-30000000", "--q", "2", "--n", "1"),
+        ("salem", "eval", "--x", "1/3",
+         "--system", json.dumps({"q": 2, "p": ["1e-30000000", "1"]})),
+    ], ids=["tol", "x", "weight"])
+    def test_huge_decimal_exponent_is_refused(self, capsys, argv):
+        # building 10**30000000 first took about a minute
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        obj = json.loads(err)["error"]
+        assert obj["type"] == "domain" and "limit of 10000" in obj["message"]
 
     def test_insufficient_depth_exit_code(self, capsys):
         code, _, err = run(capsys, "gk", "bounds", "--spec", SPEC,

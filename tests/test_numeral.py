@@ -1,5 +1,6 @@
 """Digit expansion, evaluation, classification, cylinders."""
 
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -23,6 +24,8 @@ from cantorshift import (
     periodic_tail,
     truncated_tail,
 )
+from cantorshift import numeral
+from cantorshift.errors import MAX_EXPONENT
 from cantorshift.numeral import _decision_bound, _scan
 
 
@@ -459,3 +462,31 @@ def test_rational_formatting():
     assert parse_rational("0.25") == F(1, 4)
     with pytest.raises(DomainError):
         parse_rational("x/y")
+
+
+class TestParseExponentCap:
+    def test_accepts_exponents_up_to_the_limit(self):
+        assert MAX_EXPONENT == 10**4
+        assert parse_rational("1e-10000") == F(1, 10**10000)
+        assert parse_rational(" +2.5E10 ") == F(25 * 10**9)
+        assert parse_rational("-1e-0010000") == F(-1, 10**10000)
+        assert parse_rational("3.e2") == F(300)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="Fraction reads underscores from Python 3.11")
+    def test_accepts_underscored_exponents(self):
+        assert parse_rational(" +2.5E1_0 ") == F(25 * 10**9)
+
+    @pytest.mark.parametrize("text", [
+        "1e-30000000", "1E10001", " -1.5e+10_001\t", "1e-0010001", ".5e99999",
+    ])
+    def test_refuses_larger_exponents_before_expanding(self, monkeypatch, text):
+        # Fraction is never reached: it would build 10**|exponent| first
+        monkeypatch.setattr(numeral, "Fraction", None)
+        with pytest.raises(DomainError, match="limit of 10000"):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["1/2e5", "1e", "1e_5", "e5", "1e5x"])
+    def test_other_malformed_text_is_still_refused(self, text):
+        with pytest.raises(DomainError, match="not a rational number"):
+            parse_rational(text)

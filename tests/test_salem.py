@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import cantorshift.salem as salem_module
 from cantorshift import (
@@ -267,6 +267,151 @@ class TestClosure:
 
 
 # ---------------------------------------------------------------------------
+# Tolerance path and finite sums against plain Fraction loops
+# ---------------------------------------------------------------------------
+
+def eval_stage_fraction_reference(d, system, tol, stage):
+    """The tolerance path of `_eval_stage` before it summed through
+    `_series`: one Fraction term per step.  A test oracle."""
+    limit = system.stage_limit()
+    m = system.global_max
+    target = tol * (1 - m)
+    total = F(0)
+    prod = F(1)
+    r = F(1)
+    k = stage
+    while True:
+        if limit is not None and k >= limit:
+            return salem_module.EvalResult(total, F(0), k - stage)
+        if r < target:
+            return salem_module.EvalResult(total, r / (1 - m), k - stage)
+        k += 1
+        n = system.reorder.position(k)
+        dig = d.digit(n)
+        total += system.beta_row(n)[dig] * prod
+        prod *= system.p_row(n)[dig]
+        r *= max(abs(p) for p in system.p_row(n)) if not system.is_fixed else m
+
+
+def integral_fraction_reference(system):
+    """The finite sum of `integral` before it summed through `_series`."""
+    q = system.q
+    total = F(0)
+    scale = F(1)
+    for k in range(1, system.stage_limit() + 1):
+        n = k if system.columns is not None else system.reorder.position(k)
+        betas = system.beta_row(n)
+        total += sum(betas[1:], F(0)) / q * scale
+        scale /= q
+    return total
+
+
+@st.composite
+def signed_q3(draw):
+    """A q=3 tuple with one negative weight, over mixed denominators."""
+    den = draw(st.sampled_from([5, 12, 100]))
+    b1 = F(draw(st.integers(1, den - 1)), den)
+    b2 = F(draw(st.integers(1, den - 1)), den)
+    assume(b2 < b1)
+    return [b1, b2 - b1, 1 - b2]
+
+
+@st.composite
+def tolerance_systems(draw):
+    """A system the tolerance path sums, and whether it is finite."""
+    kind = draw(st.sampled_from(["fixed", "swap-pairs", "signed", "strict-list",
+                                 "lax-list", "matrix"]))
+    if kind == "matrix":
+        q = draw(st.integers(2, 4))
+        return SalemSystem.matrix(draw(st.lists(weight_tuples(q), min_size=1,
+                                                max_size=40))), True
+    weights = (draw(signed_q3()) if kind == "signed"
+               else draw(weight_tuples(draw(st.integers(2, 4)))))
+    if kind == "strict-list":
+        order = draw(st.permutations(range(1, draw(st.integers(1, 40)) + 1)))
+        return SalemSystem.fixed(weights, reorder=Reorder("list", values=order)), True
+    if kind == "lax-list":
+        order = draw(st.lists(st.integers(1, 100), min_size=1, max_size=40))
+        return SalemSystem.fixed(weights, reorder=Reorder("list", values=order),
+                                 strict_reorder=False), True
+    return SalemSystem.fixed(weights, reorder=SWAP if kind == "swap-pairs"
+                             else Reorder()), False
+
+
+@st.composite
+def tolerance_points(draw):
+    """A system, a digit string the tolerance path sums for it, a
+    tolerance and a stage."""
+    s, finite = draw(tolerance_systems())
+    digit = st.integers(0, s.q - 1)
+    depth = draw(st.integers(0, 80))
+    prefix = tuple(draw(st.lists(digit, min_size=depth, max_size=depth)))
+    # an unbounded fixed system closes every other tail exactly
+    kind = draw(st.sampled_from(["truncated", "zero", "max", "periodic"]
+                                if finite else ["truncated"]))
+    tail = {"truncated": truncated_tail(depth), "zero": ZERO_TAIL,
+            "max": MAX_TAIL}.get(kind) or periodic_tail(
+                tuple(draw(st.lists(digit, min_size=1, max_size=5))))
+    d = DigitString(QSequence.constant(s.q), prefix, tail)
+    tol = F(draw(st.integers(1, 9)), 10 ** draw(st.integers(1, 12)))
+    return s, d, tol, draw(st.integers(0, 5))
+
+
+HALVES = SalemSystem.fixed([F(1, 2), F(1, 2)])
+# one skewed column sets the largest |p|; the halves before it stop sooner
+SKEW_LAST = SalemSystem.matrix([[F(1, 2), F(1, 2)]] * 20 + [[F(9, 10), F(1, 10)]])
+
+
+class TestTolerancePath:
+    @settings(max_examples=300, deadline=None)
+    @given(tolerance_points())
+    # tol 1/8: after 4 steps the remainder factor r = 1/16 equals
+    # tol * (1 - 1/2), which is not below it, so a fifth step is summed
+    @example((HALVES, DigitString(QSequence.constant(2), (1,) * 9, truncated_tail(9)),
+              F(1, 8), 0))
+    # r multiplies the largest |p| of each column read, 1/2, not the
+    # system's 9/10: 7 steps, where 9/10 would run to the last, the 21st
+    @example((SKEW_LAST, DigitString(QSequence.constant(2), (0, 1) * 12, truncated_tail(24)),
+              F(1, 10), 0))
+    def test_matches_fraction_loop(self, point):
+        s, d, tol, stage = point
+        ensure_valid(s)
+        try:
+            want = eval_stage_fraction_reference(d, s, tol, stage)
+        except InsufficientDepthError as exc:
+            with pytest.raises(InsufficientDepthError) as got:
+                salem_module._eval_stage(d, s, tol, stage)
+            assert got.value.required == exc.required
+            assert str(got.value) == str(exc)
+            return
+        got = salem_module._eval_stage(d, s, tol, stage)
+        assert (got.value, got.error_bound, got.terms) == (
+            want.value, want.error_bound, want.terms)
+
+    def test_truncated_string_stops_at_its_first_missing_digit(self):
+        # the bound would take all 1000 columns at this tol, but digit 6
+        # is unknown: no column past it is read.  With a fixed tuple near
+        # 1, such as (999/1000, 1/1000), those would be tens of thousands
+        # of Fraction steps before the error
+        s = SalemSystem.matrix([[F(1, 2), F(1, 2)]] * 1000)
+        d = DigitString(QSequence.constant(2), (1, 0, 1, 0, 1), truncated_tail(5))
+        read = []
+        p_row = SalemSystem.p_row
+        with mock.patch.object(SalemSystem, "p_row",
+                               lambda self, n: read.append(n) or p_row(self, n)):
+            with pytest.raises(InsufficientDepthError) as e:
+                evaluate(d, 2, s, tol=F(1, 10**400))
+        assert e.value.required == 6 and read == [1, 2, 3, 4, 5]
+
+    @settings(max_examples=150, deadline=None)
+    @given(tolerance_systems())
+    def test_finite_integral_matches_fraction_loop(self, case):
+        s, finite = case
+        assume(finite and s.strict_reorder)
+        assert integral(s) == integral_fraction_reference(s)
+
+
+# ---------------------------------------------------------------------------
 # Residuals of the defining relations
 # ---------------------------------------------------------------------------
 
@@ -341,8 +486,8 @@ class TestReorders:
         cols = [[F(1, 3), F(2, 3)], [F(1, 2), F(1, 2)]]
         s = SalemSystem.matrix(cols)
         r = evaluate(F(1, 4), 2, s)
-        # digits (0, 1): term1 = beta_0^{(1)} = 0? no: digit 0 -> beta 0;
-        # term2 = p^{(1)}_0 * beta^{(2)}_1 = 1/3 * 1/2 = 1/6
+        # digits (0, 1): term 1 = beta^{(1)}_0 = 0;
+        # term 2 = p^{(1)}_0 * beta^{(2)}_1 = 1/3 * 1/2 = 1/6
         assert r.value == F(1, 6)
         assert r.error_bound == 0
 
@@ -418,7 +563,8 @@ class TestIntegral:
     def test_finite_system_integral(self):
         cols = [[F(1, 3), F(2, 3)], [F(1, 2), F(1, 2)]]
         s = SalemSystem.matrix(cols)
-        # two stages: E = (0 + 1/3)/2 + (1/2)*(0 + 1/2)/2 ... weighted by mean p
+        # two stages: the mean of term k is the mean beta of column k times
+        # the mean p of each earlier column, 1/2: (0 + 1/3)/2 + 1/2 * (0 + 1/2)/2
         b1 = sum(s.beta_row(1)) / 2
         b2 = sum(s.beta_row(2)) / 2
         assert integral(s) == b1 + F(1, 2) * b2

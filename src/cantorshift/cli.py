@@ -13,6 +13,11 @@ Conventions:
 * errors go to stderr as one JSON object {"error": {...}};
 * exit codes: 0 success, 1 usage, 2 domain/validation error,
   3 insufficient digits for the requested operation.
+
+The argument parser is built by the first `main` call and reused by
+every later call in the process; nothing in it holds a stream.  Each
+command looks up `sys.stdout` and `sys.stderr` when it runs, so callers
+that swap those streams between calls get their output where they expect.
 """
 
 from __future__ import annotations
@@ -102,7 +107,7 @@ def _parse_tail(text: str) -> Tail:
     return Tail.from_json(_json_arg(text))
 
 
-def _parse_params(text: str) -> list[int]:
+def _parse_params(text: str) -> range | tuple[int, ...]:
     text = text.strip()
     if ":" in text:
         lo, _, hi = text.partition(":")
@@ -112,8 +117,8 @@ def _parse_params(text: str) -> list[int]:
             raise DomainError(f"parameter range must be int:int, got {text!r}") from exc
         if b < a:
             raise DomainError(f"empty parameter range {text!r}")
-        return list(range(a, b + 1))
-    return list(_parse_digit_list(text))
+        return range(a, b + 1)  # `limit_scan` caps its length
+    return _parse_digit_list(text)
 
 
 def _value_json(v):
@@ -445,14 +450,21 @@ def _build_parser() -> _Parser:
     return p
 
 
+# built by the first `main` call rather than at import, which keeps
+# `import cantorshift.cli` cheap
+_parser = None
+
+
 def main(argv=None) -> int:
+    global _parser
     # exact values at long periods have denominators of many thousand
     # digits, past the interpreter's default int -> str limit
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         args.func(args)
         return 0
     except _UsageError as exc:

@@ -11,6 +11,12 @@ MAX_SAMPLES = 10**7
 # one is refused with a DomainError.
 MAX_EXPONENT = 10**4
 
+# Largest uniform grid `salem.emit_table` evaluates, and most parameters
+# `gausskuzmin.limit_scan` runs.  Larger inputs are refused with a
+# DomainError before a point or a parameter is built.
+MAX_POINTS = 10**5
+MAX_PARAMS = 10**5
+
 
 class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""

@@ -26,18 +26,20 @@ straddling as a whole.  Positions with e_s = 0 (read by neither side,
 or with equal weight over equal denominators, as past `required_depth`
 on a tie) scale every count alike and are left out.  The bounds are
 exact, and the counts do not depend on the order of the walk.
+
+Only the sampler `measure_mc` uses numpy, and it imports numpy when
+called, so importing this module (or the package) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, sqrt
 from typing import Callable, Optional, Union
 
-import numpy as np
-
-from .errors import MAX_SAMPLES, DomainError, InsufficientDepthError, json_decoder
+from .errors import MAX_PARAMS, MAX_SAMPLES, DomainError, InsufficientDepthError, json_decoder
 from .numeral import (
     QSequence,
     format_rational,
@@ -359,6 +361,8 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     however wide its cylinder.  Deterministic for fixed (samples, seed);
     `samples` runs from 1 to `MAX_SAMPLES` (10**7).
     """
+    import numpy as np
+
     if samples < 1:
         raise DomainError("need at least 1 sample")
     if samples > MAX_SAMPLES:
@@ -431,8 +435,13 @@ def limit_scan(family: Callable[[int], GKSetSpec], params,
     rejects (e.g. counts a congruence rule does not admit) produce a
     row carrying the error instead of aborting the scan.  The default
     depth is the digits consumed plus six, giving a bracket width of at
-    most the corresponding cylinder measure.
+    most the corresponding cylinder measure.  At most `MAX_PARAMS`
+    (10**5) parameters are taken; a longer iterable is refused before
+    any row is computed.
     """
+    params = list(islice(params, MAX_PARAMS + 1))
+    if len(params) > MAX_PARAMS:
+        raise DomainError(f"scan parameters exceed the limit of {MAX_PARAMS}")
     rows = []
     for n in params:
         try:

@@ -34,6 +34,9 @@ tail bound derived from the largest |p_i| drops below the requested
 tolerance, and report that bound (or stop exactly when the system runs
 out of steps).  That stopping step depends on the system alone, and the
 terms up to it are summed in one call.
+
+Only the sampler `mc_mean` uses numpy, and it imports numpy when called,
+so importing this module (or the package) does not load it.
 """
 
 from __future__ import annotations
@@ -44,10 +47,9 @@ from functools import cached_property
 from math import lcm, sqrt
 from typing import Optional, Union
 
-import numpy as np
-
 from .errors import (
-    MAX_SAMPLES, DomainError, InsufficientDepthError, InvalidSystemError, json_decoder,
+    MAX_POINTS, MAX_SAMPLES, DomainError, InsufficientDepthError, InvalidSystemError,
+    json_decoder,
 )
 from .numeral import (
     ONE,
@@ -253,6 +255,12 @@ class SalemSystem:
         cols = (self.weights,) if self.weights is not None else self.columns
         return tuple(_step_row(col) for col in cols)
 
+    @cached_property
+    def _validation(self) -> "ValidationReport":
+        """`validate_system`'s verdict; the system is frozen, so every
+        public call after the first reads it from here."""
+        return validate_system(self)
+
     def to_json(self) -> dict:
         out: dict = {"q": self.q}
         if self.weights is not None:
@@ -382,7 +390,9 @@ def validate_system(system: SalemSystem) -> ValidationReport:
 
 
 def ensure_valid(system: SalemSystem) -> None:
-    report = validate_system(system)
+    """Raise InvalidSystemError unless the system is valid; the verdict
+    is computed once per system."""
+    report = system._validation
     if not report.ok:
         raise InvalidSystemError(f"invalid system: {report.violation}",
                                  report=report)
@@ -578,11 +588,14 @@ class TableRow:
 
 def emit_table(system: SalemSystem, grid, tol=DEFAULT_TOL) -> list[TableRow]:
     """Evaluate on a grid: an int n means n uniform points spanning [0, 1]
-    inclusive; otherwise an iterable of rationals."""
+    inclusive, for n from 2 to `MAX_POINTS` (10**5); otherwise an
+    iterable of rationals."""
     ensure_valid(system)
     if isinstance(grid, int):
         if grid < 2:
             raise DomainError("a uniform grid needs at least 2 points")
+        if grid > MAX_POINTS:
+            raise DomainError(f"{grid} points exceed the limit of {MAX_POINTS}")
         xs = [Fraction(i, grid - 1) for i in range(grid)]
     else:
         xs = [x if isinstance(x, Fraction) else parse_rational(x)
@@ -640,6 +653,8 @@ def mc_mean(system: SalemSystem, samples: int, seed: int,
     are the ones of the plain per-term loop, in the same order, so the
     result is bit-identical for a fixed (samples, seed, chunk).
     """
+    import numpy as np
+
     ensure_valid(system)
     if samples < 2:
         raise DomainError("need at least 2 samples")

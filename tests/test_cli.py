@@ -1,17 +1,28 @@
 """End-to-end tests of the command-line interface.
 
 Every test drives `main` directly with an argv list and inspects the
-captured stdout/stderr plus the exit code, so the suite needs neither a
-subprocess nor the installed entry point.
+captured stdout/stderr plus the exit code, so the suite needs no
+installed entry point.  Only the last tests start fresh interpreters, to
+check what a new `cantorshift` process imports and prints.
 """
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cantorshift
+import cantorshift.cli as cli
 from cantorshift.cli import main
+from test_readme import EXAMPLES as README_EXAMPLES
 
 
 def run(capsys, *argv):
@@ -362,6 +373,20 @@ class TestErrors:
         obj = json.loads(err)["error"]
         assert obj["type"] == "domain" and "limit of 10000" in obj["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ("salem", "table", "--system", SYSTEM, "--points", "100000001"),
+        ("gk", "scan", "--q", "2", "--family", '{"kind": "mod-filter", "m": 2, "c": 3}',
+         "--rhs", '{"const": "1/2"}', "--params", "1:100000000"),
+    ], ids=["points", "params"])
+    def test_oversized_input_is_refused(self, capsys, argv):
+        # refused before a point or parameter list is built
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        obj = json.loads(err)["error"]
+        assert obj["type"] == "domain" and obj["message"].endswith("limit of 100000")
+
     def test_insufficient_depth_exit_code(self, capsys):
         code, _, err = run(capsys, "gk", "bounds", "--spec", SPEC,
                            "--depth", "1")
@@ -394,3 +419,169 @@ class TestErrors:
                         "--x", "1/2")
         keys = list(json.loads(out).keys())
         assert keys == sorted(keys)
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+# ---------------------------------------------------------------------------
+
+def call_main(argv):
+    """`main` with stdout and stderr swapped for fresh buffers on each
+    call, as an embedding caller may do."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+# the README's argv shapes, plus both samplers on the README's system and spec
+SHAPES = [argv for argv, _ in README_EXAMPLES] + [
+    ["salem", "mc", "--system", SYSTEM, "--samples", "100", "--seed", "7"],
+    ["gk", "mc", "--spec", SPEC, "--samples", "100", "--seed", "7"],
+]
+NUMBERS = {
+    "--depth": st.integers(-3, 64),
+    "--points": st.integers(-3, 50),
+    "--samples": st.integers(-3, 2000),
+    "--seed": st.integers(-3, 2**40),
+    "--n": st.integers(-3, 64),
+    "--x": st.sampled_from(["0", "1", "-1/2", "3/2", "1/0", "0.25", "2/6"]),
+    "--params": st.builds("{}:{}".format, st.integers(-3, 20), st.integers(-3, 20)),
+}
+NOT_INTEGERS = st.sampled_from(["1.5", "-0.5", "1/2", "x", "", "1e3", "0x10"])
+BROKEN_JSON = st.sampled_from(["{", "{oops", "[1,", '"', "", "nul", '{"q": 2,}'])
+LEAVES = (st.none() | st.booleans() | st.integers(-3, 70) | st.text(max_size=3)
+          | st.lists(st.integers(-1, 3), max_size=3) | st.just({}))
+
+
+def split_flags(argv):
+    """(command words, [[flag, value] or [flag], ...]) of a README argv."""
+    i = next((i for i, a in enumerate(argv) if a.startswith("--")), len(argv))
+    cmd, flags = list(argv[:i]), []
+    while i < len(argv):
+        has_value = i + 1 < len(argv) and not argv[i + 1].startswith("--")
+        flags.append(list(argv[i:i + 1 + has_value]))
+        i += 1 + has_value
+    return cmd, flags
+
+
+def paths(obj, at=()):
+    """Every position in a JSON value, the root included."""
+    yield at
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from paths(value, at + (key,))
+
+
+@st.composite
+def wrong_shape(draw, text):
+    """`text` with one JSON value, at any depth, replaced."""
+    obj = json.loads(text)
+    at = draw(st.sampled_from(list(paths(obj))))
+    leaf = draw(LEAVES)
+    if not at:
+        return json.dumps(leaf)
+    parent = obj
+    for key in at[:-1]:
+        parent = parent[key]
+    parent[at[-1]] = leaf
+    return json.dumps(obj)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    cmd, flags = split_flags(draw(st.sampled_from(SHAPES)))
+    kinds = st.sampled_from(["number", "json", "drop", "dup", "command"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=3)):
+        if kind == "command":
+            # no "-": "-h" and its abbreviations print the help and exit
+            cmd[draw(st.integers(0, len(cmd) - 1))] = draw(
+                st.text("abcdegkmnstxz", max_size=10))
+        elif kind == "drop" and flags:
+            del flags[draw(st.integers(0, len(flags) - 1))]
+        elif kind == "dup" and flags:
+            flags.append(list(flags[draw(st.integers(0, len(flags) - 1))]))
+        elif kind == "number":
+            slots = [i for i, f in enumerate(flags) if f[0] in NUMBERS and len(f) == 2]
+            if slots:
+                f = flags[draw(st.sampled_from(slots))]
+                f[1] = str(draw(NUMBERS[f[0]] | NOT_INTEGERS))
+        elif kind == "json":
+            slots = [i for i, f in enumerate(flags)
+                     if len(f) == 2 and f[1][:1] in ("{", "[")]
+            if slots:
+                f = flags[draw(st.sampled_from(slots))]
+                try:
+                    f[1] = draw(BROKEN_JSON | wrong_shape(f[1]))
+                except json.JSONDecodeError:  # already broken
+                    f[1] = draw(BROKEN_JSON)
+    return cmd + [a for f in flags for a in f]
+
+
+class TestSharedParser:
+    def test_parser_is_built_once_per_process(self, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None)
+        calls = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: calls.append(1) or build())
+        for argv, want in README_EXAMPLES[:3]:
+            assert call_main(argv)[:2] == (0, want)
+        assert len(calls) == 1
+
+    @settings(max_examples=200, deadline=timedelta(seconds=5))
+    @given(argv=fuzzed_argv())
+    def test_fuzzed_calls_keep_the_contract_and_leave_no_state(self, argv):
+        code, _, err = call_main(argv)
+        assert code in (0, 1, 2, 3)
+        for line in err.splitlines():
+            obj = json.loads(line)
+            assert isinstance(obj, dict) and list(obj) in (["error"], ["warning"])
+        # the same parser still runs every README example as printed there
+        for example, want in README_EXAMPLES:
+            assert call_main(example)[:2] == (0, want), example
+
+
+# ---------------------------------------------------------------------------
+# Fresh processes
+# ---------------------------------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cantorshift.__file__)))
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+# runs each README example (argv, stdout) read as JSON from stdin through
+# `main`, then prints whether numpy was imported
+README_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from cantorshift.cli import main
+for argv, want in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0 and out.getvalue() == want, argv
+print("numpy" in sys.modules)
+"""
+
+
+class TestFreshProcess:
+    def test_readme_commands_do_not_import_numpy(self):
+        r = subprocess.run([sys.executable, "-c", README_IN_ONE_PROCESS],
+                           input=json.dumps(README_EXAMPLES), capture_output=True,
+                           text=True, timeout=60, env=ENV)
+        assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
+
+    @pytest.mark.parametrize("argv, want", [
+        (["salem", "mc", "--system", SYSTEM, "--samples", "5000", "--seed", "7"],
+         '{"mean": 0.33535342912472244, "samples": 5000, "seed": 7, '
+         '"std_err": 0.003726125822415987, "terms": 54}\n'),
+        (["gk", "mc", "--spec", '{"q": 2, "lhs": {"word": [{"sigma": null}]}, '
+          '"rhs": {"programOnZ": {"word": []}}}', "--samples", "5000", "--seed", "7"],
+         '{"depth": 33, "estimate": 0.5006, "hits": 2503, "samples": 5000, '
+         '"seed": 7, "std_err": 0.0070710627206948175}\n'),
+    ], ids=["salem-mc", "gk-mc"])
+    def test_sampler_output_is_pinned(self, argv, want):
+        # numpy is imported inside the samplers; the seeded stream and the
+        # printed bytes are those of the import at module level
+        r = subprocess.run([sys.executable, "-m", "cantorshift.cli", *argv],
+                           capture_output=True, text=True, timeout=60, env=ENV)
+        assert (r.returncode, r.stdout, r.stderr) == (0, want, "")

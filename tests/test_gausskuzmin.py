@@ -533,6 +533,17 @@ class TestScans:
         for r in limit_scan(fam, range(1, 5)):
             assert r.bounds.lower == r.bounds.upper == F(1, 2)
 
+    def test_parameter_count_capped_before_any_row(self, monkeypatch):
+        fam = sigma_family(Q2, F(1, 4))
+        for params in (range(1, 10**12), itertools.count(1)):
+            with pytest.raises(DomainError, match="limit of 100000$"):
+                limit_scan(fam, params)
+        monkeypatch.setattr(gk_module, "MAX_PARAMS", 3)
+        assert len(limit_scan(fam, range(1, 4))) == 3
+        monkeypatch.setattr(gk_module, "measure_bounds", None)
+        with pytest.raises(DomainError, match="limit of 3"):
+            limit_scan(fam, [1, 2, 3, 4])
+
     def test_custom_depth_rule(self):
         fam = sigma_family(Q2, F(1, 3))
         rows = limit_scan(fam, [2], depth_rule=lambda n: n + 4)

@@ -534,6 +534,38 @@ class TestValidation:
             ensure_valid(fixed(["1/3", "1/3"]))
         assert e.value.report.violation.condition == "column-sum"
 
+    @staticmethod
+    def count_validations(monkeypatch):
+        calls = []
+        real = salem_module.validate_system
+        monkeypatch.setattr(salem_module, "validate_system",
+                            lambda system: calls.append(system) or real(system))
+        return calls
+
+    def test_verdict_is_computed_once_per_system(self, monkeypatch):
+        calls = self.count_validations(monkeypatch)
+        s = fixed(["1/3", "2/3"])
+        assert evaluate(F(1, 2), 2, s).value == evaluate(F(1, 2), 2, s).value
+        assert len(calls) == 1
+        m = SalemSystem.matrix([[F(1, 2), F(1, 2)]] * 2000)
+        assert mc_mean(m, 100, 1) == mc_mean(m, 100, 1)
+        assert calls == [s, m]
+
+    def test_invalid_system_raises_the_same_error_on_every_call(self, monkeypatch):
+        calls = self.count_validations(monkeypatch)
+        s = fixed(["1/3", "1/3"])
+        errors = []
+        for call in (lambda: evaluate(F(1, 2), 2, s), lambda: mc_mean(s, 100, 1),
+                     lambda: integral(s), lambda: emit_table(s, 3),
+                     lambda: ensure_valid(s), lambda: evaluate(F(1, 2), 2, s)):
+            with pytest.raises(InvalidSystemError) as e:
+                call()
+            errors.append((str(e.value), e.value.report))
+        assert calls == [s]
+        want = ("invalid system: column-sum at column 1: sums to 2/3, not 1",
+                validate_system(s))
+        assert errors == [want] * 6
+
 
 # ---------------------------------------------------------------------------
 # Integrals and sampling
@@ -782,6 +814,15 @@ class TestTables:
         s = fixed(["1/4", "3/4"])
         rows = emit_table(s, [F(1, 3)], tol=TOL)
         assert len(rows) == 1 and rows[0].error_bound <= TOL
+
+    def test_uniform_grid_size_capped_before_building(self, monkeypatch):
+        s = fixed(["1/3", "2/3"])
+        with pytest.raises(DomainError, match="limit of 100000$"):
+            emit_table(s, 10**12)  # a list of 10**12 points would never finish
+        monkeypatch.setattr(salem_module, "MAX_POINTS", 5)
+        assert len(emit_table(s, 5)) == 5
+        with pytest.raises(DomainError, match="6 points exceed the limit of 5"):
+            emit_table(s, 6)
 
     def test_monotone_on_grid(self):
         s = fixed(["2/5", "3/5"])

@@ -11,8 +11,9 @@ Conventions:
 * results go to stdout as single-line JSON with sorted keys (tables and
   scans emit CSV instead), so identical invocations are byte-identical;
 * errors go to stderr as one JSON object {"error": {...}};
-* exit codes: 0 success, 1 usage, 2 domain/validation error,
-  3 insufficient digits for the requested operation.
+* exit codes: 0 success (`-h`/`--help` included), 1 usage, 2
+  domain/validation error, 3 insufficient digits for the requested
+  operation.
 
 The argument parser is built by the first `main` call and reused by
 every later call in the process; nothing in it holds a stream.  Each
@@ -467,6 +468,8 @@ def main(argv=None) -> int:
         args = _parser.parse_args(argv)
         args.func(args)
         return 0
+    except SystemExit as exc:  # -h/--help printed its text to stdout
+        return exc.code
     except _UsageError as exc:
         print(json.dumps({"error": {"type": "usage", "message": str(exc)}},
                          sort_keys=True), file=sys.stderr)

@@ -39,7 +39,8 @@ from itertools import islice
 from math import gcd, sqrt
 from typing import Callable, Optional, Union
 
-from .errors import MAX_PARAMS, MAX_SAMPLES, DomainError, InsufficientDepthError, json_decoder
+from .errors import (MAX_BOUNDS_DEPTH, MAX_PARAMS, MAX_SAMPLES, DomainError,
+                     InsufficientDepthError, json_decoder)
 from .numeral import (
     QSequence,
     format_rational,
@@ -190,26 +191,27 @@ class MeasureBounds:
                 "decided_mass": format_rational(self.decided_mass)}
 
 
-def _image_weights(word, q: QSequence, depth: int) -> tuple[list[int], int]:
+def _image_weights(word, qv) -> tuple[list[int], int]:
     """Per-position numerator weights of the program image, plus its
-    denominator.
+    denominator, over the base values `qv` = (q_1, ..., q_depth).
 
     The image of digits (c_1, ..., c_depth) is
     [sum c_s * w_s, sum c_s * w_s + 1] / D with w_s = 0 for deleted
     positions; surviving position s_j has weight D / (b_1 ... b_j)
     over the image base values b_i.
     """
-    surv = _surviving_positions(word, depth)
-    weights = [0] * depth
+    surv = _surviving_positions(word, len(qv))
+    weights = [0] * len(qv)
     acc = 1
     for s in reversed(surv):
         weights[s - 1] = acc
-        acc *= q.at(s)
+        acc *= qv[s - 1]
     return weights, acc
 
 
-def _resolve_rhs(spec: GKSetSpec, depth: int):
-    """(weights, base numerator, denominator, tail) for the right side.
+def _resolve_rhs(spec: GKSetSpec, qv):
+    """(weights, base numerator, denominator, tail) for the right side,
+    over the base values `qv` = (q_1, ..., q_depth).
 
     Its image over a cylinder is [base + sum c_s*w_s,
     base + sum c_s*w_s + tail] / denominator.  A constant (or a program
@@ -219,20 +221,21 @@ def _resolve_rhs(spec: GKSetSpec, depth: int):
     """
     rhs = spec.rhs
     if isinstance(rhs, ProgramOnZ):
-        w, d = _image_weights(rhs.program.word, spec.q, depth)
+        w, d = _image_weights(rhs.program.word, qv)
         return w, 0, d, 1
     if isinstance(rhs, ProgramOnX):
         val = apply_program(rhs.program, rhs.x, spec.q)
     else:
         val = rhs.value
-    return [0] * depth, val.numerator, val.denominator, 0
+    return [0] * len(qv), val.numerator, val.denominator, 0
 
 
 def measure_bounds(spec: GKSetSpec, depth: int) -> MeasureBounds:
     """Exact lower/upper bounds on the measure at cylinder rank `depth`.
 
     Requires depth >= (digits consumed by the programs) + 1 so at least
-    one free digit constrains the comparison.
+    one free digit constrains the comparison, and depth <=
+    `MAX_BOUNDS_DEPTH` (10**4).
 
     With e_s = wl_s*dr - wr_s*dl, a rank-`depth` cylinder with digits
     c_s lies inside "lt" iff sum c_s*e_s <= base_r*dl - dr, inside "ge"
@@ -245,15 +248,16 @@ def measure_bounds(spec: GKSetSpec, depth: int) -> MeasureBounds:
     left out: they scale every count and the number of cylinders by the
     same factor.  So the tie tails past `required_depth` cost nothing.
     """
+    if depth > MAX_BOUNDS_DEPTH:
+        raise DomainError(f"depth {depth} exceeds the limit of {MAX_BOUNDS_DEPTH}")
     req = spec.required_depth
     if depth < req + 1:
         raise InsufficientDepthError(
             f"depth {depth} too shallow: programs consume {req} digits, "
             f"need depth >= {req + 1}", required=req + 1)
-    q = spec.q
-    qv = [q.at(i) for i in range(1, depth + 1)]
-    wl, dl = _image_weights(spec.lhs.word, q, depth)
-    wr, base_r, dr, tail_r = _resolve_rhs(spec, depth)
+    qv = spec.q.values(0, depth)
+    wl, dl = _image_weights(spec.lhs.word, qv)
+    wr, base_r, dr, tail_r = _resolve_rhs(spec, qv)
 
     diff = [a * dr - b * dl for a, b in zip(wl, wr)]
     # every sum is a multiple of g, so the thresholds round inwards
@@ -333,11 +337,11 @@ def _mc_depth(q: QSequence, req: int, extra: int) -> int:
     """Deepest digit count whose cylinder denominator stays in int64."""
     d = 0
     prod = 1
-    while d < req + extra:
-        nxt = prod * q.at(d + 1)
-        if nxt > _INT64_LIMIT:
+    # every base value is >= 2, so 63 of them pass the limit
+    for v in q.values(0, min(req + extra, 63)):
+        prod *= v
+        if prod > _INT64_LIMIT:
             break
-        prod = nxt
         d += 1
     if d < req + 1:
         raise DomainError(
@@ -367,11 +371,10 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
         raise DomainError("need at least 1 sample")
     if samples > MAX_SAMPLES:
         raise DomainError(f"samples {samples} exceed the limit of {MAX_SAMPLES}")
-    q = spec.q
-    depth = _mc_depth(q, spec.required_depth, extra_depth)
-    qv = [q.at(i) for i in range(1, depth + 1)]
-    wl, dl = _image_weights(spec.lhs.word, q, depth)
-    wr, base_r, dr, tail_r = _resolve_rhs(spec, depth)
+    depth = _mc_depth(spec.q, spec.required_depth, extra_depth)
+    qv = spec.q.values(0, depth)
+    wl, dl = _image_weights(spec.lhs.word, qv)
+    wr, base_r, dr, tail_r = _resolve_rhs(spec, qv)
     wl_vec = np.array(wl, dtype=np.int64)
     rhs_is_program = isinstance(spec.rhs, ProgramOnZ)
     want_lt = spec.relation == "lt"

@@ -25,6 +25,12 @@ only place H + P_H * B / (1 - P_B) is formed, from the head's sum and
 product and the block's.  A `DigitString` says how its zero, max or
 periodic tail continues: `digit` for one position, `digits_to` and
 `tail_past` for a run of them.
+
+Base values.  A loop over positions reads its base values from one
+window, `QSequence.values(start, stop)`, a tuple sliced from the prefix
+and the rotated cycle; `QSequence.at` is for a single lookup.  Only the
+greedy scan, whose length is not known in advance, reads an endless
+iterator over the prefix and the repeated cycle instead.
 """
 
 from __future__ import annotations
@@ -32,10 +38,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, cycle
 from math import gcd, lcm, prod
 from typing import Optional, Union
 
-from .errors import MAX_EXPONENT, DomainError, InsufficientDepthError, json_decoder
+from .errors import MAX_EXPAND_DEPTH, MAX_EXPONENT, DomainError, InsufficientDepthError, json_decoder
 
 __all__ = [
     "QSequence",
@@ -94,6 +101,9 @@ class QSequence:
     Users build one of three declared kinds (see the classmethods); shift
     and digit-drop operations return derived sequences in the same closed
     form, so downstream arithmetic stays exact.
+
+    A loop over positions reads its base values as one window from
+    `values`, not one `at` call per position.
     """
 
     prefix: tuple[int, ...]
@@ -133,12 +143,24 @@ class QSequence:
             return self.prefix[k - 1]
         return self.cycle[(k - len(self.prefix) - 1) % len(self.cycle)]
 
+    def values(self, start: int, stop: int) -> tuple[int, ...]:
+        """(q_{start+1}, ..., q_stop): the base values of positions
+        start + 1 to stop, sliced from the prefix and the rotated cycle;
+        empty when stop <= start."""
+        if start < 0:
+            raise DomainError(f"base window must start at >= 0, got {start}")
+        pre, cyc = self.prefix, self.cycle
+        p = len(pre)
+        if stop <= p or stop <= start:  # inside the prefix, or empty
+            return pre[start:stop] if stop > start else ()
+        if start > p:  # the window opens inside the cycle: rotate it there
+            r = (start - p) % len(cyc)
+            cyc, p = cyc[r:] + cyc[:r], start
+        return pre[start:] + (cyc * ((stop - p) // len(cyc) + 1))[:stop - p]
+
     def partial_product(self, m: int) -> int:
         """q_1 q_2 ... q_m as an exact integer; m = 0 gives 1."""
-        out = 1
-        for k in range(1, m + 1):
-            out *= self.at(k)
-        return out
+        return prod(self.values(0, m))
 
     def shift(self, n: int) -> "QSequence":
         """The sequence with the first n values removed."""
@@ -155,11 +177,8 @@ class QSequence:
             raise DomainError(f"removal index must be >= 1, got {m}")
         if m <= len(self.prefix):
             return QSequence(self.prefix[: m - 1] + self.prefix[m:], self.cycle)
-        c = len(self.cycle)
-        k = m - len(self.prefix)  # position within the cyclic part
-        head = tuple(self.cycle[i % c] for i in range(k - 1))
-        r = k % c
-        return QSequence(self.prefix + head, self.cycle[r:] + self.cycle[:r])
+        r = (m - len(self.prefix)) % len(self.cycle)
+        return QSequence(self.values(0, m - 1), self.cycle[r:] + self.cycle[:r])
 
     def canonical(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Normal form (prefix, primitive cycle) identifying the sequence."""
@@ -304,11 +323,11 @@ class DigitString:
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(int(d) for d in self.prefix))
+        qv = self.base.values(0, len(self.prefix))
         for i, d in enumerate(self.prefix):
-            qk = self.base.at(i + 1)
-            if not 0 <= d < qk:
+            if not 0 <= d < qv[i]:
                 raise DomainError(
-                    f"digit {d} at position {i + 1} outside range 0..{qk - 1}")
+                    f"digit {d} at position {i + 1} outside range 0..{qv[i] - 1}")
         t = self.tail
         if t.kind == "truncated" and t.depth != len(self.prefix):
             raise DomainError(
@@ -317,12 +336,16 @@ class DigitString:
             self._check_periodic_range()
 
     def _check_periodic_range(self):
+        # past max(depth, base prefix) the (digit, base value) pairs repeat
+        # every lcm(period, cycle) positions, so one such block holds the
+        # first digit out of range, if there is one
         start = len(self.prefix)
-        end = max(start, len(self.base.prefix)) + len(self.tail.period) * len(self.base.cycle)
-        for k, d in enumerate(self.digits_to(end)[start:], start + 1):
-            if not 0 <= d < self.base.at(k):
+        end = max(start, len(self.base.prefix)) + lcm(len(self.tail.period), len(self.base.cycle))
+        qv = self.base.values(start, end)
+        for i, d in enumerate(self.digits_to(end)[start:]):
+            if not 0 <= d < qv[i]:
                 raise DomainError(
-                    f"periodic tail digit {d} outside range at position {k}")
+                    f"periodic tail digit {d} outside range at position {start + i + 1}")
 
     @property
     def depth(self) -> int:
@@ -352,7 +375,7 @@ class DigitString:
             raise InsufficientDepthError(
                 f"cannot materialize to depth {n}: truncated at {d}", required=n)
         if t.kind == "max":
-            return self.prefix + tuple(self.base.at(k) - 1 for k in range(d + 1, n + 1))
+            return self.prefix + tuple(v - 1 for v in self.base.values(d, n))
         pat = t.period or (0,)
         return self.prefix + pat * ((n - d) // len(pat)) + pat[:(n - d) % len(pat)]
 
@@ -408,7 +431,7 @@ def _close(head, block) -> Fraction:
 
 def _steps(digits, base: QSequence):
     """`_series` steps of digits at positions 1, 2, ... over base."""
-    return [(base.at(k), e, 1) for k, e in enumerate(digits, 1)]
+    return [(qk, e, 1) for qk, e in zip(base.values(0, len(digits)), digits)]
 
 
 def eval_prefix(d: DigitString) -> Union[Fraction, Interval]:
@@ -466,8 +489,7 @@ def _scan(x: Fraction, q: QSequence, limit: int):
     a, b = x.numerator, x.denominator
     part = _cycle_part(b, prod(q.cycle))
     entry = start = None
-    k = 0
-    while k < limit:
+    for k, qk in zip(range(limit), chain(q.prefix, cycle(q.cycle))):
         if a == 0:
             return digits, k, None
         if entry is None:
@@ -475,11 +497,10 @@ def _scan(x: Fraction, q: QSequence, limit: int):
                 entry, start = k, a
         elif a == start and (k - entry) % c == 0:
             return digits, None, (entry, k - entry)
-        d, a = divmod(a * q.at(k + 1), b)
+        d, a = divmod(a * qk, b)
         digits.append(d)
-        k += 1
     if a == 0:
-        return digits, k, None
+        return digits, len(digits), None
     return digits, None, None
 
 
@@ -507,13 +528,16 @@ def expand(x: Fraction, q: QSequence, depth: int,
     PERIODIC when the digits from position depth+1 on are detected to
     repeat, and TRUNCATED otherwise.  Detection scans remainder states up
     to `probe_limit` steps (default: enough to always decide for small
-    denominators, capped at depth + 4096).
+    denominators, capped at depth + 4096).  `depth` runs from 1 to
+    `MAX_EXPAND_DEPTH` (10**6).
 
     x = 1 is represented as the all-maximal-digit string.
     """
     _check_unit_interval(x)
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
+    if depth > MAX_EXPAND_DEPTH:
+        raise DomainError(f"depth {depth} exceeds the limit of {MAX_EXPAND_DEPTH}")
     if x == 1:
         return DigitString(q, (), MAX_TAIL).materialize(depth)
     if probe_limit is None:

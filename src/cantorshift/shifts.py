@@ -270,19 +270,20 @@ def _surviving_positions(word, depth: int) -> list[int]:
     return pos[::-1]
 
 
-def _greedy_head(x: Fraction, q: QSequence, depth: int) -> tuple[list[int], int, int]:
-    """The first `depth` greedy digits of x and the remainder a/b, the
-    value of the digits after them over the shifted base.
+def _greedy_head(x: Fraction, qv) -> tuple[list[int], int, int]:
+    """The greedy digits of x over the base values `qv` (a window
+    q_1, ..., q_depth) and the remainder a/b, the value of the digits
+    after them over the shifted base.
 
     x = 1 is the all-maximal-digit string, whose remainder is 1.
     """
     _check_unit_interval(x)
     if x == 1:
-        return [q.at(k) - 1 for k in range(1, depth + 1)], 1, 1
+        return [v - 1 for v in qv], 1, 1
     a, b = x.numerator, x.denominator
     digits = []
-    for k in range(1, depth + 1):
-        e, a = divmod(a * q.at(k), b)
+    for v in qv:
+        e, a = divmod(a * v, b)
         digits.append(e)
     return digits, a, b
 
@@ -293,11 +294,13 @@ def _rational_image(word, x: Fraction, q: QSequence) -> Fraction:
     Every digit past R = required_depth(word) survives, in order, behind
     the surviving head digits, so the image is the `_series` of the
     surviving head digits over their base values, closed by the
-    remainder.  Cost: R greedy steps and at most 2R base values read.
+    remainder.  Cost: R greedy steps over one window of R base values,
+    which the series reads as well.
     """
     depth = required_depth(word)
-    digits, a, b = _greedy_head(x, q, depth)
-    n, w, e = _series([(q.at(s), digits[s - 1], 1)
+    qv = q.values(0, depth)
+    digits, a, b = _greedy_head(x, qv)
+    n, w, e = _series([(qv[s - 1], digits[s - 1], 1)
                        for s in _surviving_positions(word, depth)])
     return Fraction(n * b + w * a, e * b)
 
@@ -322,8 +325,9 @@ def _string_image(word, d: DigitString) -> DigitString:
     n = d.depth if truncated else max(d.depth, required_depth(word))
     surv = _surviving_positions(word, n)
     digits = d.digits_to(n)
+    qv = d.base.values(0, n)
     rest = d.base.shift(n)
-    base = QSequence(tuple(map(d.base.at, surv)) + rest.prefix, rest.cycle)
+    base = QSequence(tuple(qv[s - 1] for s in surv) + rest.prefix, rest.cycle)
     tail = truncated_tail(len(surv)) if truncated else d.tail_past(n)
     return DigitString(base, tuple(digits[s - 1] for s in surv), tail)
 
@@ -461,7 +465,7 @@ def reconstruct_identity(x: Fraction, q: QSequence, n: int) -> ReconstructionChe
     O(n) greedy steps.
     """
     shifted = shift_n(x, q, n)
-    digits, _, _ = _greedy_head(x, q, n)
+    digits, _, _ = _greedy_head(x, q.values(0, n))
     head, w, denom = _series(_steps(digits, q))
     rhs = Fraction(head, denom) + shifted * w / denom
     return ReconstructionCheck(x == rhs, x, rhs, shifted)

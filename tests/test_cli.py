@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 import cantorshift
 import cantorshift.cli as cli
 from cantorshift.cli import main
+from cantorshift.errors import MAX_BOUNDS_DEPTH, MAX_EXPAND_DEPTH
 from test_readme import EXAMPLES as README_EXAMPLES
 
 
@@ -387,6 +388,21 @@ class TestErrors:
         obj = json.loads(err)["error"]
         assert obj["type"] == "domain" and obj["message"].endswith("limit of 100000")
 
+    @pytest.mark.parametrize("argv, limit", [
+        (("expand", "--x", "1/3", "--q", "2", "--depth", str(MAX_EXPAND_DEPTH + 1)),
+         MAX_EXPAND_DEPTH),
+        (("gk", "bounds", "--spec", SPEC, "--depth", str(MAX_BOUNDS_DEPTH + 1)),
+         MAX_BOUNDS_DEPTH),
+    ], ids=["expand", "gk-bounds"])
+    def test_depth_over_the_limit_is_refused(self, capsys, argv, limit):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        obj = json.loads(err)["error"]
+        assert obj == {"type": "domain",
+                       "message": f"depth {limit + 1} exceeds the limit of {limit}"}
+
     def test_insufficient_depth_exit_code(self, capsys):
         code, _, err = run(capsys, "gk", "bounds", "--spec", SPEC,
                            "--depth", "1")
@@ -440,7 +456,9 @@ SHAPES = [argv for argv, _ in README_EXAMPLES] + [
     ["gk", "mc", "--spec", SPEC, "--samples", "100", "--seed", "7"],
 ]
 NUMBERS = {
-    "--depth": st.integers(-3, 64),
+    # `expand` and `gk bounds` both read --depth; each is refused past its limit
+    "--depth": st.integers(-3, 64) | st.sampled_from([MAX_BOUNDS_DEPTH + 1,
+                                                      MAX_EXPAND_DEPTH + 1]),
     "--points": st.integers(-3, 50),
     "--samples": st.integers(-3, 2000),
     "--seed": st.integers(-3, 2**40),
@@ -495,9 +513,9 @@ def fuzzed_argv(draw):
     kinds = st.sampled_from(["number", "json", "drop", "dup", "command"])
     for kind in draw(st.lists(kinds, min_size=1, max_size=3)):
         if kind == "command":
-            # no "-": "-h" and its abbreviations print the help and exit
+            # "-h" and its abbreviations print the help and return 0
             cmd[draw(st.integers(0, len(cmd) - 1))] = draw(
-                st.text("abcdegkmnstxz", max_size=10))
+                st.text("-abcdeghkmnstxz", max_size=10) | st.sampled_from(["-h", "--he"]))
         elif kind == "drop" and flags:
             del flags[draw(st.integers(0, len(flags) - 1))]
         elif kind == "dup" and flags:
@@ -517,6 +535,19 @@ def fuzzed_argv(draw):
                 except json.JSONDecodeError:  # already broken
                     f[1] = draw(BROKEN_JSON)
     return cmd + [a for f in flags for a in f]
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["-h"], ["salem", "--he"], ["gk", "mc", "-h"]])
+    def test_help_returns_zero_and_prints_the_parser_text(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = call_main(argv)
+        assert (code, err) == (0, "") and out.startswith("usage: cantorshift ")
+        # argparse's own help text, as it prints it before exiting
+        want = io.StringIO()
+        with contextlib.redirect_stdout(want), pytest.raises(SystemExit):
+            cli._parser.parse_args(argv)
+        assert out == want.getvalue()
 
 
 class TestSharedParser:

@@ -108,6 +108,17 @@ class TestBounds:
             measure_bounds(spec, 3)
         assert e.value.required == 4
 
+    def test_depth_capped_before_any_work(self, monkeypatch):
+        spec = shift_below(Q2, 3, F(1, 4))
+        monkeypatch.setattr(gk_module, "_image_weights", None)
+        with pytest.raises(DomainError, match="depth 10001 exceeds the limit of 10000$"):
+            measure_bounds(spec, 10**4 + 1)
+        monkeypatch.undo()
+        monkeypatch.setattr(gk_module, "MAX_BOUNDS_DEPTH", 5)
+        assert measure_bounds(spec, 5).depth == 5
+        with pytest.raises(DomainError, match="limit of 5$"):
+            measure_bounds(spec, 6)
+
     def test_non_constant_base(self):
         q = QSequence.periodic([2, 3])
         b = measure_bounds(shift_below(q, 1, F(1, 3)), 7)
@@ -153,20 +164,20 @@ class TestImageWeights:
         # independent oracle: with no program the image of a rank-d
         # cylinder is the cylinder itself
         q = QSequence.explicit([2, 3, 4])
-        w, den = _image_weights((), q, 3)
+        w, den = _image_weights((), q.values(0, 3))
         for digs in [(0, 0, 0), (1, 2, 3), (0, 1, 2), (1, 0, 0)]:
             cyl = cylinder_info(digs, q)
             assert F(sum(c * ww for c, ww in zip(digs, w)), den) == cyl.inf
             assert F(1, den) == cyl.measure
 
     def test_shift_zeroes_leading_weights(self):
-        w, den = _image_weights((SIGMA, SIGMA), Q2, 5)
+        w, den = _image_weights((SIGMA, SIGMA), Q2.values(0, 5))
         assert w[:2] == [0, 0]
         assert den == 2**3
         assert w[2:] == [4, 2, 1]
 
     def test_deletion_weight_pattern(self):
-        w, den = _image_weights((GEN(2),), Q2, 4)
+        w, den = _image_weights((GEN(2),), Q2.values(0, 4))
         assert w == [4, 0, 2, 1] and den == 8
 
 
@@ -224,8 +235,8 @@ def measure_mc_by_columns(spec, samples, seed, extra_depth=32, chunk=65536):
     q = spec.q
     depth = gk_module._mc_depth(q, spec.required_depth, extra_depth)
     qv = [q.at(i) for i in range(1, depth + 1)]
-    wl, dl = _image_weights(spec.lhs.word, q, depth)
-    wr, base_r, dr, tail_r = gk_module._resolve_rhs(spec, depth)
+    wl, dl = _image_weights(spec.lhs.word, qv)
+    wr, base_r, dr, tail_r = gk_module._resolve_rhs(spec, qv)
     on_z = isinstance(spec.rhs, ProgramOnZ)
     want_lt = spec.relation == "lt"
     if not on_z:
@@ -279,8 +290,8 @@ def mc_specs(draw):
     spec = GKSetSpec(q, lhs, rhs, relation)
     if kind == "z" and relation == "ge":
         depth = gk_module._mc_depth(q, spec.required_depth, 32)
-        assume(_image_weights(lhs.word, q, depth)[1]
-               != _image_weights(rhs.program.word, q, depth)[1])
+        assume(_image_weights(lhs.word, q.values(0, depth))[1]
+               != _image_weights(rhs.program.word, q.values(0, depth))[1])
     return spec
 
 
@@ -345,8 +356,8 @@ def measure_bounds_by_position(spec, depth):
             f"need depth >= {req + 1}", required=req + 1)
     q = spec.q
     qv = [q.at(i) for i in range(1, depth + 1)]
-    wl, dl = _image_weights(spec.lhs.word, q, depth)
-    wr, base_r, dr, tail_r = gk_module._resolve_rhs(spec, depth)
+    wl, dl = _image_weights(spec.lhs.word, qv)
+    wr, base_r, dr, tail_r = gk_module._resolve_rhs(spec, qv)
     rem_l = [0] * (depth + 1)
     rem_r = [0] * (depth + 1)
     leaves = [0] * (depth + 1)

@@ -14,6 +14,7 @@ from cantorshift import (
     Interval,
     QSequence,
     Tail,
+    ZERO_TAIL,
     classify_rationality,
     cylinder_info,
     eval_prefix,
@@ -25,7 +26,7 @@ from cantorshift import (
     truncated_tail,
 )
 from cantorshift import numeral
-from cantorshift.errors import MAX_EXPONENT
+from cantorshift.errors import MAX_EXPAND_DEPTH, MAX_EXPONENT
 from cantorshift.numeral import _decision_bound, _scan
 
 
@@ -38,6 +39,10 @@ def bases(draw):
     if kind == "periodic":
         return QSequence.periodic(vals)
     return QSequence.explicit(vals)
+
+
+P23 = QSequence.periodic([2, 3])
+E234 = QSequence.explicit([2, 3, 4])
 
 
 @st.composite
@@ -79,6 +84,31 @@ class TestQSequence:
         assert [p.at(k) for k in range(1, 6)] == [2, 3, 2, 3, 2]
         c = QSequence.constant(5)
         assert c.at(1) == c.at(100) == 5
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.integers(2, 12), max_size=4),
+           st.lists(st.integers(2, 12), min_size=1, max_size=4),
+           st.sampled_from(["in-prefix", "past-prefix", "empty", "across"]), st.data())
+    def test_values_window_matches_single_lookups(self, prefix, cycle, where, data):
+        q = QSequence(tuple(prefix), tuple(cycle))
+        p = len(prefix)
+        if where == "in-prefix":  # stop <= len(prefix)
+            stop = data.draw(st.integers(0, p))
+            start = data.draw(st.integers(0, stop))
+        elif where == "past-prefix":  # start past the prefix
+            start = data.draw(st.integers(p, p + 12))
+            stop = data.draw(st.integers(start, start + 30))
+        elif where == "empty":  # start == stop, or stop before start
+            start = data.draw(st.integers(0, p + 12))
+            stop = data.draw(st.integers(-2, start))
+        else:
+            start = data.draw(st.integers(0, p))
+            stop = data.draw(st.integers(p, p + 30))
+        assert q.values(start, stop) == tuple(q.at(k) for k in range(start + 1, stop + 1))
+
+    def test_values_window_starts_at_zero_or_later(self):
+        with pytest.raises(DomainError, match="got -1"):
+            QSequence.constant(2).values(-1, 3)
 
     def test_partial_product(self):
         q = QSequence.explicit([2, 3, 4])
@@ -185,6 +215,12 @@ class TestExpand:
         assert v.width == F(1, 8)
         assert expand(F(1, 7), QSequence.constant(2), 3).tail == periodic_tail((0, 0, 1))
 
+    def test_depth_capped_before_any_digit(self):
+        q = QSequence.constant(2)
+        with pytest.raises(DomainError, match=f"limit of {MAX_EXPAND_DEPTH}$"):
+            expand(F(1, 3), q, MAX_EXPAND_DEPTH + 1)
+        assert expand(F(1, 3), q, 1500).tail == periodic_tail((0, 1))
+
     def test_out_of_range(self):
         for bad in (F(-1, 2), F(3, 2)):
             with pytest.raises(DomainError):
@@ -237,6 +273,48 @@ class TestDigitString:
         with pytest.raises(DomainError):
             DigitString(q, (), periodic_tail((1, 5)))
         DigitString(q, (1,), periodic_tail((2, 3)))
+
+    @pytest.mark.parametrize("q, prefix, tail, message", [
+        (P23, (1, 2, 2), ZERO_TAIL, "digit 2 at position 3 outside range 0..1"),
+        (P23, (1, 0, 1, 3), ZERO_TAIL, "digit 3 at position 4 outside range 0..2"),
+        (E234, (1, 2, 3, 4), ZERO_TAIL, "digit 4 at position 4 outside range 0..3"),
+        (E234, (-1,), ZERO_TAIL, "digit -1 at position 1 outside range 0..1"),
+        (P23, (1,), periodic_tail((2,)), "periodic tail digit 2 outside range at position 3"),
+        (P23, (), periodic_tail((0, 0, 0, 0, 2)), "periodic tail digit 2 outside range at position 5"),
+        (P23, (), periodic_tail((1, 2, 0)), "periodic tail digit 2 outside range at position 5"),
+        (P23, (1, 2), periodic_tail((0, 1, 2, 1)), "periodic tail digit 2 outside range at position 5"),
+        (E234, (), periodic_tail((1, 3)), "periodic tail digit 3 outside range at position 2"),
+        (E234, (1, 2, 3), periodic_tail((3, 3, -1)), "periodic tail digit -1 outside range at position 6"),
+        (QSequence.explicit([5, 5, 5, 2]), (), periodic_tail((4,)),
+         "periodic tail digit 4 outside range at position 4"),
+    ])
+    def test_out_of_range_digit_names_its_position(self, q, prefix, tail, message):
+        with pytest.raises(DomainError) as e:
+            DigitString(q, prefix, tail)
+        assert str(e.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([P23, E234, QSequence.periodic([3, 2, 4]), QSequence((4, 2), (3, 2))]),
+           st.lists(st.integers(-1, 4), max_size=6),
+           st.lists(st.integers(-1, 4), min_size=1, max_size=5))
+    def test_first_out_of_range_digit_matches_single_lookups(self, q, prefix, period):
+        # the oracle checks every position up to the product bound with `at`
+        bad = [(k, d) for k, d in enumerate(prefix, 1) if not 0 <= d < q.at(k)]
+        end = max(len(prefix), len(q.prefix)) + len(period) * len(q.cycle)
+        bad_tail = [(k, period[(k - len(prefix) - 1) % len(period)])
+                    for k in range(len(prefix) + 1, end + 1)]
+        bad_tail = [(k, d) for k, d in bad_tail if not 0 <= d < q.at(k)]
+        if bad:
+            k, d = bad[0]
+            want = f"digit {d} at position {k} outside range 0..{q.at(k) - 1}"
+        elif bad_tail:
+            want = "periodic tail digit {1} outside range at position {0}".format(*bad_tail[0])
+        else:
+            DigitString(q, tuple(prefix), periodic_tail(period))
+            return
+        with pytest.raises(DomainError) as e:
+            DigitString(q, tuple(prefix), periodic_tail(period))
+        assert str(e.value) == want
 
     def test_truncated_depth_must_match(self):
         with pytest.raises(DomainError):

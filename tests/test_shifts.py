@@ -239,7 +239,8 @@ def kernel_cases(draw):
 
 
 class CountingBase(QSequence):
-    """A constant base that counts the values read from it."""
+    """A constant base that counts the values read from it, one at a time
+    or as a window."""
 
     def __init__(self, value):
         super().__init__((), (value,), "constant")
@@ -248,6 +249,11 @@ class CountingBase(QSequence):
     def at(self, k):
         object.__setattr__(self, "reads", self.reads + 1)
         return super().at(k)
+
+    def values(self, start, stop):
+        window = super().values(start, stop)
+        object.__setattr__(self, "reads", self.reads + len(window))
+        return window
 
 
 class TestRationalKernel:

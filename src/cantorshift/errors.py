@@ -23,6 +23,18 @@ MAX_PARAMS = 10**5
 MAX_EXPAND_DEPTH = 10**6
 MAX_BOUNDS_DEPTH = 10**4
 
+# Largest explicit probe `numeral.expand` (`probe_limit`) and
+# `numeral.classify_rationality` (`probe_depth`) scan to; the defaults are
+# not capped.  A larger one is refused with a DomainError before any digit
+# is scanned.
+MAX_PROBE = 10**6
+
+# Largest depth a shift program may require (`shifts.required_depth`), on
+# a rational or a digit string: `shift_n`, `gen_shift`, `apply_program` and
+# `drop_positions`.  A deeper one is refused with a DomainError before any
+# base value or digit is read.
+MAX_PROGRAM_DEPTH = 10**6
+
 
 class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""

@@ -363,7 +363,8 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     threshold, equal image numerators over equal denominators: both
     images then agree for every tail, so the sample is a hit for "ge"
     however wide its cylinder.  Deterministic for fixed (samples, seed);
-    `samples` runs from 1 to `MAX_SAMPLES` (10**7).
+    `samples` runs from 1 to `MAX_SAMPLES` (10**7).  A chunk draws at most
+    `chunk` samples, and at least one.
     """
     import numpy as np
 
@@ -371,6 +372,7 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
         raise DomainError("need at least 1 sample")
     if samples > MAX_SAMPLES:
         raise DomainError(f"samples {samples} exceed the limit of {MAX_SAMPLES}")
+    chunk = max(1, chunk)
     depth = _mc_depth(spec.q, spec.required_depth, extra_depth)
     qv = spec.q.values(0, depth)
     wl, dl = _image_weights(spec.lhs.word, qv)

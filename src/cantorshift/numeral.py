@@ -42,7 +42,10 @@ from itertools import chain, cycle
 from math import gcd, lcm, prod
 from typing import Optional, Union
 
-from .errors import MAX_EXPAND_DEPTH, MAX_EXPONENT, DomainError, InsufficientDepthError, json_decoder
+from .errors import (
+    MAX_EXPAND_DEPTH, MAX_EXPONENT, MAX_PROBE, DomainError, InsufficientDepthError,
+    json_decoder,
+)
 
 __all__ = [
     "QSequence",
@@ -510,6 +513,12 @@ def _decision_bound(x: Fraction, q: QSequence) -> int:
     return len(q.prefix) + x.denominator * len(q.cycle) + 2
 
 
+def _check_probe(probe: Optional[int]) -> None:
+    """Refuse an explicit probe past `MAX_PROBE`; None is a default."""
+    if probe is not None and probe > MAX_PROBE:
+        raise DomainError(f"probe {probe} exceeds the limit of {MAX_PROBE}")
+
+
 def _check_unit_interval(x: Fraction):
     if not isinstance(x, Fraction):
         raise DomainError(f"expected an exact Fraction, got {type(x).__name__}")
@@ -529,7 +538,8 @@ def expand(x: Fraction, q: QSequence, depth: int,
     repeat, and TRUNCATED otherwise.  Detection scans remainder states up
     to `probe_limit` steps (default: enough to always decide for small
     denominators, capped at depth + 4096).  `depth` runs from 1 to
-    `MAX_EXPAND_DEPTH` (10**6).
+    `MAX_EXPAND_DEPTH` (10**6), and an explicit `probe_limit` to at most
+    `MAX_PROBE` (10**6).
 
     x = 1 is represented as the all-maximal-digit string.
     """
@@ -538,6 +548,7 @@ def expand(x: Fraction, q: QSequence, depth: int,
         raise DomainError(f"depth must be >= 1, got {depth}")
     if depth > MAX_EXPAND_DEPTH:
         raise DomainError(f"depth {depth} exceeds the limit of {MAX_EXPAND_DEPTH}")
+    _check_probe(probe_limit)
     if x == 1:
         return DigitString(q, (), MAX_TAIL).materialize(depth)
     if probe_limit is None:
@@ -597,9 +608,11 @@ def classify_rationality(x: Fraction, q: QSequence,
     """Decide whether x has a terminating expansion in base q.
 
     With the default probe depth the answer is always decided; an explicit
-    smaller probe may return "undecided".
+    smaller probe may return "undecided".  An explicit probe runs to at
+    most `MAX_PROBE` (10**6) steps; the default one is not capped.
     """
     _check_unit_interval(x)
+    _check_probe(probe_depth)
     if probe_depth is None:
         probe_depth = _decision_bound(x, q)
     if x == 1:

@@ -36,7 +36,9 @@ out of steps).  That stopping step depends on the system alone, and the
 terms up to it are summed in one call.
 
 Only the sampler `mc_mean` uses numpy, and it imports numpy when called,
-so importing this module (or the package) does not load it.
+so importing this module (or the package) does not load it.  Its digits
+are those of numpy's seeded bounded draw; for q = 2**k <= 64 it reads
+them as the top k bits of the generator's raw bytes (see `mc_mean`).
 """
 
 from __future__ import annotations
@@ -639,8 +641,17 @@ def mc_mean(system: SalemSystem, samples: int, seed: int,
     (10**7).  A chunk draws at most `chunk` rows of digits from numpy's
     seeded generator, and fewer when the digit block would exceed 64 MiB.
 
+    The digits are those of `rng.integers(0, q, dtype=int8)` (int64 for
+    q >= 128), one row after another.  For q = 2**k <= 64 that bounded
+    draw (Lemire's method) takes each digit as the top k bits of one
+    byte of the generator's 32-bit words, low byte first, and never
+    rejects one.  So such a chunk draws ceil(rows * positions / 4) raw
+    words instead, one byte per digit, and leaves the generator in the
+    same state; the top bits are shifted down only in the columns a
+    block sums.
+
     Within a chunk the rows are summed in blocks of 4096: each term
-    gathers the block's digit column once into a reused index buffer
+    shifts the block's digit column once into a reused index buffer
     and looks up beta and p into two reused float buffers, so the
     running values and products stay in cache.  Every 64 terms a block
     stops once each of its rows is frozen: |prod| * 2**55 <= |v| for the
@@ -681,6 +692,9 @@ def mc_mean(system: SalemSystem, samples: int, seed: int,
 
     dtype = np.int8 if q <= 127 else np.int64
     chunk = max(1, min(chunk, _MC_BLOCK_BYTES // (maxpos * np.dtype(dtype).itemsize)))
+    # q = 2**k <= 64: draw raw words, and shift each byte down by 8 - k
+    raw = q <= 64 and q & (q - 1) == 0
+    shift = 9 - q.bit_length() if raw else 0
     rows = min(_MC_ROWS, chunk, samples)
     idx_buf = np.empty(rows, dtype=np.intp)
     b_buf, p_buf, prod_buf = np.empty(rows), np.empty(rows), np.empty(rows)
@@ -690,7 +704,12 @@ def mc_mean(system: SalemSystem, samples: int, seed: int,
     done = 0
     while done < samples:
         mrows = min(chunk, samples - done)
-        digs = rng.integers(0, q, size=(mrows, maxpos), dtype=dtype)
+        if raw:
+            n = mrows * maxpos
+            words = rng.integers(0, 2**32, size=-(-n // 4), dtype=np.uint32)
+            digs = words.astype("<u4", copy=False).view(np.uint8)[:n].reshape(mrows, maxpos)
+        else:
+            digs = rng.integers(0, q, size=(mrows, maxpos), dtype=dtype)
         vals = np.zeros(mrows)
         for r0 in range(0, mrows, rows):
             block = digs[r0:r0 + rows]
@@ -705,7 +724,7 @@ def mc_mean(system: SalemSystem, samples: int, seed: int,
                     np.multiply(np.abs(prod, out=p), 2.0**55, out=p)
                     if np.subtract(np.abs(v, out=b), p, out=b).min() >= 0:
                         break
-                idx[...] = block[:, j]
+                np.right_shift(block[:, j], shift, out=idx)
                 # every digit lies in [0, q), so "clip" never moves one
                 np.take(b_col, idx, out=b, mode="clip")
                 np.take(p_col, idx, out=p, mode="clip")

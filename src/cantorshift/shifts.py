@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import DomainError, InsufficientDepthError, json_decoder
+from .errors import MAX_PROGRAM_DEPTH, DomainError, InsufficientDepthError, json_decoder
 from .numeral import (
     DigitString,
     QSequence,
@@ -288,16 +288,16 @@ def _greedy_head(x: Fraction, qv) -> tuple[list[int], int, int]:
     return digits, a, b
 
 
-def _rational_image(word, x: Fraction, q: QSequence) -> Fraction:
-    """Exact image of a rational under a program word.
+def _rational_image(word, depth: int, x: Fraction, q: QSequence) -> Fraction:
+    """Exact image of a rational under a program word that requires
+    `depth` = required_depth(word) digits.
 
-    Every digit past R = required_depth(word) survives, in order, behind
-    the surviving head digits, so the image is the `_series` of the
-    surviving head digits over their base values, closed by the
-    remainder.  Cost: R greedy steps over one window of R base values,
-    which the series reads as well.
+    Every digit past `depth` survives, in order, behind the surviving head
+    digits, so the image is the `_series` of the surviving head digits
+    over their base values, closed by the remainder.  Cost: `depth`
+    greedy steps over one window of `depth` base values, which the
+    series reads as well.
     """
-    depth = required_depth(word)
     qv = q.values(0, depth)
     digits, a, b = _greedy_head(x, qv)
     n, w, e = _series([(qv[s - 1], digits[s - 1], 1)
@@ -312,17 +312,17 @@ def _rational_image(word, x: Fraction, q: QSequence) -> Fraction:
 Value = Union[Fraction, DigitString]
 
 
-def _string_image(word, d: DigitString) -> DigitString:
+def _string_image(word, required: int, d: DigitString) -> DigitString:
     """The image of a digit string under a program word, built once.
 
     An atom maps a known prefix length l to max(l, k) - 1, so the word
-    maps it to max(l, R) - len(word) with R = required_depth(word): one
-    materialisation to max(depth, R) fixes the image prefix, the rotation
+    maps it to max(l, R) - len(word) with R = `required` (required_depth(word)):
+    one materialisation to max(depth, R) fixes the image prefix, the rotation
     of a periodic tail and the base.  A truncated string is not extended;
     a word that needs more than its depth raises.
     """
     truncated = d.tail.kind == "truncated"
-    n = d.depth if truncated else max(d.depth, required_depth(word))
+    n = d.depth if truncated else max(d.depth, required)
     surv = _surviving_positions(word, n)
     digits = d.digits_to(n)
     qv = d.base.values(0, n)
@@ -332,10 +332,20 @@ def _string_image(word, d: DigitString) -> DigitString:
     return DigitString(base, tuple(digits[s - 1] for s in surv), tail)
 
 
+def _check_depth(depth: int) -> None:
+    if depth > MAX_PROGRAM_DEPTH:
+        raise DomainError(
+            f"required depth {depth} exceeds the limit of {MAX_PROGRAM_DEPTH}")
+
+
 def _image(word, x: Value, q: QSequence) -> Value:
+    """The image of x under a word, refused before any base value or
+    digit is read when the word requires more than `MAX_PROGRAM_DEPTH`."""
+    depth = required_depth(word)
+    _check_depth(depth)
     if isinstance(x, DigitString):
-        return _string_image(word, x)
-    return _rational_image(word, x, q)
+        return _string_image(word, depth, x)
+    return _rational_image(word, depth, x, q)
 
 
 def shift_n(x: Value, q: QSequence, n: int) -> Value:
@@ -348,6 +358,7 @@ def shift_n(x: Value, q: QSequence, n: int) -> Value:
     """
     if n < 0:
         raise DomainError(f"shift count must be >= 0, got {n}")
+    _check_depth(n)  # before the n-atom word is built
     return _image((SIGMA,) * n, x, q)
 
 
@@ -371,7 +382,7 @@ def drop_positions(d: DigitString, positions) -> DigitString:
     pos = sorted(set(int(p) for p in positions), reverse=True)
     if pos and pos[-1] < 1:
         raise DomainError("digit positions must be >= 1")
-    return _string_image(tuple(map(GEN, pos)), d)
+    return _image(tuple(map(GEN, pos)), d, d.base)
 
 
 def apply_program(program: ShiftProgram, x: Value, q: QSequence) -> Value:

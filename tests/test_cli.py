@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 import cantorshift
 import cantorshift.cli as cli
 from cantorshift.cli import main
-from cantorshift.errors import MAX_BOUNDS_DEPTH, MAX_EXPAND_DEPTH
+from cantorshift.errors import MAX_BOUNDS_DEPTH, MAX_EXPAND_DEPTH, MAX_PROBE, MAX_PROGRAM_DEPTH
 from test_readme import EXAMPLES as README_EXAMPLES
 
 
@@ -403,6 +403,28 @@ class TestErrors:
         assert obj == {"type": "domain",
                        "message": f"depth {limit + 1} exceeds the limit of {limit}"}
 
+    @pytest.mark.parametrize("argv, message", [
+        (("expand", "--x", "1/1000000000000000000000000000057", "--q", "2",
+          "--depth", "1", "--probe", str(MAX_PROBE + 1)),
+         f"probe {MAX_PROBE + 1} exceeds the limit of {MAX_PROBE}"),
+        (("classify", "--x", "1/1000000000000000000000000000057", "--q", "2",
+          "--probe", str(MAX_PROBE + 1)),
+         f"probe {MAX_PROBE + 1} exceeds the limit of {MAX_PROBE}"),
+        (("shift", "--x", "5/6", "--q", "2", "--n", str(MAX_PROGRAM_DEPTH + 1)),
+         f"required depth {MAX_PROGRAM_DEPTH + 1} exceeds the limit of {MAX_PROGRAM_DEPTH}"),
+        (("shift", "--x", "5/6", "--q", "2", "--m", str(MAX_PROGRAM_DEPTH + 1)),
+         f"required depth {MAX_PROGRAM_DEPTH + 1} exceeds the limit of {MAX_PROGRAM_DEPTH}"),
+        (("shift", "--x", "5/6", "--q", "2",
+          "--program", json.dumps({"word": [{"gen": MAX_PROGRAM_DEPTH + 1}]})),
+         f"required depth {MAX_PROGRAM_DEPTH + 1} exceeds the limit of {MAX_PROGRAM_DEPTH}"),
+    ], ids=["expand-probe", "classify-probe", "shift-n", "shift-m", "shift-program"])
+    def test_probe_or_program_depth_over_the_limit_is_refused(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {"type": "domain", "message": message}
+
     def test_insufficient_depth_exit_code(self, capsys):
         code, _, err = run(capsys, "gk", "bounds", "--spec", SPEC,
                            "--depth", "1")
@@ -450,10 +472,14 @@ def call_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-# the README's argv shapes, plus both samplers on the README's system and spec
+# the README's argv shapes, plus both samplers on the README's system and
+# spec, a deletion and both probes
 SHAPES = [argv for argv, _ in README_EXAMPLES] + [
     ["salem", "mc", "--system", SYSTEM, "--samples", "100", "--seed", "7"],
     ["gk", "mc", "--spec", SPEC, "--samples", "100", "--seed", "7"],
+    ["shift", "--x", "5/6", "--q", "2", "--m", "2"],
+    ["expand", "--x", "1/7", "--q", "2", "--depth", "4", "--probe", "8"],
+    ["classify", "--x", "1/7", "--q", "2", "--probe", "8"],
 ]
 NUMBERS = {
     # `expand` and `gk bounds` both read --depth; each is refused past its limit
@@ -462,7 +488,11 @@ NUMBERS = {
     "--points": st.integers(-3, 50),
     "--samples": st.integers(-3, 2000),
     "--seed": st.integers(-3, 2**40),
-    "--n": st.integers(-3, 64),
+    # `shift --n` and `--m` are refused past the required-depth limit,
+    # and an explicit `--probe` past its own
+    "--n": st.integers(-3, 64) | st.just(MAX_PROGRAM_DEPTH + 1),
+    "--m": st.integers(-3, 64) | st.just(MAX_PROGRAM_DEPTH + 1),
+    "--probe": st.integers(-3, 64) | st.just(MAX_PROBE + 1),
     "--x": st.sampled_from(["0", "1", "-1/2", "3/2", "1/0", "0.25", "2/6"]),
     "--params": st.builds("{}:{}".format, st.integers(-3, 20), st.integers(-3, 20)),
 }

@@ -219,6 +219,13 @@ class TestSampling:
         with pytest.raises(DomainError):
             measure_mc(shift_below(Q2, 1, F(1, 3)), samples=0, seed=0)
 
+    @pytest.mark.parametrize("chunk", [0, -3])
+    def test_chunk_below_one_draws_one_sample_at_a_time(self, chunk):
+        # a chunk of 0 drew no sample per pass and never returned
+        spec = shift_below(Q2, 1, F(1, 3))
+        assert (measure_mc(spec, samples=50, seed=3, chunk=chunk)
+                == measure_mc(spec, samples=50, seed=3, chunk=1))
+
     def test_sample_count_capped_before_drawing(self, monkeypatch):
         spec = shift_below(Q2, 1, F(1, 3))
         monkeypatch.setattr(gk_module, "MAX_SAMPLES", 1000)

@@ -26,7 +26,7 @@ from cantorshift import (
     truncated_tail,
 )
 from cantorshift import numeral
-from cantorshift.errors import MAX_EXPAND_DEPTH, MAX_EXPONENT
+from cantorshift.errors import MAX_EXPAND_DEPTH, MAX_EXPONENT, MAX_PROBE
 from cantorshift.numeral import _decision_bound, _scan
 
 
@@ -220,6 +220,20 @@ class TestExpand:
         with pytest.raises(DomainError, match=f"limit of {MAX_EXPAND_DEPTH}$"):
             expand(F(1, 3), q, MAX_EXPAND_DEPTH + 1)
         assert expand(F(1, 3), q, 1500).tail == periodic_tail((0, 1))
+
+    def test_explicit_probe_capped_before_any_digit(self, monkeypatch):
+        # the binary period of 1/(10**30 + 57) is far longer than any
+        # probe: with a probe of 10**8 `expand` gave no answer within 10 s
+        x, q = F(1, 10**30 + 57), QSequence.constant(2)
+        assert expand(x, q, 1, probe_limit=MAX_PROBE // 1000).tail.kind == "truncated"
+        assert classify_rationality(x, q, probe_depth=MAX_PROBE // 1000).kind == "undecided"
+        monkeypatch.setattr(numeral, "_scan", None)
+        for call in (lambda: expand(x, q, 1, probe_limit=MAX_PROBE + 1),
+                     lambda: expand(F(1), q, 1, probe_limit=MAX_PROBE + 1),
+                     lambda: classify_rationality(x, q, probe_depth=MAX_PROBE + 1)):
+            with pytest.raises(DomainError, match=f"probe {MAX_PROBE + 1} exceeds "
+                                                  f"the limit of {MAX_PROBE}$"):
+                call()
 
     def test_out_of_range(self):
         for bad in (F(-1, 2), F(3, 2)):

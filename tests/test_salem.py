@@ -637,6 +637,25 @@ class TestIntegral:
             r = mc_mean(s, samples, seed, **kw)
             assert (r.mean, r.std_err, r.terms) == (mean, std_err, terms)
 
+    def test_mc_power_of_two_results_pinned(self):
+        # floats recorded from bounded int8 draws; these bases take their
+        # digits from raw 32-bit words.  The last case draws 7 * 54 = 378
+        # digits per chunk, not a whole number of words
+        cases = [
+            (fixed(["1/2", "-1/4", "1/2", "1/4"]), 4000, 6, {},
+             0.4980290750009041, 0.0040535941316062404, 31),
+            (fixed(["1/4", "1/16", "1/8", "1/16", "1/8", "1/8", "1/8", "1/8"],
+                   reorder=SWAP), 3000, 8, {},
+             0.5350577695868702, 0.0047327993009766015, 16),
+            (SalemSystem.fixed([F(i + 1, 2080) for i in range(64)]), 2000, 64, {},
+             0.33384643820411963, 0.006609386921548448, 6),
+            (fixed(["1/3", "2/3"]), 100, 7, {"chunk": 7},
+             0.3706574727049823, 0.026616704438755405, 54),
+        ]
+        for s, samples, seed, kw, mean, std_err, terms in cases:
+            r = mc_mean(s, samples, seed, **kw)
+            assert (r.mean, r.std_err, r.terms) == (mean, std_err, terms)
+
     def test_mc_sample_count_capped_before_drawing(self, monkeypatch):
         s = fixed(["1/3", "2/3"])
         monkeypatch.setattr(salem_module, "MAX_SAMPLES", 1000)
@@ -649,7 +668,7 @@ class TestIntegral:
         # every digit block drawn stays under the cap; only the chunking moves
         s = fixed(["1/3", "2/3"])  # 54 terms: 54 one-byte digits per row
         want = mc_mean(s, samples=5000, seed=4)
-        shapes = []
+        digits = []
         default_rng = np.random.default_rng
 
         class Recorder:
@@ -657,7 +676,9 @@ class TestIntegral:
                 self.rng = default_rng(seed)
 
             def integers(self, low, high, size, dtype):
-                shapes.append(size)
+                # q = 2 reads one digit from each byte drawn: an int8, or
+                # a byte of a raw 32-bit word
+                digits.append(int(np.prod(size)) * np.dtype(dtype).itemsize)
                 return self.rng.integers(low, high, size=size, dtype=dtype)
 
         monkeypatch.setattr(np.random, "default_rng", Recorder)
@@ -665,7 +686,7 @@ class TestIntegral:
         r = mc_mean(s, samples=5000, seed=4)
         assert r.mean == pytest.approx(want.mean, rel=1e-12)
         assert r.std_err == pytest.approx(want.std_err, rel=1e-9)
-        assert shapes == [(1000, 54)] * 5
+        assert digits == [1000 * 54] * 5
 
 
 def mc_mean_per_column(system, samples, seed, chunk=65536):
@@ -722,7 +743,7 @@ def weight_tuples(draw, q):
 def mc_systems(draw):
     kind = draw(st.sampled_from(["fixed", "swap-pairs", "matrix", "skewed",
                                  "moderate"]))
-    q = draw(st.integers(2, 4))
+    q = draw(st.sampled_from([2, 3, 4, 5, 8, 16, 64]))
     if kind in ("skewed", "moderate"):
         # p_max >= 0.97: every row's product underflows long before the
         # last term.  p_max <= 0.95: no product underflows, but every
@@ -742,6 +763,18 @@ def mc_systems(draw):
 
 
 class TestMcBlocks:
+    @pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 54 * 7])
+    def test_raw_words_give_the_bounded_digits(self, q, n):
+        # a digit below q = 2**k is the top k bits of one byte of the
+        # generator's 32-bit words, low byte first, and none is rejected
+        bounded, raw = np.random.default_rng(q * n), np.random.default_rng(q * n)
+        want = bounded.integers(0, q, size=n, dtype=np.int8)
+        words = raw.integers(0, 2**32, size=-(-n // 4), dtype=np.uint32)
+        got = words.astype("<u4", copy=False).view(np.uint8)[:n] >> (9 - q.bit_length())
+        assert got.tolist() == want.tolist()
+        assert raw.bit_generator.state == bounded.bit_generator.state
+
     @settings(max_examples=60, deadline=None)
     @given(system=mc_systems(), samples=st.integers(2, 9000),
            seed=st.integers(0, 2**31), chunk=st.sampled_from([None, 1, 100, 2500, 5000]),

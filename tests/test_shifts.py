@@ -23,9 +23,11 @@ from cantorshift import (
     normalize_program,
     reconstruct_identity,
     required_depth,
+    periodic_tail,
     shift_n,
     truncated_tail,
 )
+from cantorshift.errors import MAX_PROGRAM_DEPTH
 
 
 @st.composite
@@ -313,6 +315,28 @@ class TestRationalKernel:
             shift_n(x, q, 0)
         with pytest.raises(DomainError):
             reconstruct_identity(x, q, 0)
+
+
+    @pytest.mark.parametrize("op", [
+        lambda x, q: shift_n(x, q, MAX_PROGRAM_DEPTH + 1),
+        lambda x, q: gen_shift(x, q, MAX_PROGRAM_DEPTH + 1),
+        # the shift then the deletion require one more than the deletion
+        lambda x, q: apply_program(
+            ShiftProgram((SIGMA, GEN(MAX_PROGRAM_DEPTH))), x, q),
+    ], ids=["shift_n", "gen_shift", "apply_program"])
+    def test_required_depth_capped_before_any_read(self, op):
+        # at 10**8 the window of base values and the digit list alone
+        # would take gigabytes
+        q = CountingBase(2)
+        d = DigitString(q, (1,), periodic_tail((0, 1)))
+        reads = q.reads
+        for x in (F(1, 3), d):
+            with pytest.raises(DomainError, match=f"required depth {MAX_PROGRAM_DEPTH + 1} "
+                                                  f"exceeds the limit of {MAX_PROGRAM_DEPTH}$"):
+                op(x, q)
+        with pytest.raises(DomainError, match=f"limit of {MAX_PROGRAM_DEPTH}$"):
+            drop_positions(d, [2, MAX_PROGRAM_DEPTH + 1])
+        assert q.reads == reads
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,10 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
-from .errors import DomainError, InsufficientDepthError, InvalidSystemError
+from .errors import MAX_EXPONENT, DomainError, InsufficientDepthError, InvalidSystemError
 from .numeral import (
     DigitString,
     Interval,
@@ -129,9 +130,12 @@ def _value_json(v):
 
 
 def _decimal(x: Fraction, digits: int) -> str:
-    """Round-half-even decimal rendering, exact to `digits` places."""
+    """Round-half-even decimal rendering, exact to `digits` places, for
+    `digits` from 1 to `MAX_EXPONENT` (10**4)."""
     if digits < 1:
         raise DomainError(f"decimal precision must be >= 1, got {digits}")
+    if digits > MAX_EXPONENT:
+        raise DomainError(f"decimal precision {digits} exceeds the limit of {MAX_EXPONENT}")
     sign = "-" if x < 0 else ""
     scaled = round(abs(x) * 10**digits)
     s = str(scaled).rjust(digits + 1, "0")
@@ -218,10 +222,7 @@ def _cmd_salem_validate(args) -> None:
     if report.ok:
         _emit({"ok": True})
     else:
-        v = report.violation
-        _emit({"ok": False, "violation": {"condition": v.condition,
-                                          "where": v.where,
-                                          "detail": v.detail}})
+        _emit({"ok": False, "violation": asdict(report.violation)})
 
 
 def _cmd_salem_eval(args) -> None:
@@ -456,6 +457,15 @@ def _build_parser() -> _Parser:
 _parser = None
 
 
+def _fail(code: int, kind: str, exc: Exception, **extra) -> int:
+    """Print the {"error": ...} object for `exc` to stderr, with the
+    extras that are not None, and return the exit code."""
+    err = {"type": kind, "message": str(exc)}
+    err.update((k, v) for k, v in extra.items() if v is not None)
+    print(json.dumps({"error": err}, sort_keys=True), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     global _parser
     # exact values at long periods have denominators of many thousand
@@ -471,27 +481,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # -h/--help printed its text to stdout
         return exc.code
     except _UsageError as exc:
-        print(json.dumps({"error": {"type": "usage", "message": str(exc)}},
-                         sort_keys=True), file=sys.stderr)
-        return 1
+        return _fail(1, "usage", exc)
     except InsufficientDepthError as exc:
-        err = {"type": "insufficient-depth", "message": str(exc)}
-        if exc.required is not None:
-            err["required"] = exc.required
-        print(json.dumps({"error": err}, sort_keys=True), file=sys.stderr)
-        return 3
+        return _fail(3, "insufficient-depth", exc, required=exc.required)
     except InvalidSystemError as exc:
-        err = {"type": "invalid-system", "message": str(exc)}
-        if exc.report is not None and exc.report.violation is not None:
-            v = exc.report.violation
-            err["violation"] = {"condition": v.condition, "where": v.where,
-                                "detail": v.detail}
-        print(json.dumps({"error": err}, sort_keys=True), file=sys.stderr)
-        return 2
+        v = getattr(exc.report, "violation", None)
+        return _fail(2, "invalid-system", exc, violation=v and asdict(v))
     except ValueError as exc:  # DomainError and stray parse errors
-        print(json.dumps({"error": {"type": "domain", "message": str(exc)}},
-                         sort_keys=True), file=sys.stderr)
-        return 2
+        return _fail(2, "domain", exc)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ MAX_SAMPLES = 10**7
 
 # Largest decimal exponent, in size, that `numeral.parse_rational` expands.
 # 1e-30000000 would build a 30-million-digit denominator first, so a larger
-# one is refused with a DomainError.
+# one is refused with a DomainError.  The CLI's decimal rendering
+# (`salem table --digits`, `gk scan --digits`) takes at most this many
+# places, for the same reason.
 MAX_EXPONENT = 10**4
 
 # Largest uniform grid `salem.emit_table` evaluates, and most parameters
@@ -32,7 +34,9 @@ MAX_PROBE = 10**6
 # Largest depth a shift program may require (`shifts.required_depth`), on
 # a rational or a digit string: `shift_n`, `gen_shift`, `apply_program` and
 # `drop_positions`.  A deeper one is refused with a DomainError before any
-# base value or digit is read.
+# base value or digit is read.  A generator rule's word holds at most this
+# many atoms, since each adds at least 1 to the required depth; a longer
+# one is refused before it is built.
 MAX_PROGRAM_DEPTH = 10**6
 
 

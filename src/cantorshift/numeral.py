@@ -526,6 +526,26 @@ def _check_unit_interval(x: Fraction):
         raise DomainError(f"value {x} outside [0, 1]")
 
 
+def _resolve(x: Fraction, q: QSequence, limit: int):
+    """(digits, exact): the greedy digits `_scan` reads within `limit`
+    steps, and x's exact string when the scan decided it, else None.
+
+    This is the only reader of `_scan`'s result.  The exact string ends
+    in a zero tail when the expansion terminates and in a periodic tail
+    when a state recurs; x = 1 is the all-maximal string, with no digits
+    read.
+    """
+    if x == 1:
+        return [], DigitString(q, (), MAX_TAIL)
+    digits, term, cyc = _scan(x, q, limit)
+    if term is not None:
+        return digits, DigitString(q, tuple(digits), ZERO_TAIL)
+    if cyc is None:
+        return digits, None
+    j0, L = cyc
+    return digits, DigitString(q, tuple(digits[:j0]), periodic_tail(digits[j0:j0 + L]))
+
+
 _DEFAULT_PROBE_SLACK = 4096
 
 
@@ -549,23 +569,12 @@ def expand(x: Fraction, q: QSequence, depth: int,
     if depth > MAX_EXPAND_DEPTH:
         raise DomainError(f"depth {depth} exceeds the limit of {MAX_EXPAND_DEPTH}")
     _check_probe(probe_limit)
-    if x == 1:
-        return DigitString(q, (), MAX_TAIL).materialize(depth)
     if probe_limit is None:
         probe_limit = min(_decision_bound(x, q),
                           max(depth, len(q.prefix)) + _DEFAULT_PROBE_SLACK)
-    limit = max(probe_limit, depth)
-    digits, term, cyc = _scan(x, q, limit)
-    if term is not None and term <= depth:
-        prefix = tuple(digits) + (0,) * (depth - term)
-        return DigitString(q, prefix, ZERO_TAIL)
-    if cyc is not None and cyc[0] <= depth:
-        j0, L = cyc
-        pat = digits[j0:j0 + L]
-        prefix = tuple(digits[i] if i < len(digits) else pat[(i - j0) % L]
-                       for i in range(depth))
-        tail = periodic_tail(tuple(pat[(depth - j0 + i) % L] for i in range(L)))
-        return DigitString(q, prefix, tail)
+    digits, exact = _resolve(x, q, max(probe_limit, depth))
+    if exact is not None and exact.depth <= depth:
+        return exact.materialize(depth)
     return DigitString(q, tuple(digits[:depth]), truncated_tail(depth))
 
 
@@ -576,14 +585,9 @@ def expand_exact(x: Fraction, q: QSequence) -> DigitString:
     the denominator of x, so large denominators cost proportionally.
     """
     _check_unit_interval(x)
-    if x == 1:
-        return DigitString(q, (), MAX_TAIL)
-    digits, term, cyc = _scan(x, q, _decision_bound(x, q))
-    if term is not None:
-        return DigitString(q, tuple(digits), ZERO_TAIL)
-    assert cyc is not None, "state scan must terminate or recur within bound"
-    j0, L = cyc
-    return DigitString(q, tuple(digits[:j0]), periodic_tail(tuple(digits[j0:j0 + L])))
+    exact = _resolve(x, q, _decision_bound(x, q))[1]
+    assert exact is not None, "state scan must terminate or recur within bound"
+    return exact
 
 
 @dataclass(frozen=True)
@@ -615,26 +619,18 @@ def classify_rationality(x: Fraction, q: QSequence,
     _check_probe(probe_depth)
     if probe_depth is None:
         probe_depth = _decision_bound(x, q)
-    if x == 1:
-        return ClassifyResult("q-rational", zero_form=None,
-                              max_form=DigitString(q, (), MAX_TAIL),
-                              probe_depth=probe_depth)
-    digits, term, cyc = _scan(x, q, probe_depth)
-    if term is not None:
-        zero_form = DigitString(q, tuple(digits), ZERO_TAIL)
-        if term == 0:  # x == 0: unique representation
-            return ClassifyResult("q-rational", zero_form=zero_form,
-                                  probe_depth=probe_depth)
-        max_form = DigitString(q, tuple(digits[:-1]) + (digits[-1] - 1,), MAX_TAIL)
-        return ClassifyResult("q-rational", zero_form=zero_form,
-                              max_form=max_form, probe_depth=probe_depth)
-    if cyc is not None:
-        j0, L = cyc
-        cert = DigitString(q, tuple(digits[:j0]),
-                           periodic_tail(tuple(digits[j0:j0 + L])))
-        return ClassifyResult("q-irrational", certificate=cert,
-                              probe_depth=probe_depth)
-    return ClassifyResult("undecided", probe_depth=probe_depth)
+    exact = _resolve(x, q, probe_depth)[1]
+    if exact is None:
+        return ClassifyResult("undecided", probe_depth=probe_depth)
+    kind = exact.tail.kind
+    if kind == "periodic":
+        return ClassifyResult("q-irrational", certificate=exact, probe_depth=probe_depth)
+    if kind == "max":  # x == 1: unique representation
+        return ClassifyResult("q-rational", max_form=exact, probe_depth=probe_depth)
+    p = exact.prefix  # empty for x == 0, which has one representation
+    max_form = DigitString(q, p[:-1] + (p[-1] - 1,), MAX_TAIL) if p else None
+    return ClassifyResult("q-rational", zero_form=exact, max_form=max_form,
+                          probe_depth=probe_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -217,9 +217,7 @@ class SalemSystem:
 
     @property
     def q(self) -> int:
-        if self.weights is not None:
-            return len(self.weights)
-        return len(self.columns[0]) if self.columns else 0
+        return len(self._columns[0]) if self._columns else 0
 
     @property
     def is_fixed(self) -> bool:
@@ -231,14 +229,24 @@ class SalemSystem:
             return len(self.columns)
         return self.reorder.length()
 
+    @cached_property
+    def _columns(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The weight columns: the one tuple of a fixed system, or the
+        matrix's columns in order."""
+        return (self.weights,) if self.weights is not None else self.columns
+
+    def _column(self, n: int) -> int:
+        """Index in `_columns` (and `_step_rows`) of the column that
+        serves digit position n: the fixed tuple, or matrix column n."""
+        return 0 if self.is_fixed else n - 1
+
     def p_row(self, n: int) -> tuple[Fraction, ...]:
         """Weight tuple applied to digit position n."""
-        if self.weights is not None:
-            return self.weights
-        if n > len(self.columns):
+        i = self._column(n)
+        if i >= len(self._columns):
             raise InsufficientDepthError(
-                f"system has {len(self.columns)} columns; position {n} undefined")
-        return self.columns[n - 1]
+                f"system has {len(self._columns)} columns; position {n} undefined")
+        return self._columns[i]
 
     def beta_row(self, n: int) -> tuple[Fraction, ...]:
         """Partial sums (beta_0 = 0, beta_1, ..., beta_{q-1}) for position n."""
@@ -247,15 +255,13 @@ class SalemSystem:
     @cached_property
     def global_max(self) -> Fraction:
         """Largest |p| across all columns; the truncation bound base."""
-        cols = (self.weights,) if self.weights is not None else self.columns
-        return max(abs(p) for col in cols for p in col)
+        return max(abs(p) for col in self._columns for p in col)
 
     @cached_property
     def _step_rows(self) -> tuple[list[tuple[int, int, int]], ...]:
         """The `_series` step of each digit: one row for a fixed tuple,
         one per matrix column (see `_step_row`)."""
-        cols = (self.weights,) if self.weights is not None else self.columns
-        return tuple(_step_row(col) for col in cols)
+        return tuple(_step_row(col) for col in self._columns)
 
     @cached_property
     def _validation(self) -> "ValidationReport":
@@ -348,9 +354,7 @@ def validate_system(system: SalemSystem) -> ValidationReport:
     columns in order; strict list reorders must be injective with a
     permutation prefix up to the horizon).
     """
-    cols = ((system.weights,) if system.weights is not None
-            else system.columns)
-    q = len(cols[0]) if cols and cols[0] else 0
+    cols, q = system._columns, system.q
 
     def bad(condition, where, detail):
         return ValidationReport(False, Violation(condition, where, detail))
@@ -484,7 +488,7 @@ def _eval_stage(d: DigitString, system: SalemSystem, tol: Fraction,
     while (limit is None or k < limit) and r >= target:
         k += 1
         n = system.reorder.position(k)
-        steps.append(system._step_rows[0 if system.is_fixed else n - 1][d.digit(n)])
+        steps.append(system._step_rows[system._column(n)][d.digit(n)])
         r *= m if system.is_fixed else max(abs(p) for p in system.p_row(n))
     bound = ZERO if limit is not None and k >= limit else r / (1 - m)
     return EvalResult(Fraction(*_series(steps)[::2]), bound, k - stage)
@@ -571,8 +575,7 @@ def integral(system: SalemSystem) -> Fraction:
             "exact mean needs an injective reorder; use the sampling estimate")
     # step k adds s_k / q times q^(1-k), for s_k the sum of its betas;
     # a matrix is validated to the identity order, so step k reads column k
-    rows = (system._step_rows[0 if system.is_fixed else k - 1]
-            for k in range(1, limit + 1))
+    rows = (system._step_rows[system._column(k)] for k in range(1, limit + 1))
     return Fraction(*_series((q * D, sum(c for _, c, _ in row[1:]), D)
                              for row in rows for D in (row[0][0],))[::2])
 
@@ -687,7 +690,7 @@ def mc_mean(system: SalemSystem, samples: int, seed: int,
     used = system._step_rows[:terms]  # a matrix is read in identity order
     b_rows = [np.array([c / D for D, c, _ in row]) for row in used]
     p_rows = [np.array([a / D for D, _, a in row]) for row in used]
-    at = [0 if system.is_fixed else n - 1 for n in positions]
+    at = map(system._column, positions)
     steps = [(b_rows[i], p_rows[i], n - 1) for i, n in zip(at, positions)]
 
     dtype = np.int8 if q <= 127 else np.int64

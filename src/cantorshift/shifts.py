@@ -122,6 +122,17 @@ def _psi_index(rule: dict, j: int) -> int:
     raise DomainError(f"schedule kind {kind!r} cannot produce indices")
 
 
+def _word_length(count) -> int:
+    """A generator word's atom count.  Every atom adds at least 1 to the
+    word's required depth, so a count past `MAX_PROGRAM_DEPTH` is refused
+    before the word is built."""
+    count = int(count)
+    if count > MAX_PROGRAM_DEPTH:
+        raise DomainError(
+            f"a word of {count} atoms requires a depth past the limit of {MAX_PROGRAM_DEPTH}")
+    return count
+
+
 def _rule_word(rule: dict, k: Optional[int]) -> tuple[Atom, ...]:
     """Expand a generator rule into a word of atoms.
 
@@ -135,7 +146,7 @@ def _rule_word(rule: dict, k: Optional[int]) -> tuple[Atom, ...]:
         count = k if k is not None else rule.get("k")
         if count is None:
             raise DomainError("const-repeat rule needs a repetition count")
-        count, m = int(count), int(rule["m"])
+        count, m = _word_length(count), int(rule["m"])
         if count < 0:
             raise DomainError("repetition count must be >= 0")
         return (GEN(m),) * count
@@ -145,7 +156,7 @@ def _rule_word(rule: dict, k: Optional[int]) -> tuple[Atom, ...]:
             raise DomainError("mod-filter modulus must be >= 1")
         if k is None:
             raise DomainError("mod-filter rule needs a repetition count")
-        k = int(k)
+        k = _word_length(k)
         if k % c != 1 % c:
             raise DomainError(
                 f"count {k} not admitted by mod-filter: need k = 1 (mod {c})")
@@ -153,10 +164,10 @@ def _rule_word(rule: dict, k: Optional[int]) -> tuple[Atom, ...]:
     if kind == "affine":
         if k is None:
             raise DomainError("affine rule needs a word length")
-        return tuple(GEN(_psi_index(rule, j)) for j in range(1, int(k) + 1))
+        return tuple(GEN(_psi_index(rule, j)) for j in range(1, _word_length(k) + 1))
     if kind == "table":
         values = rule.get("values", [])
-        count = len(values) if k is None else int(k)
+        count = _word_length(len(values) if k is None else k)
         if count > len(values):
             raise DomainError(
                 f"table rule has {len(values)} entries, requested {count}")

@@ -22,7 +22,9 @@ from hypothesis import given, settings, strategies as st
 import cantorshift
 import cantorshift.cli as cli
 from cantorshift.cli import main
-from cantorshift.errors import MAX_BOUNDS_DEPTH, MAX_EXPAND_DEPTH, MAX_PROBE, MAX_PROGRAM_DEPTH
+from cantorshift.errors import (
+    MAX_BOUNDS_DEPTH, MAX_EXPAND_DEPTH, MAX_EXPONENT, MAX_PROBE, MAX_PROGRAM_DEPTH,
+)
 from test_readme import EXAMPLES as README_EXAMPLES
 
 
@@ -417,13 +419,34 @@ class TestErrors:
         (("shift", "--x", "5/6", "--q", "2",
           "--program", json.dumps({"word": [{"gen": MAX_PROGRAM_DEPTH + 1}]})),
          f"required depth {MAX_PROGRAM_DEPTH + 1} exceeds the limit of {MAX_PROGRAM_DEPTH}"),
-    ], ids=["expand-probe", "classify-probe", "shift-n", "shift-m", "shift-program"])
+        # the word of a billion atoms is refused before it is built
+        (("shift", "--x", "5/6", "--q", "2", "--program", json.dumps(
+            {"generator": {"kind": "const-repeat", "m": 2, "k": 10**9}})),
+         f"a word of {10**9} atoms requires a depth past the limit of {MAX_PROGRAM_DEPTH}"),
+    ], ids=["expand-probe", "classify-probe", "shift-n", "shift-m", "shift-program",
+            "shift-generator"])
     def test_probe_or_program_depth_over_the_limit_is_refused(self, capsys, argv, message):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == {"type": "domain", "message": message}
+
+    @pytest.mark.parametrize("argv, header", [
+        (("salem", "table", "--system", SYSTEM, "--grid", "1/3"), "x,g,err_bound"),
+        (("gk", "scan", "--q", "2", "--family", '{"kind": "const-repeat", "m": 2}',
+          "--rhs", '{"const": "1/2"}', "--params", "1:2"), "n,lower,upper,decided_mass"),
+    ], ids=["salem-table", "gk-scan"])
+    def test_decimal_precision_over_the_limit_is_refused(self, capsys, argv, header):
+        # 10**2000000 and its decimal string took more than 20 s; as with
+        # --digits 0, the header is out before the first value is rendered
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--digits", str(MAX_EXPONENT + 1))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == header + "\n"
+        assert json.loads(err)["error"] == {
+            "type": "domain",
+            "message": f"decimal precision {MAX_EXPONENT + 1} exceeds the limit of {MAX_EXPONENT}"}
 
     def test_insufficient_depth_exit_code(self, capsys):
         code, _, err = run(capsys, "gk", "bounds", "--spec", SPEC,
@@ -473,13 +496,14 @@ def call_main(argv):
 
 
 # the README's argv shapes, plus both samplers on the README's system and
-# spec, a deletion and both probes
+# spec, a deletion, both probes and a decimal table
 SHAPES = [argv for argv, _ in README_EXAMPLES] + [
     ["salem", "mc", "--system", SYSTEM, "--samples", "100", "--seed", "7"],
     ["gk", "mc", "--spec", SPEC, "--samples", "100", "--seed", "7"],
     ["shift", "--x", "5/6", "--q", "2", "--m", "2"],
     ["expand", "--x", "1/7", "--q", "2", "--depth", "4", "--probe", "8"],
     ["classify", "--x", "1/7", "--q", "2", "--probe", "8"],
+    ["salem", "table", "--system", SYSTEM, "--grid", "1/3,1/2", "--digits", "6"],
 ]
 NUMBERS = {
     # `expand` and `gk bounds` both read --depth; each is refused past its limit
@@ -493,6 +517,8 @@ NUMBERS = {
     "--n": st.integers(-3, 64) | st.just(MAX_PROGRAM_DEPTH + 1),
     "--m": st.integers(-3, 64) | st.just(MAX_PROGRAM_DEPTH + 1),
     "--probe": st.integers(-3, 64) | st.just(MAX_PROBE + 1),
+    # decimal places of `salem table`, refused past the exponent limit
+    "--digits": st.integers(-3, 64) | st.just(MAX_EXPONENT + 1),
     "--x": st.sampled_from(["0", "1", "-1/2", "3/2", "1/0", "0.25", "2/6"]),
     "--params": st.builds("{}:{}".format, st.integers(-3, 20), st.integers(-3, 20)),
 }

@@ -451,6 +451,21 @@ class TestClassify:
         if r.kind == "q-irrational":
             assert eval_prefix(r.certificate) == x
 
+    @settings(max_examples=200, deadline=None)
+    @given(unit_rationals(), st.one_of(bases(), pre_periodic_bases()), st.integers(1, 40))
+    def test_expand_and_classify_read_the_exact_string(self, x, q, depth):
+        # `expand` truncates only where the exact string goes on past depth
+        exact = expand_exact(x, q)
+        d = expand(x, q, depth)
+        if d.tail.kind == "truncated":
+            assert d.prefix == exact.materialize(depth + 1).prefix[:depth]
+        else:
+            assert d == exact.materialize(depth)
+        r = classify_rationality(x, q)
+        assert (r.zero_form or r.certificate or r.max_form) == exact
+        if r.max_form is not None:
+            assert eval_prefix(r.max_form) == x
+
 
 # ---------------------------------------------------------------------------
 # Remainder-state scan

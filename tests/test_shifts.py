@@ -472,6 +472,27 @@ class TestGeneratorRules:
         with pytest.raises(DomainError):
             ShiftProgram.from_generator(rule, 2)
 
+    @pytest.mark.parametrize("rule, k", [
+        ({"kind": "const-repeat", "m": 2}, 10**12),
+        ({"kind": "const-repeat", "m": 2, "k": 10**12}, None),
+        ({"kind": "mod-filter", "m": 2, "c": 1}, 10**12),
+        ({"kind": "affine", "a": 1, "b": 1}, 10**12),
+        ({"kind": "table", "values": [2, 3]}, 10**12),
+        ({"psi": {"kind": "affine", "a": 1, "b": 1},
+          "phi": {"kind": "const-repeat", "m": 2}}, 10**12),
+    ], ids=["const-repeat", "const-repeat-own-count", "mod-filter", "affine", "table",
+         "composed"])
+    def test_word_past_the_depth_limit_is_refused_before_it_is_built(self, rule, k):
+        # 10**12 atoms would not fit in memory; every atom adds at least 1
+        # to the required depth
+        with pytest.raises(DomainError, match=f"a word of {10**12} atoms requires "
+                                              f"a depth past the limit of {MAX_PROGRAM_DEPTH}$"):
+            ShiftProgram.from_generator(rule, k)
+
+    def test_word_at_the_depth_limit_is_built(self):
+        word = ShiftProgram.from_generator({"kind": "const-repeat", "m": 1}, MAX_PROGRAM_DEPTH).word
+        assert len(word) == MAX_PROGRAM_DEPTH and required_depth(word) == MAX_PROGRAM_DEPTH
+
     def test_json_round_trip_keeps_generator(self):
         p = ShiftProgram.from_generator({"kind": "const-repeat", "m": 2}, 2)
         j = p.to_json()

@@ -252,26 +252,25 @@ def _cmd_salem_table(args) -> None:
     system = _system(args)
     grid = args.points if args.points is not None else [
         parse_rational(v) for v in args.grid.split(",")]
-    rows = emit_table(system, grid, tol=parse_rational(args.tol))
     if args.exact:
         fmt = format_rational
     else:
         fmt = lambda v: _decimal(v, args.digits)
+    # every row is rendered before the file is opened or the header written
+    rows = [[fmt(row.x), fmt(row.value), fmt(row.error_bound)]
+            for row in emit_table(system, grid, tol=parse_rational(args.tol))]
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["x", "g", "err_bound"])
-        for row in rows:
-            w.writerow([fmt(row.x), fmt(row.value), fmt(row.error_bound)])
+        w.writerows(rows)
     finally:
         if args.out:
             out.close()
 
 
 def _cmd_salem_mc(args) -> None:
-    r = mc_mean(_system(args), args.samples, args.seed)
-    _emit({"mean": r.mean, "std_err": r.std_err, "samples": r.samples,
-           "seed": r.seed, "terms": r.terms})
+    _emit(asdict(mc_mean(_system(args), args.samples, args.seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +284,7 @@ def _cmd_gk_bounds(args) -> None:
 
 def _cmd_gk_mc(args) -> None:
     spec = GKSetSpec.from_json(_json_arg(args.spec))
-    r = measure_mc(spec, args.samples, args.seed, extra_depth=args.extra_depth)
-    _emit({"estimate": r.estimate, "std_err": r.std_err, "hits": r.hits,
-           "samples": r.samples, "seed": r.seed, "depth": r.depth})
+    _emit(asdict(measure_mc(spec, args.samples, args.seed, extra_depth=args.extra_depth)))
 
 
 def _cmd_gk_scan(args) -> None:
@@ -305,9 +302,8 @@ def _cmd_gk_scan(args) -> None:
         fmt = lambda v: _decimal(v, args.digits)
     else:
         fmt = format_rational
-    w = csv.writer(sys.stdout, lineterminator="\n")
-    w.writerow(["n", "lower", "upper", "decided_mass"])
-    ok = 0
+    # every row is rendered before the header is written
+    rendered = []
     for row in rows:
         if row.bounds is None:
             print(json.dumps({"warning": {"param": row.param,
@@ -315,11 +311,12 @@ def _cmd_gk_scan(args) -> None:
                              sort_keys=True), file=sys.stderr)
             continue
         b = row.bounds
-        w.writerow([row.param, fmt(b.lower), fmt(b.upper),
-                    fmt(b.decided_mass)])
-        ok += 1
-    if not ok:
+        rendered.append([row.param, fmt(b.lower), fmt(b.upper), fmt(b.decided_mass)])
+    if not rendered:
         raise DomainError("no parameter in the scan produced bounds")
+    w = csv.writer(sys.stdout, lineterminator="\n")
+    w.writerow(["n", "lower", "upper", "decided_mass"])
+    w.writerows(rendered)
 
 
 # ---------------------------------------------------------------------------

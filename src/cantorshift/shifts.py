@@ -26,6 +26,12 @@ identities that collapse deletion patterns into pure shift powers:
 * m deletions at position 2 followed by one shift equal m + 1 shifts;
 * a strictly increasing run of deletions at k_1 < ... < k_n followed by
   at least k_n - 1 shifts equals k_n + n - 1 shifts.
+
+The second is the third applied m times, from the right.  The third
+holds atom by atom: a deletion at k followed by at least k - 1 shifts is
+k shifts, and each such rewrite lengthens the shift run that the atom to
+its left sees.  So one pass from the right, counting the shifts that
+open the suffix, reaches the normal form.
 """
 
 from __future__ import annotations
@@ -410,57 +416,24 @@ def apply_program(program: ShiftProgram, x: Value, q: QSequence) -> Value:
 # Rewriting
 # ---------------------------------------------------------------------------
 
-def _count_sigmas_from(word, start) -> int:
-    n = 0
-    while start + n < len(word) and word[start + n].kind == "sigma":
-        n += 1
-    return n
-
-
 def normalize_program(program: ShiftProgram) -> ShiftProgram:
-    """Rewrite a word to a normal form using the composition identities.
+    """Rewrite a word to its normal form under the composition identities.
 
-    Applies, to a fixed point: deletion at 1 -> shift; a run of r
-    deletions at 2 followed by a shift -> r + 1 shifts; a strictly
-    increasing deletion run k_1 < ... < k_n followed by k_n - 1 shifts
-    -> k_n + n - 1 shifts.  Rewrites fire at the earliest position,
-    longest run first.  A word consisting entirely of shifts is already
-    normal.  The result evaluates identically on every input deep enough
-    for both forms.
+    One pass from the right carries the number of shifts that open the
+    suffix already rewritten.  A deletion at k followed by at least
+    k - 1 shifts becomes a shift in place (at k = 1, whatever follows);
+    any other deletion stays and the count restarts at 0.  The result is
+    the fixed point of the module's identities, keeps the word's length,
+    and evaluates identically on every input deep enough for both forms.
     """
-    word = [SIGMA if (a.kind == "gen" and a.index == 1) else a
-            for a in program.word]
-    changed = True
-    while changed:
-        changed = False
-        for i, atom in enumerate(word):
-            if atom.kind != "gen":
-                continue
-            if atom.index == 2:
-                # maximal run of deletions at position 2
-                j = i
-                while j < len(word) and word[j] == Atom("gen", 2):
-                    j += 1
-                run = j - i
-                if _count_sigmas_from(word, j) >= 1:
-                    word[i:j + 1] = [SIGMA] * (run + 1)
-                    changed = True
-                    break
-            # maximal strictly increasing run starting here
-            j = i
-            last = 0
-            while (j < len(word) and word[j].kind == "gen"
-                   and word[j].index > last):
-                last = word[j].index
-                j += 1
-            n = j - i
-            need = last - 1
-            if n >= 1 and _count_sigmas_from(word, j) >= need:
-                word[i:j + need] = [SIGMA] * (last + n - 1)
-                changed = True
-                break
-        # a lone GEN(1) can only appear transiently; the first pass
-        # removed them, and rewrites only introduce SIGMA atoms
+    word = list(program.word)
+    shifts = 0
+    for i in range(len(word) - 1, -1, -1):
+        if word[i].index <= shifts + 1:  # a shift has index 0
+            word[i] = SIGMA
+            shifts += 1
+        else:
+            shifts = 0
     return ShiftProgram(tuple(word), program.generator)
 
 

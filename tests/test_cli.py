@@ -193,6 +193,17 @@ class TestSalemCommands:
         lines = path.read_text().strip().split("\n")
         assert lines == ["x,g,err_bound", "1/4,1/9,0/1", "3/4,5/9,0/1"]
 
+    def test_refused_table_leaves_the_out_file_alone(self, capsys, tmp_path):
+        # the file is opened only after every row has rendered
+        fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        kept.write_text("earlier\n")
+        for path in (fresh, kept):
+            code, out, err = run(capsys, "salem", "table", "--system", SYSTEM,
+                                 "--grid", "1/4,3/4", "--digits", "0", "--out", str(path))
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"]["message"] == "decimal precision must be >= 1, got 0"
+        assert not fresh.exists() and kept.read_text() == "earlier\n"
+
     def test_mc(self, capsys):
         out = run_json(capsys, "salem", "mc", "--system", SYSTEM,
                        "--samples", "20000", "--seed", "3")
@@ -281,6 +292,18 @@ class TestGkCommands:
             "--params", "2,3")
         assert code == 2
         assert json.loads(err.strip().split("\n")[-1])["error"]["type"] == "domain"
+
+    def test_scan_all_rejected_writes_no_csv(self, capsys):
+        code, out, err = run(
+            capsys, "gk", "scan", "--q", "2",
+            "--family", json.dumps({"kind": "mod-filter", "m": 2, "c": 3}),
+            "--rhs", json.dumps({"const": "1/2"}),
+            "--params", "2,3")
+        assert code == 2 and out == ""
+        *warnings, last = err.strip().split("\n")
+        assert [json.loads(w)["warning"]["param"] for w in warnings] == [2, 3]
+        assert json.loads(last)["error"] == {
+            "type": "domain", "message": "no parameter in the scan produced bounds"}
 
 
 # ---------------------------------------------------------------------------
@@ -432,18 +455,18 @@ class TestErrors:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == {"type": "domain", "message": message}
 
-    @pytest.mark.parametrize("argv, header", [
-        (("salem", "table", "--system", SYSTEM, "--grid", "1/3"), "x,g,err_bound"),
-        (("gk", "scan", "--q", "2", "--family", '{"kind": "const-repeat", "m": 2}',
-          "--rhs", '{"const": "1/2"}', "--params", "1:2"), "n,lower,upper,decided_mass"),
+    @pytest.mark.parametrize("argv", [
+        ("salem", "table", "--system", SYSTEM, "--grid", "1/3"),
+        ("gk", "scan", "--q", "2", "--family", '{"kind": "const-repeat", "m": 2}',
+         "--rhs", '{"const": "1/2"}', "--params", "1:2"),
     ], ids=["salem-table", "gk-scan"])
-    def test_decimal_precision_over_the_limit_is_refused(self, capsys, argv, header):
-        # 10**2000000 and its decimal string took more than 20 s; as with
-        # --digits 0, the header is out before the first value is rendered
+    def test_decimal_precision_over_the_limit_is_refused(self, capsys, argv):
+        # 10**2000000 and its decimal string took more than 20 s; the
+        # rows are rendered before the CSV header is written
         start = time.perf_counter()
         code, out, err = run(capsys, *argv, "--digits", str(MAX_EXPONENT + 1))
         assert time.perf_counter() - start < 1
-        assert code == 2 and out == header + "\n"
+        assert code == 2 and out == ""
         assert json.loads(err)["error"] == {
             "type": "domain",
             "message": f"decimal precision {MAX_EXPONENT + 1} exceeds the limit of {MAX_EXPONENT}"}

@@ -1,5 +1,7 @@
 """Shift operators, deletion operators, programs, and rewriting."""
 
+import itertools
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -509,10 +511,151 @@ class TestGeneratorRules:
 
 
 # ---------------------------------------------------------------------------
+# Refused inputs
+# ---------------------------------------------------------------------------
+
+def _composed(psi):
+    return {"psi": psi, "phi": {"kind": "const-repeat", "m": 2}}
+
+
+REFUSALS = {
+    "atom-form": (lambda: Atom.from_json({"shift": 1}),
+                  "unknown atom form {'shift': 1}"),
+    "table-past-end": (lambda: ShiftProgram.from_generator(
+                           _composed({"kind": "table", "values": [2]}), 2),
+                       "table schedule has 1 entries; step 2 undefined"),
+    "schedule-kind": (lambda: ShiftProgram.from_generator(
+                          _composed({"kind": "const-repeat", "m": 2}), 1),
+                      "schedule kind 'const-repeat' cannot produce indices"),
+    "rule-not-object": (lambda: ShiftProgram.from_generator([2], 1),
+                        "generator rule must be an object"),
+    "const-repeat-no-count": (lambda: ShiftProgram.from_generator(
+                                  {"kind": "const-repeat", "m": 2}),
+                              "const-repeat rule needs a repetition count"),
+    "const-repeat-negative": (lambda: ShiftProgram.from_generator(
+                                  {"kind": "const-repeat", "m": 2}, -1),
+                              "repetition count must be >= 0"),
+    "mod-filter-modulus": (lambda: ShiftProgram.from_generator(
+                               {"kind": "mod-filter", "m": 2, "c": 0}, 1),
+                           "mod-filter modulus must be >= 1"),
+    "mod-filter-no-count": (lambda: ShiftProgram.from_generator(
+                                {"kind": "mod-filter", "m": 2, "c": 3}),
+                            "mod-filter rule needs a repetition count"),
+    "affine-no-length": (lambda: ShiftProgram.from_generator(
+                             {"kind": "affine", "a": 1, "b": 1}),
+                         "affine rule needs a word length"),
+    "rule-kind": (lambda: ShiftProgram.from_generator({"kind": "spiral"}, 1),
+                  "unknown generator rule kind 'spiral'"),
+    "non-atom": (lambda: ShiftProgram((SIGMA, 2)),
+                 "program word must contain atoms, got 2"),
+    "sigma-power": (lambda: ShiftProgram.sigma_power(-1),
+                    "shift power must be >= 0"),
+    "program-not-object": (lambda: ShiftProgram.from_json([{"sigma": None}]),
+                           "program JSON must be an object"),
+    "shift-count": (lambda: shift_n(F(1, 3), QSequence.constant(2), -1),
+                    "shift count must be >= 0, got -1"),
+    "position": (lambda: drop_positions(expand_exact(F(1, 3), QSequence.constant(2)), [0]),
+                 "digit positions must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refused_input_names_its_fault(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
 # Rewriting
 # ---------------------------------------------------------------------------
 
+def _count_sigmas_from(word, start) -> int:
+    n = 0
+    while start + n < len(word) and word[start + n].kind == "sigma":
+        n += 1
+    return n
+
+
+def normalize_oracle(program: ShiftProgram) -> ShiftProgram:
+    """Reference rewriter: the identities applied to a fixed point.
+
+    After GEN(1) -> SIGMA, it rescans from the left after every rewrite
+    and fires the first that applies: a run of deletions at 2 followed by
+    a shift, or a strictly increasing deletion run k_1 < ... < k_n
+    followed by at least k_n - 1 shifts.  Quadratic or worse in the word
+    length, so only for short words.
+    """
+    word = [SIGMA if (a.kind == "gen" and a.index == 1) else a
+            for a in program.word]
+    changed = True
+    while changed:
+        changed = False
+        for i, atom in enumerate(word):
+            if atom.kind != "gen":
+                continue
+            if atom.index == 2:
+                # maximal run of deletions at position 2
+                j = i
+                while j < len(word) and word[j] == Atom("gen", 2):
+                    j += 1
+                run = j - i
+                if _count_sigmas_from(word, j) >= 1:
+                    word[i:j + 1] = [SIGMA] * (run + 1)
+                    changed = True
+                    break
+            # maximal strictly increasing run starting here
+            j = i
+            last = 0
+            while (j < len(word) and word[j].kind == "gen"
+                   and word[j].index > last):
+                last = word[j].index
+                j += 1
+            n = j - i
+            need = last - 1
+            if n >= 1 and _count_sigmas_from(word, j) >= need:
+                word[i:j + need] = [SIGMA] * (last + n - 1)
+                changed = True
+                break
+    return ShiftProgram(tuple(word), program.generator)
+
+
 class TestNormalize:
+    def test_equals_oracle_on_every_short_word(self):
+        atoms = [SIGMA] + [GEN(m) for m in range(1, 6)]
+        count = 0
+        for n in range(6):
+            for word in itertools.product(atoms, repeat=n):
+                p = ShiftProgram(word)
+                assert normalize_program(p) == normalize_oracle(p), word
+                count += 1
+        assert count == 9331
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(SIGMA), st.builds(GEN, st.integers(1, 12))),
+                    max_size=30),
+           st.sampled_from([None, {"kind": "const-repeat", "m": 2}]))
+    def test_equals_oracle(self, word, generator):
+        p = ShiftProgram(tuple(word), generator)
+        out = normalize_program(p)
+        assert out == normalize_oracle(p)
+        assert out.generator == generator
+
+    def test_alternating_word_collapses(self):
+        # every GEN(3) sees at least two shifts once the ones to its
+        # right have become shifts
+        word = (GEN(3), SIGMA) * 5000 + (SIGMA,)
+        assert normalize_program(ShiftProgram(word)).word == (SIGMA,) * 10001
+
+    def test_long_increasing_run_is_linear(self):
+        # GEN(2), ..., GEN(20001) with no shift after it stays as it is;
+        # rescanning the run from every start took 20 s
+        start = time.perf_counter()
+        p = ShiftProgram.from_generator({"kind": "affine", "a": 1, "b": 1}, 20000)
+        out = normalize_program(p)
+        assert time.perf_counter() - start < 1
+        assert out == p
+
     def test_deletion_at_one_is_shift(self):
         p = normalize_program(ShiftProgram((GEN(1), GEN(1))))
         assert p.word == (SIGMA, SIGMA)

@@ -47,8 +47,9 @@ class DomainError(ValueError):
 class InsufficientDepthError(ValueError):
     """A digit string does not carry enough known digits for the request.
 
-    `required` holds the minimal prefix length that would have sufficed,
-    when the caller can compute it.
+    `required` holds the minimal prefix length that would have sufficed;
+    every raise in the package sets it.  A step past the end of a finite
+    schedule is a DomainError instead: no deeper string would help.
     """
 
     def __init__(self, message, required=None):

@@ -331,6 +331,7 @@ class McMeasure:
 
 _INT64_LIMIT = 2**62
 _FLOAT_BAND = 1e-9
+_MC_CHUNK = 65536  # most samples one chunk draws
 
 
 def _mc_depth(q: QSequence, req: int, extra: int) -> int:
@@ -351,7 +352,7 @@ def _mc_depth(q: QSequence, req: int, extra: int) -> int:
 
 
 def measure_mc(spec: GKSetSpec, samples: int, seed: int,
-               extra_depth: int = 32, chunk: int = 65536) -> McMeasure:
+               extra_depth: int = 32) -> McMeasure:
     """Estimate the measure by sampling digit strings uniformly.
 
     Each sample is a digit prefix deep enough that membership is decided
@@ -362,9 +363,12 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     (counted as misses).  The one exception is a tie with a `ProgramOnZ`
     threshold, equal image numerators over equal denominators: both
     images then agree for every tail, so the sample is a hit for "ge"
-    however wide its cylinder.  Deterministic for fixed (samples, seed);
-    `samples` runs from 1 to `MAX_SAMPLES` (10**7).  A chunk draws at most
-    `chunk` samples, and at least one.
+    however wide its cylinder.
+
+    The result is fixed by (spec, samples, seed, extra_depth), the
+    inputs it records (`depth` follows from the spec and `extra_depth`).
+    `samples` runs from 1 to `MAX_SAMPLES` (10**7), drawn in chunks of
+    at most 65536.
     """
     import numpy as np
 
@@ -372,7 +376,6 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
         raise DomainError("need at least 1 sample")
     if samples > MAX_SAMPLES:
         raise DomainError(f"samples {samples} exceed the limit of {MAX_SAMPLES}")
-    chunk = max(1, chunk)
     depth = _mc_depth(spec.q, spec.required_depth, extra_depth)
     qv = spec.q.values(0, depth)
     wl, dl = _image_weights(spec.lhs.word, qv)
@@ -399,7 +402,7 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     hits = 0
     done = 0
     while done < samples:
-        m = min(chunk, samples - done)
+        m = min(_MC_CHUNK, samples - done)
         digs = np.empty((depth, m), dtype=np.int64)
         for i in range(depth):
             digs[i] = rng.integers(0, qv[i], size=m)

@@ -103,7 +103,9 @@ class QSequence:
     The sequence is prefix[0], prefix[1], ..., then cycle repeated forever.
     Users build one of three declared kinds (see the classmethods); shift
     and digit-drop operations return derived sequences in the same closed
-    form, so downstream arithmetic stays exact.
+    form, so downstream arithmetic stays exact.  Equality, hashing, `repr`
+    and `to_json` all read the normal form `canonical()`; `to_json` names
+    the kind from it.
 
     A loop over positions reads its base values as one window from
     `values`, not one `at` call per position.
@@ -111,7 +113,6 @@ class QSequence:
 
     prefix: tuple[int, ...]
     cycle: tuple[int, ...]
-    kind: str = "derived"
 
     def __post_init__(self):
         if not self.cycle:
@@ -123,12 +124,12 @@ class QSequence:
     @classmethod
     def constant(cls, q: int) -> "QSequence":
         """The constant sequence q, q, q, ... (ordinary base-q digits)."""
-        return cls((), (int(q),), "constant")
+        return cls((), (int(q),))
 
     @classmethod
     def periodic(cls, values) -> "QSequence":
         """The purely periodic sequence repeating `values` forever."""
-        return cls((), tuple(int(v) for v in values), "periodic")
+        return cls((), tuple(int(v) for v in values))
 
     @classmethod
     def explicit(cls, values) -> "QSequence":
@@ -136,7 +137,7 @@ class QSequence:
         vals = tuple(int(v) for v in values)
         if not vals:
             raise DomainError("explicit base sequence needs at least one value")
-        return cls(vals[:-1], (vals[-1],), "explicit")
+        return cls(vals[:-1], (vals[-1],))
 
     def at(self, k: int) -> int:
         """The k-th base value, 1-indexed."""

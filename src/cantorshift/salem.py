@@ -50,8 +50,7 @@ from math import lcm, sqrt
 from typing import Optional, Union
 
 from .errors import (
-    MAX_POINTS, MAX_SAMPLES, DomainError, InsufficientDepthError, InvalidSystemError,
-    json_decoder,
+    MAX_POINTS, MAX_SAMPLES, DomainError, InvalidSystemError, json_decoder,
 )
 from .numeral import (
     ONE,
@@ -104,7 +103,7 @@ class Reorder:
     kind "identity" reads positions 1, 2, 3, ...; kind "rule" applies a
     named bijection of the positive integers (currently "swap-pairs",
     which transposes 1<->2, 3<->4, ...); kind "list" reads an explicit
-    finite schedule and refuses past its end.
+    finite schedule of positions >= 1 and refuses past its end.
     """
 
     kind: str = "identity"
@@ -120,6 +119,9 @@ class Reorder:
                            tuple(int(v) for v in self.values))
         if self.kind == "list" and not self.values:
             raise DomainError("list reorder needs at least one entry")
+        if self.kind == "list" and min(self.values) < 1:
+            raise DomainError(
+                f"list reorder positions must be >= 1, got {min(self.values)}")
 
     def position(self, k: int) -> int:
         """The digit position consumed at step k (both 1-indexed)."""
@@ -130,7 +132,7 @@ class Reorder:
         if self.kind == "rule":
             return _RULES[self.name][0](k)
         if k > len(self.values):
-            raise InsufficientDepthError(
+            raise DomainError(
                 f"reorder schedule has {len(self.values)} steps; step {k} undefined")
         return self.values[k - 1]
 
@@ -212,8 +214,8 @@ class SalemSystem:
                    horizon=horizon, strict_reorder=strict_reorder)
 
     @classmethod
-    def matrix(cls, columns, horizon: int = 64) -> "SalemSystem":
-        return cls(columns=tuple(tuple(c) for c in columns), horizon=horizon)
+    def matrix(cls, columns) -> "SalemSystem":
+        return cls(columns=tuple(tuple(c) for c in columns))
 
     @property
     def q(self) -> int:
@@ -244,7 +246,7 @@ class SalemSystem:
         """Weight tuple applied to digit position n."""
         i = self._column(n)
         if i >= len(self._columns):
-            raise InsufficientDepthError(
+            raise DomainError(
                 f"system has {len(self._columns)} columns; position {n} undefined")
         return self._columns[i]
 
@@ -627,22 +629,26 @@ class McMean:
 
 
 _MC_CAP = 20_000
-_MC_BLOCK_BYTES = 64 * 2**20  # cap on one chunk's digit block
+_MC_CHUNK = 65536  # most rows of digits one chunk draws
+_MC_BLOCK_BYTES = 64 * 2**20  # cap on one chunk's digit block, and on one row
 _MC_ROWS = 4096  # rows summed together: their float buffers stay in L2
 # terms between checks for a block whose rows are all frozen, so that no
 # later term can move a row's float sum (see mc_mean)
 _MC_LIVE_EVERY = 64
 
 
-def mc_mean(system: SalemSystem, samples: int, seed: int,
-            chunk: int = 65536) -> McMean:
+def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
     """Sample the mean by drawing digit strings uniformly.
 
-    The series is cut at enough terms for a 1e-9 tail bound (capped);
-    the remaining bias is far below the reported standard error at
-    practical sample sizes.  `samples` runs from 2 to `MAX_SAMPLES`
-    (10**7).  A chunk draws at most `chunk` rows of digits from numpy's
-    seeded generator, and fewer when the digit block would exceed 64 MiB.
+    The result is fixed by (system, samples, seed), the inputs it
+    records.  The series is cut at enough terms for a 1e-9 tail bound
+    (capped); the remaining bias is far below the reported standard
+    error at practical sample sizes.  `samples` runs from 2 to
+    `MAX_SAMPLES` (10**7).  One sample reads the digits up to the
+    largest position its terms consume; a schedule whose row of those
+    digits exceeds 64 MiB is refused before numpy is loaded.  A chunk
+    draws at most 65536 rows of digits from numpy's seeded generator,
+    and fewer when the digit block would exceed 64 MiB.
 
     The digits are those of `rng.integers(0, q, dtype=int8)` (int64 for
     q >= 128), one row after another.  For q = 2**k <= 64 that bounded
@@ -664,11 +670,8 @@ def mc_mean(system: SalemSystem, samples: int, seed: int,
     exceeds |v| * 2**-55, less than a quarter ulp of v.  v + term then
     rounds back to v, also for a negative term when v is a power of two,
     and v = 0 gains only a signed zero.  The float operations on each row
-    are the ones of the plain per-term loop, in the same order, so the
-    result is bit-identical for a fixed (samples, seed, chunk).
+    are the ones of the plain per-term loop, in the same order.
     """
-    import numpy as np
-
     ensure_valid(system)
     if samples < 2:
         raise DomainError("need at least 2 samples")
@@ -685,6 +688,12 @@ def mc_mean(system: SalemSystem, samples: int, seed: int,
     terms = k_tol if limit is None else min(k_tol, limit)
     positions = [system.reorder.position(t) for t in range(1, terms + 1)]
     maxpos = max(positions, default=1)
+    size = 1 if q <= 127 else 8  # bytes per digit: int8 or int64
+    if maxpos * size > _MC_BLOCK_BYTES:
+        raise DomainError(
+            f"a sample reads digit position {maxpos}: {maxpos * size} bytes "
+            f"of digits exceed the limit of {_MC_BLOCK_BYTES}")
+    import numpy as np
 
     # int / int rounds correctly, as float(Fraction) does
     used = system._step_rows[:terms]  # a matrix is read in identity order
@@ -693,8 +702,8 @@ def mc_mean(system: SalemSystem, samples: int, seed: int,
     at = map(system._column, positions)
     steps = [(b_rows[i], p_rows[i], n - 1) for i, n in zip(at, positions)]
 
-    dtype = np.int8 if q <= 127 else np.int64
-    chunk = max(1, min(chunk, _MC_BLOCK_BYTES // (maxpos * np.dtype(dtype).itemsize)))
+    dtype = np.int8 if size == 1 else np.int64
+    chunk = min(_MC_CHUNK, _MC_BLOCK_BYTES // (maxpos * size))
     # q = 2**k <= 64: draw raw words, and shift each byte down by 8 - k
     raw = q <= 64 and q & (q - 1) == 0
     shift = 9 - q.bit_length() if raw else 0

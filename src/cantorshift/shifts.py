@@ -110,21 +110,30 @@ def GEN(m: int) -> Atom:
     return Atom("gen", m)
 
 
-def _psi_index(rule: dict, j: int) -> int:
-    """Value of an index schedule at step j (1-indexed)."""
-    kind = rule.get("kind")
+def _word(step: Union[Atom, dict], count: int) -> tuple[Atom, ...]:
+    """The word of a generator rule from its plan (see `_rule_plan`): the
+    atom `step` repeated `count` times, or the deletions GEN(psi(1)),
+    ..., GEN(psi(count)) of the index schedule psi = `step`.  A schedule
+    is read and checked once, and not at all for a count below 1."""
+    if isinstance(step, Atom):
+        return (step,) * count
+    if count < 1:
+        return ()
+    kind = step.get("kind")
     if kind == "affine":
-        a, b = int(rule["a"]), int(rule["b"])
+        a, b = int(step["a"]), int(step["b"])
         if a < 0 or a + b < 1:
             raise DomainError(
                 f"affine schedule a={a}, b={b} must keep indices >= 1")
-        return a * j + b
+        return tuple(GEN(a * j + b) for j in range(1, count + 1))
     if kind == "table":
-        values = rule.get("values", [])
-        if j > len(values):
+        values = step.get("values", [])
+        n = len(values)
+        word = tuple(GEN(int(values[j])) for j in range(min(count, n)))
+        if count > n:
             raise DomainError(
-                f"table schedule has {len(values)} entries; step {j} undefined")
-        return int(values[j - 1])
+                f"table schedule has {n} entries; step {n + 1} undefined")
+        return word
     raise DomainError(f"schedule kind {kind!r} cannot produce indices")
 
 
@@ -139,8 +148,9 @@ def _word_length(count) -> int:
     return count
 
 
-def _rule_word(rule: dict, k: Optional[int]) -> tuple[Atom, ...]:
-    """Expand a generator rule into a word of atoms.
+def _rule_plan(rule: dict, k: Optional[int]) -> tuple[Union[Atom, dict], int]:
+    """(step, count) of a generator rule, whose word is `_word(step,
+    count)`: a repeated atom, or an index schedule's deletions.
 
     `k` is the family parameter (word length / repetition count); rules
     that carry their own count use it as a default.
@@ -155,7 +165,7 @@ def _rule_word(rule: dict, k: Optional[int]) -> tuple[Atom, ...]:
         count, m = _word_length(count), int(rule["m"])
         if count < 0:
             raise DomainError("repetition count must be >= 0")
-        return (GEN(m),) * count
+        return GEN(m), count
     if kind == "mod-filter":
         m, c = int(rule["m"]), int(rule["c"])
         if c < 1:
@@ -166,24 +176,26 @@ def _rule_word(rule: dict, k: Optional[int]) -> tuple[Atom, ...]:
         if k % c != 1 % c:
             raise DomainError(
                 f"count {k} not admitted by mod-filter: need k = 1 (mod {c})")
-        return (GEN(m),) * k
+        return GEN(m), k
     if kind == "affine":
         if k is None:
             raise DomainError("affine rule needs a word length")
-        return tuple(GEN(_psi_index(rule, j)) for j in range(1, _word_length(k) + 1))
+        return rule, _word_length(k)
     if kind == "table":
         values = rule.get("values", [])
         count = _word_length(len(values) if k is None else k)
         if count > len(values):
             raise DomainError(
                 f"table rule has {len(values)} entries, requested {count}")
-        return tuple(GEN(_psi_index(rule, j)) for j in range(1, count + 1))
+        return rule, count
     if "psi" in rule and "phi" in rule:
         # composed family: the admission rule `phi` fixes the word length,
-        # the schedule `psi` supplies the deletion indices
-        inner = _rule_word(rule["phi"], k)
-        return tuple(GEN(_psi_index(rule["psi"], j))
-                     for j in range(1, len(inner) + 1))
+        # the schedule `psi` supplies the deletion indices.  Only an
+        # index schedule in `phi` is expanded, to check its indices
+        step, count = _rule_plan(rule["phi"], k)
+        if not isinstance(step, Atom):
+            _word(step, count)
+        return rule["psi"], count
     raise DomainError(f"unknown generator rule kind {kind!r}")
 
 
@@ -217,7 +229,7 @@ class ShiftProgram:
     @classmethod
     @json_decoder
     def from_generator(cls, rule: dict, k: Optional[int] = None) -> "ShiftProgram":
-        return cls(_rule_word(rule, k), generator=dict(rule))
+        return cls(_word(*_rule_plan(rule, k)), generator=dict(rule))
 
     @property
     def required_depth(self) -> int:

@@ -263,6 +263,21 @@ class TestGkCommands:
         assert lines[0] == "n,lower,upper,decided_mass"
         assert [ln.split(",")[1] for ln in lines[1:]] == ["1/2"] * 3
 
+    def test_scan_fixed_depth(self, capsys):
+        # --depth sets one rank for every row, in place of consumed + offset
+        family, rhs = {"kind": "const-repeat", "m": 2}, {"programOnZ": {"word": []}}
+        argv = ("gk", "scan", "--q", "2", "--family", json.dumps(family),
+                "--rhs", json.dumps(rhs), "--params", "1:3")
+        code, out, err = run(capsys, *argv, "--depth", "9")
+        assert code == 0 and err == ""
+        make = cantorshift.generator_family(cantorshift.QSequence.constant(2), family,
+                                            cantorshift.rhs_from_json(rhs), "lt")
+        want = [cantorshift.measure_bounds(make(n), 9).to_json() for n in (1, 2, 3)]
+        assert out.split("\n")[1:] == [
+            f"{n},{b['lower']},{b['upper']},{b['decided_mass']}"
+            for n, b in zip((1, 2, 3), want)] + [""]
+        assert out != run(capsys, *argv)[1]
+
     def test_scan_decimal_mode(self, capsys):
         code, out, err = run(
             capsys, "gk", "scan", "--q", "2",
@@ -477,6 +492,48 @@ class TestErrors:
         assert code == 3
         obj = json.loads(err)["error"]
         assert obj["type"] == "insufficient-depth" and obj["required"] == 2
+
+    @pytest.mark.parametrize("system, k, message", [
+        ({"q": 2, "columns": [["1/3", "2/3"]]}, 2,
+         "system has 1 columns; position 2 undefined"),
+        ({"q": 2, "p": ["1/3", "2/3"], "reorder": {"kind": "list", "values": [2, 1]}}, 3,
+         "reorder schedule has 2 steps; step 3 undefined"),
+    ], ids=["columns", "list"])
+    def test_equation_past_the_schedule_is_a_domain_error(self, capsys, system, k, message):
+        # running off the end of a schedule is not a lack of digits: no
+        # string, however deep, has an equation k there
+        code, out, err = run(capsys, "salem", "residual", "--system", json.dumps(system),
+                             "--x", "1/3", "--k", str(k))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"type": "domain", "message": message}
+
+    @pytest.mark.parametrize("values, message", [
+        ([1, 10**12], "a sample reads digit position 1000000000000: 1000000000000 "
+                      "bytes of digits exceed the limit of 67108864"),
+        ([1, 0], "list reorder positions must be >= 1, got 0"),
+    ], ids=["far", "zero"])
+    def test_mc_refuses_a_schedule_it_cannot_draw(self, capsys, monkeypatch, values, message):
+        # the far position once allocated 931 GiB, and position 0 read
+        # digit column -1; both are refused before any draw
+        monkeypatch.setattr(np.random, "default_rng", None)
+        system = json.dumps({"q": 2, "p": ["1/3", "2/3"], "horizon": 1,
+                             "reorder": {"kind": "list", "values": values}})
+        code, out, err = run(capsys, "salem", "mc", "--system", system,
+                             "--samples", "10", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"type": "domain", "message": message}
+
+    @pytest.mark.parametrize("params, message", [
+        ("a:b", "parameter range must be int:int, got 'a:b'"),
+        ("3:1", "empty parameter range '3:1'"),
+        ("1,x", "digit list must be comma-separated integers: '1,x'"),
+    ], ids=["range", "empty-range", "list"])
+    def test_scan_parameters_must_be_integers(self, capsys, params, message):
+        code, out, err = run(capsys, "gk", "scan", "--q", "2",
+                             "--family", json.dumps({"kind": "const-repeat", "m": 2}),
+                             "--rhs", json.dumps({"const": "1/2"}), "--params", params)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"type": "domain", "message": message}
 
     def test_invalid_system_exit_code(self, capsys):
         bad = json.dumps({"q": 2, "p": ["1/3", "1/3"]})

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from math import sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -219,13 +220,6 @@ class TestSampling:
         with pytest.raises(DomainError):
             measure_mc(shift_below(Q2, 1, F(1, 3)), samples=0, seed=0)
 
-    @pytest.mark.parametrize("chunk", [0, -3])
-    def test_chunk_below_one_draws_one_sample_at_a_time(self, chunk):
-        # a chunk of 0 drew no sample per pass and never returned
-        spec = shift_below(Q2, 1, F(1, 3))
-        assert (measure_mc(spec, samples=50, seed=3, chunk=chunk)
-                == measure_mc(spec, samples=50, seed=3, chunk=1))
-
     def test_sample_count_capped_before_drawing(self, monkeypatch):
         spec = shift_below(Q2, 1, F(1, 3))
         monkeypatch.setattr(gk_module, "MAX_SAMPLES", 1000)
@@ -233,6 +227,24 @@ class TestSampling:
         monkeypatch.setattr(np.random, "default_rng", None)
         with pytest.raises(DomainError, match="limit of 1000"):
             measure_mc(spec, samples=1001, seed=0)
+
+
+# name -> (call, exact message): one DomainError case per refusal branch
+REFUSALS = {
+    "spec-json": (lambda: GKSetSpec.from_json([1]), "set spec JSON must be an object"),
+    "threshold-json": (lambda: rhs_from_json("1/2"), "threshold JSON must be an object"),
+    "threshold-form": (lambda: rhs_from_json({"value": "1/2"}),
+                       "unknown threshold form: ['value']"),
+    "relation": (lambda: shift_below(Q2, 1, F(1, 3), "le"),
+                 "relation must be \"lt\" or \"ge\", got 'le'"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refused_input_names_its_fault(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message
 
 
 def measure_mc_by_columns(spec, samples, seed, extra_depth=32, chunk=65536):
@@ -322,7 +334,8 @@ class TestSamplingKernel:
         if chunk == 7:
             samples = min(samples, 100)
         want = measure_mc_by_columns(spec, samples, seed, extra, **kw)
-        assert measure_mc(spec, samples, seed, extra, **kw) == want
+        with mock.patch.object(gk_module, "_MC_CHUNK", chunk or gk_module._MC_CHUNK):
+            assert measure_mc(spec, samples, seed, extra) == want
 
     @pytest.mark.parametrize("name", sorted(TIE_SPECS))
     def test_tied_samples_count_as_ge(self, name):

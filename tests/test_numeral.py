@@ -597,3 +597,44 @@ class TestParseExponentCap:
     def test_other_malformed_text_is_still_refused(self, text):
         with pytest.raises(DomainError, match="not a rational number"):
             parse_rational(text)
+
+
+# ---------------------------------------------------------------------------
+# Refusals
+# ---------------------------------------------------------------------------
+
+Q2 = QSequence.constant(2)
+
+# name -> (call, error type, exact message): one case per refusal branch
+# that no other test runs
+REFUSALS = {
+    "explicit-empty": (lambda: QSequence.explicit([]), DomainError,
+                       "explicit base sequence needs at least one value"),
+    "base-index": (lambda: Q2.at(0), DomainError, "base index must be >= 1, got 0"),
+    "shift-count": (lambda: Q2.shift(-1), DomainError, "shift count must be >= 0"),
+    "removal-index": (lambda: Q2.remove_at(0), DomainError,
+                      "removal index must be >= 1, got 0"),
+    "constant-values": (lambda: QSequence.from_json({"kind": "constant", "values": [2, 3]}),
+                        DomainError, "constant base takes exactly one value"),
+    "base-kind": (lambda: QSequence.from_json({"kind": "spiral"}), DomainError,
+                  "unknown base kind 'spiral'"),
+    "tail-form": (lambda: Tail.from_json("one"), DomainError, "unknown tail form 'one'"),
+    "periodic-empty": (lambda: periodic_tail([]), DomainError,
+                       "periodic tail needs a nonempty pattern"),
+    "truncated-negative": (lambda: truncated_tail(-1), DomainError,
+                           "truncation depth must be >= 0"),
+    "digit-index": (lambda: DigitString(Q2, (1,)).digit(0), DomainError,
+                    "digit index must be >= 1"),
+    "materialize-truncated": (lambda: DigitString(Q2, (1,), truncated_tail(1)).digits_to(3),
+                              InsufficientDepthError,
+                              "cannot materialize to depth 3: truncated at 1"),
+    "expand-depth": (lambda: expand(F(1, 3), Q2, 0), DomainError,
+                     "depth must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refused_input_names_its_fault(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -1,5 +1,6 @@
 """Digit-weight series systems: evaluation, residuals, integrals, sampling."""
 
+import sys
 from fractions import Fraction as F
 from math import sqrt
 from unittest import mock
@@ -37,6 +38,15 @@ TOL = F(1, 10**12)
 
 def fixed(ps, **kw):
     return SalemSystem.fixed([F(p) for p in ps], **kw)
+
+
+def mc_mean_at_chunk(system, samples, seed, chunk=None):
+    """`mc_mean` with at most `chunk` rows drawn per chunk (None: the
+    module's own `_MC_CHUNK`)."""
+    if chunk is None:
+        return mc_mean(system, samples, seed)
+    with mock.patch.object(salem_module, "_MC_CHUNK", chunk):
+        return mc_mean(system, samples, seed)
 
 
 @st.composite
@@ -568,6 +578,94 @@ class TestValidation:
 
 
 # ---------------------------------------------------------------------------
+# Refusals
+# ---------------------------------------------------------------------------
+
+ONE_COLUMN = SalemSystem.matrix([[F(1, 3), F(2, 3)]])
+LAX = dict(strict_reorder=False)
+
+# name -> (call, error type, exact message): one case per refusal branch
+REFUSALS = {
+    "reorder-kind": (lambda: Reorder("spiral"), DomainError,
+                     "unknown reorder kind 'spiral'"),
+    "reorder-rule": (lambda: Reorder("rule", name="spiral"), DomainError,
+                     "unknown reorder rule 'spiral'"),
+    "list-empty": (lambda: Reorder("list"), DomainError,
+                   "list reorder needs at least one entry"),
+    "list-position": (lambda: Reorder("list", values=(1, 0)), DomainError,
+                      "list reorder positions must be >= 1, got 0"),
+    "step-index": (lambda: Reorder().position(0), DomainError,
+                   "step index must be >= 1, got 0"),
+    "step-past-list": (lambda: Reorder("list", values=(2, 1)).position(3), DomainError,
+                       "reorder schedule has 2 steps; step 3 undefined"),
+    "reorder-json-kind": (lambda: Reorder.from_json({"kind": "spiral"}), DomainError,
+                          "unknown reorder kind 'spiral'"),
+    "weights-or-columns": (lambda: SalemSystem(), DomainError,
+                           "a system takes either a weight tuple or columns"),
+    "horizon": (lambda: fixed(["1/2", "1/2"], horizon=0), DomainError,
+                "horizon must be >= 1"),
+    "column-past-end": (lambda: ONE_COLUMN.p_row(2), DomainError,
+                        "system has 1 columns; position 2 undefined"),
+    "system-json": (lambda: SalemSystem.from_json({"q": 2}), DomainError,
+                    'system JSON needs "p" or "columns"'),
+    "alphabet": (lambda: ensure_valid(fixed(["1"])), InvalidSystemError,
+                 "invalid system: alphabet at column 1: needs >= 2 weights, got 1"),
+    "tolerance": (lambda: evaluate(F(1, 2), 2, fixed(["1/3", "2/3"]), tol=0), DomainError,
+                  "tolerance must be > 0, got 0"),
+    "alphabet-size": (lambda: evaluate(F(1, 2), "2", fixed(["1/3", "2/3"])), DomainError,
+                      "alphabet size must be an integer >= 2, got '2'"),
+    "string-base": (lambda: evaluate(DigitString(QSequence.constant(3), (1,)), 2,
+                                     fixed(["1/3", "2/3"])), DomainError,
+                    "digit string base does not match q"),
+    "equation-index": (lambda: residual(F(1, 2), 2, fixed(["1/3", "2/3"]), 0), DomainError,
+                       "equation index must be >= 1, got 0"),
+    "equation-past-columns": (lambda: residual(F(1, 3), 2, ONE_COLUMN, 2), DomainError,
+                              "system has 1 columns; position 2 undefined"),
+    "equation-past-list": (lambda: residual(F(1, 3), 2, fixed(["1/3", "2/3"],
+                                            reorder=Reorder("list", values=(2, 1))), 3),
+                           DomainError, "reorder schedule has 2 steps; step 3 undefined"),
+    "exact-mean": (lambda: integral(fixed(["1/2", "1/2"], reorder=Reorder("list", values=(1, 1)),
+                                          **LAX)), DomainError,
+                   "exact mean needs an injective reorder; use the sampling estimate"),
+    "mc-far-position": (lambda: mc_mean(fixed(["1/3", "2/3"], horizon=1,
+                                              reorder=Reorder("list", values=(1, 10**12))),
+                                        10, 1), DomainError,
+                        "a sample reads digit position 1000000000000: 1000000000000 "
+                        "bytes of digits exceed the limit of 67108864"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refused_input_names_its_fault(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+class TestMcRowCap:
+    def test_refused_before_numpy_is_imported(self, monkeypatch):
+        # a row of 10**12 one-byte digits would take 931 GiB
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        s = fixed(["1/3", "2/3"], reorder=Reorder("list", values=(1, 10**12)), **LAX)
+        with pytest.raises(DomainError, match="limit of 67108864$"):
+            mc_mean(s, 10, 1)
+
+    @pytest.mark.parametrize("q, size", [(2, 1), (128, 8)])
+    def test_a_row_may_fill_the_cap(self, monkeypatch, q, size):
+        # int8 digits below q = 128, int64 from it on: a row of `last`
+        # digits takes last * size bytes
+        monkeypatch.setattr(salem_module, "_MC_BLOCK_BYTES", 96)
+        weights = [F(1, q)] * q
+        last = 96 // size
+        r = mc_mean(SalemSystem.fixed(weights, reorder=Reorder("list", values=(last, 1)),
+                                      **LAX), 5, 3)
+        assert r.samples == 5 and r.terms == 2
+        s = SalemSystem.fixed(weights, reorder=Reorder("list", values=(last + 1, 1)), **LAX)
+        with pytest.raises(DomainError, match=f"{(last + 1) * size} bytes"):
+            mc_mean(s, 5, 3)
+
+
+# ---------------------------------------------------------------------------
 # Integrals and sampling
 # ---------------------------------------------------------------------------
 
@@ -621,20 +719,20 @@ class TestIntegral:
         # floats recorded before chunks were capped by the digit block's
         # size; these blocks fit under the cap, so nothing changes
         cases = [
-            (fixed(["1/3", "2/3"]), 5000, 11, {},
+            (fixed(["1/3", "2/3"]), 5000, 11, None,
              0.3396862061398122, 0.0036991173160572954, 54),
-            (fixed(["97/100", "3/100"]), 3000, 5, {},
+            (fixed(["97/100", "3/100"]), 3000, 5, None,
              0.9707092602279245, 0.000735869239161165, 796),
-            (fixed(["7/10", "-1/5", "1/2"]), 4000, 3, {},
+            (fixed(["7/10", "-1/5", "1/2"]), 4000, 3, None,
              0.5989196607024114, 0.0029339442315583996, 62),
-            (fixed(["1/4", "3/4"], reorder=SWAP), 3000, 2, {},
+            (fixed(["1/4", "3/4"], reorder=SWAP), 3000, 2, None,
              0.24879102463792258, 0.004105853082120415, 77),
             (SalemSystem.matrix([[F(k + 1, 2 * k + 3), F(k + 2, 2 * k + 3)]
-                                 for k in range(12)]), 2500, 9, {"chunk": 1000},
+                                 for k in range(12)]), 2500, 9, 1000,
              0.38296168358601, 0.0056344890814001135, 12),
         ]
-        for s, samples, seed, kw, mean, std_err, terms in cases:
-            r = mc_mean(s, samples, seed, **kw)
+        for s, samples, seed, chunk, mean, std_err, terms in cases:
+            r = mc_mean_at_chunk(s, samples, seed, chunk)
             assert (r.mean, r.std_err, r.terms) == (mean, std_err, terms)
 
     def test_mc_power_of_two_results_pinned(self):
@@ -642,18 +740,18 @@ class TestIntegral:
         # digits from raw 32-bit words.  The last case draws 7 * 54 = 378
         # digits per chunk, not a whole number of words
         cases = [
-            (fixed(["1/2", "-1/4", "1/2", "1/4"]), 4000, 6, {},
+            (fixed(["1/2", "-1/4", "1/2", "1/4"]), 4000, 6, None,
              0.4980290750009041, 0.0040535941316062404, 31),
             (fixed(["1/4", "1/16", "1/8", "1/16", "1/8", "1/8", "1/8", "1/8"],
-                   reorder=SWAP), 3000, 8, {},
+                   reorder=SWAP), 3000, 8, None,
              0.5350577695868702, 0.0047327993009766015, 16),
-            (SalemSystem.fixed([F(i + 1, 2080) for i in range(64)]), 2000, 64, {},
+            (SalemSystem.fixed([F(i + 1, 2080) for i in range(64)]), 2000, 64, None,
              0.33384643820411963, 0.006609386921548448, 6),
-            (fixed(["1/3", "2/3"]), 100, 7, {"chunk": 7},
+            (fixed(["1/3", "2/3"]), 100, 7, 7,
              0.3706574727049823, 0.026616704438755405, 54),
         ]
-        for s, samples, seed, kw, mean, std_err, terms in cases:
-            r = mc_mean(s, samples, seed, **kw)
+        for s, samples, seed, chunk, mean, std_err, terms in cases:
+            r = mc_mean_at_chunk(s, samples, seed, chunk)
             assert (r.mean, r.std_err, r.terms) == (mean, std_err, terms)
 
     def test_mc_sample_count_capped_before_drawing(self, monkeypatch):
@@ -789,7 +887,7 @@ class TestMcBlocks:
         samples = min(samples, max(2, 10000 // terms * min(rows, chunk or rows)))
         want = mc_mean_per_column(system, samples, seed, **kw)
         with mock.patch.object(salem_module, "_MC_ROWS", rows):
-            assert mc_mean(system, samples, seed, **kw) == want
+            assert mc_mean_at_chunk(system, samples, seed, chunk) == want
 
     def test_dead_blocks_stop_early(self):
         # 999/1000 runs 20000 terms, but a block stops once every row is

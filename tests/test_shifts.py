@@ -247,7 +247,7 @@ class CountingBase(QSequence):
     or as a window."""
 
     def __init__(self, value):
-        super().__init__((), (value,), "constant")
+        super().__init__((), (value,))
         object.__setattr__(self, "reads", 0)
 
     def at(self, k):
@@ -521,6 +521,8 @@ def _composed(psi):
 REFUSALS = {
     "atom-form": (lambda: Atom.from_json({"shift": 1}),
                   "unknown atom form {'shift': 1}"),
+    "atom-not-object": (lambda: Atom.from_json("sigma"),
+                        "atom must be an object, got 'sigma'"),
     "table-past-end": (lambda: ShiftProgram.from_generator(
                            _composed({"kind": "table", "values": [2]}), 2),
                        "table schedule has 1 entries; step 2 undefined"),

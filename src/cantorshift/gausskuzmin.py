@@ -29,6 +29,8 @@ exact, and the counts do not depend on the order of the walk.
 
 Only the sampler `measure_mc` uses numpy, and it imports numpy when
 called, so importing this module (or the package) does not load it.
+Its power-of-two digits come from `salem._words32`, the 64-bit word
+source it shares with `salem.mc_mean`.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .numeral import (
     format_rational,
     parse_rational,
 )
+from .salem import _words32
 from .shifts import ShiftProgram, _surviving_positions, apply_program
 
 __all__ = [
@@ -331,7 +334,7 @@ class McMeasure:
 
 _INT64_LIMIT = 2**62
 _FLOAT_BAND = 1e-9
-_MC_CHUNK = 65536  # most samples one chunk draws
+_MC_CHUNK = 65536  # most samples one chunk draws, and most raw words one draw takes
 
 
 def _mc_depth(q: QSequence, req: int, extra: int) -> int:
@@ -368,47 +371,88 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     The result is fixed by (spec, samples, seed, extra_depth), the
     inputs it records (`depth` follows from the spec and `extra_depth`).
     `samples` runs from 1 to `MAX_SAMPLES` (10**7), drawn in chunks of
-    at most 65536.
-    """
-    import numpy as np
+    at most 65536; `extra_depth` must be at least 1.
 
+    Position i's digits for a chunk of m samples are those of
+    `rng.integers(0, q_i, size=m)`, one position after another.  For
+    q_i = 2**k <= 2**32 that bounded draw (Lemire's method) takes each
+    digit as the top k bits of one 32-bit word and never rejects one,
+    so such a row is m words from `_words32` shifted down by 32 - k
+    instead.  The words are drawn as 64-bit ones, with the generator's
+    buffered half word carried into and out of the draw, which leaves
+    the stream where the bounded draws would.  Consecutive such rows
+    share one draw of at most 65536 words, since their words follow one
+    another in the stream.  Other bases keep the
+    bounded draw.  The image numerators of both sides are summed row by
+    row into two reused int64 buffers of length m, so no (depth x m)
+    block is built; the sums are exact, so the order does not change
+    them.
+    """
     if samples < 1:
         raise DomainError("need at least 1 sample")
     if samples > MAX_SAMPLES:
         raise DomainError(f"samples {samples} exceed the limit of {MAX_SAMPLES}")
+    if extra_depth < 1:
+        raise DomainError(f"extra depth must be >= 1, got {extra_depth}")
     depth = _mc_depth(spec.q, spec.required_depth, extra_depth)
     qv = spec.q.values(0, depth)
     wl, dl = _image_weights(spec.lhs.word, qv)
     wr, base_r, dr, tail_r = _resolve_rhs(spec, qv)
-    wl_vec = np.array(wl, dtype=np.int64)
     rhs_is_program = isinstance(spec.rhs, ProgramOnZ)
     want_lt = spec.relation == "lt"
     ties_hit = rhs_is_program and not want_lt and dl == dr
     dl_f = float(dl)
     if rhs_is_program:
-        wr_vec = np.array(wr, dtype=np.int64)
         dr_f = float(dr)
     else:
         # a fixed threshold may exceed int64, so it stays in Python ints;
         # images lie in [0, 1], so clamping to [-1, 2] keeps a finite float
         f_r = float(min(max(Fraction(base_r, dr), -1), 2))
+    # (q, shift, left weight, right weight, raw rows from here on) per
+    # position; q = 2**k <= 2**32 takes the top k bits of a raw word, any
+    # other q the bounded draw
+    rows = []
+    run = 0
+    for v, a, b in zip(reversed(qv), reversed(wl), reversed(wr)):
+        raw = v & (v - 1) == 0 and v <= 2**32
+        run = run + 1 if raw else 0
+        rows.append((v, 33 - v.bit_length() if raw else None, a, b, run))
+    rows.reverse()
 
     def exact_hit(lo_l: int, lo_r: int) -> bool:
         if want_lt:
             return (lo_l + 1) * dr <= lo_r * dl
         return lo_l * dr >= (lo_r + tail_r) * dl
 
+    import numpy as np
+
+    size = min(_MC_CHUNK, samples)
+    digs_buf, term_buf = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    lo_l_buf, lo_r_buf = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
     rng = np.random.default_rng(seed)
     hits = 0
     done = 0
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
-        digs = np.empty((depth, m), dtype=np.int64)
-        for i in range(depth):
-            digs[i] = rng.integers(0, qv[i], size=m)
-        lo_l = wl_vec @ digs
+        digs, term, lo_l, lo_r = digs_buf[:m], term_buf[:m], lo_l_buf[:m], lo_r_buf[:m]
+        lo_l.fill(0)
+        lo_r.fill(0)
+        words = ()
+        for q, shift, a, b, run in rows:
+            if shift is None:
+                row = rng.integers(0, q, size=m)
+            else:
+                if not len(words):
+                    # this raw row and the raw rows after it share one draw
+                    # of at most 65536 words
+                    words = _words32(rng, min(run, max(1, _MC_CHUNK // m)) * m)
+                row = np.right_shift(words[:m], shift, out=digs)
+                words = words[m:]
+            if a:
+                lo_l += np.multiply(row, a, out=term)
+            if b:
+                lo_r += np.multiply(row, b, out=term)
         if rhs_is_program:
-            lo_r = wr_vec @ digs
             f_r = (lo_r + (0.0 if want_lt else float(tail_r))) / dr_f
         f_l = (lo_l + (1.0 if want_lt else 0.0)) / dl_f
         hit = f_l <= f_r if want_lt else f_l >= f_r

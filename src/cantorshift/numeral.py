@@ -285,7 +285,7 @@ MAX_TAIL = Tail("max")
 
 
 def periodic_tail(pattern) -> Tail:
-    pattern = tuple(int(v) for v in pattern)
+    pattern = tuple(map(int, pattern))
     if not pattern:
         raise DomainError("periodic tail needs a nonempty pattern")
     return Tail("periodic", period=pattern)
@@ -312,6 +312,13 @@ class Interval:
         return self.lo <= x <= self.hi
 
 
+def _first_fault(digits, qv) -> int:
+    """Index of the first digit d_i outside 0..qv[i] - 1, for digits
+    known to hold one.  A range check tests the pairs in one zip loop,
+    which keeps no index, and asks for the position only on a fault."""
+    return next(i for i, (d, q) in enumerate(zip(digits, qv)) if not 0 <= d < q)
+
+
 @dataclass(frozen=True)
 class DigitString:
     """A digit representation: exact finite prefix plus a tail descriptor.
@@ -326,12 +333,14 @@ class DigitString:
     tail: Tail = ZERO_TAIL
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(int(d) for d in self.prefix))
-        qv = self.base.values(0, len(self.prefix))
-        for i, d in enumerate(self.prefix):
-            if not 0 <= d < qv[i]:
+        prefix = tuple(map(int, self.prefix))
+        object.__setattr__(self, "prefix", prefix)
+        qv = self.base.values(0, len(prefix))
+        for d, q in zip(prefix, qv):
+            if not 0 <= d < q:
+                i = _first_fault(prefix, qv)
                 raise DomainError(
-                    f"digit {d} at position {i + 1} outside range 0..{qv[i] - 1}")
+                    f"digit {prefix[i]} at position {i + 1} outside range 0..{qv[i] - 1}")
         t = self.tail
         if t.kind == "truncated" and t.depth != len(self.prefix):
             raise DomainError(
@@ -346,10 +355,12 @@ class DigitString:
         start = len(self.prefix)
         end = max(start, len(self.base.prefix)) + lcm(len(self.tail.period), len(self.base.cycle))
         qv = self.base.values(start, end)
-        for i, d in enumerate(self.digits_to(end)[start:]):
-            if not 0 <= d < qv[i]:
+        block = self.digits_to(end)[start:]
+        for d, q in zip(block, qv):
+            if not 0 <= d < q:
+                i = _first_fault(block, qv)
                 raise DomainError(
-                    f"periodic tail digit {d} outside range at position {start + i + 1}")
+                    f"periodic tail digit {block[i]} outside range at position {start + i + 1}")
 
     @property
     def depth(self) -> int:

@@ -35,10 +35,12 @@ tolerance, and report that bound (or stop exactly when the system runs
 out of steps).  That stopping step depends on the system alone, and the
 terms up to it are summed in one call.
 
-Only the sampler `mc_mean` uses numpy, and it imports numpy when called,
-so importing this module (or the package) does not load it.  Its digits
-are those of numpy's seeded bounded draw; for q = 2**k <= 64 it reads
-them as the top k bits of the generator's raw bytes (see `mc_mean`).
+Only the sampler `mc_mean` and the word source `_words32`, which it
+shares with `gausskuzmin.measure_mc`, use numpy; they import numpy when
+called, so importing this module (or the package) does not load it.
+The digits are those of numpy's seeded bounded draw; for q = 2**k <= 64
+`mc_mean` reads them as the top k bits of the generator's raw bytes,
+drawn as 64-bit words (see `mc_mean` and `_words32`).
 """
 
 from __future__ import annotations
@@ -637,6 +639,44 @@ _MC_ROWS = 4096  # rows summed together: their float buffers stay in L2
 _MC_LIVE_EVERY = 64
 
 
+def _words32(rng, n: int):
+    """`rng.integers(0, 2**32, size=n, dtype=np.uint32)` for a PCG64
+    generator `rng` and n >= 1, drawn as 64-bit words.
+
+    PCG64 hands out a 32-bit word as the low half of a 64-bit output and
+    keeps the high half for its next 32-bit call (`has_uint32` and
+    `uinteger` in `bit_generator.state`).  So the n words are that kept
+    half, if there is one, then the halves of ceil(n'/2) 64-bit words,
+    low half first, for the n' words still wanted.  When n' is odd the
+    last high half is kept in the state as the uint32 draw would keep
+    it, and a kept half used here is cleared, so every later draw sees
+    the same stream.  Only `uinteger` behind a cleared flag, which PCG64
+    never reads, may differ from the uint32 draw's state.  The state is
+    read again and written only when the kept half changes.
+    """
+    import numpy as np
+
+    gen = rng.bit_generator
+    state = gen.state
+    carry = state["has_uint32"]
+    need = n - carry
+    wide = rng.integers(0, 2**64, size=(need + 1) // 2, dtype=np.uint64)
+    halves = wide.astype("<u8", copy=False).view("<u4")
+    if carry:
+        words = np.empty(n, dtype=np.uint32)
+        words[0] = state["uinteger"]
+        words[1:] = halves[:need]
+    else:
+        words = halves[:n]
+    if carry or need & 1:
+        state = gen.state
+        state["has_uint32"] = need & 1
+        if need & 1:
+            state["uinteger"] = int(halves[-1])
+        gen.state = state
+    return words
+
+
 def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
     """Sample the mean by drawing digit strings uniformly.
 
@@ -654,10 +694,12 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
     q >= 128), one row after another.  For q = 2**k <= 64 that bounded
     draw (Lemire's method) takes each digit as the top k bits of one
     byte of the generator's 32-bit words, low byte first, and never
-    rejects one.  So such a chunk draws ceil(rows * positions / 4) raw
-    words instead, one byte per digit, and leaves the generator in the
-    same state; the top bits are shifted down only in the columns a
-    block sums.
+    rejects one.  So such a chunk takes ceil(rows * positions / 4) raw
+    32-bit words from `_words32`, one byte per digit: half as many
+    64-bit words, read low half first, with the generator's buffered
+    half word used first and an odd last half buffered again, so the
+    stream continues where the bounded draw would leave it.  The top
+    bits are shifted down only in the columns a block sums.
 
     Within a chunk the rows are summed in blocks of 4096: each term
     shifts the block's digit column once into a reused index buffer
@@ -718,7 +760,7 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
         mrows = min(chunk, samples - done)
         if raw:
             n = mrows * maxpos
-            words = rng.integers(0, 2**32, size=-(-n // 4), dtype=np.uint32)
+            words = _words32(rng, -(-n // 4))
             digs = words.astype("<u4", copy=False).view(np.uint8)[:n].reshape(mrows, maxpos)
         else:
             digs = rng.integers(0, q, size=(mrows, maxpos), dtype=dtype)

@@ -523,6 +523,16 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == {"type": "domain", "message": message}
 
+    @pytest.mark.parametrize("extra", ["0", "-3"])
+    def test_mc_refuses_an_extra_depth_below_one(self, capsys, monkeypatch, extra):
+        # once reported as base values growing too quickly, even at q = 2
+        monkeypatch.setattr(np.random, "default_rng", None)
+        code, out, err = run(capsys, "gk", "mc", "--spec", SPEC, "--samples", "10",
+                             "--seed", "1", "--extra-depth", extra)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "type": "domain", "message": f"extra depth must be >= 1, got {extra}"}
+
     @pytest.mark.parametrize("params, message", [
         ("a:b", "parameter range must be int:int, got 'a:b'"),
         ("3:1", "empty parameter range '3:1'"),
@@ -745,7 +755,19 @@ class TestFreshProcess:
           '"rhs": {"programOnZ": {"word": []}}}', "--samples", "5000", "--seed", "7"],
          '{"depth": 33, "estimate": 0.5006, "hits": 2503, "samples": 5000, '
          '"seed": 7, "std_err": 0.0070710627206948175}\n'),
-    ], ids=["salem-mc", "gk-mc"])
+        # an odd sample count: the q = 2 rows leave a buffered half word,
+        # which the next q = 3 row's bounded draw takes first
+        (["gk", "mc", "--spec", '{"q": {"kind": "periodic", "values": [2, 3]}, '
+          '"lhs": {"word": [{"sigma": null}]}, "rhs": {"const": "1/3"}}',
+          "--samples", "5001", "--seed", "7"],
+         '{"depth": 33, "estimate": 0.34593081383723256, "hits": 1730, "samples": 5001, '
+         '"seed": 7, "std_err": 0.006726328008455507}\n'),
+        (["gk", "mc", "--spec", '{"q": 4, "lhs": {"word": [{"gen": 2}]}, '
+          '"rhs": {"programOnZ": {"word": [{"sigma": null}]}}}',
+          "--samples", "5001", "--seed", "7"],
+         '{"depth": 31, "estimate": 0.3649270145970806, "hits": 1825, "samples": 5001, '
+         '"seed": 7, "std_err": 0.0068074803976945495}\n'),
+    ], ids=["salem-mc", "gk-mc", "gk-mc-periodic-2-3", "gk-mc-q4"])
     def test_sampler_output_is_pinned(self, argv, want):
         # numpy is imported inside the samplers; the seeded stream and the
         # printed bytes are those of the import at module level

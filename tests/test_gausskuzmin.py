@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from math import sqrt
 from unittest import mock
@@ -237,6 +238,8 @@ REFUSALS = {
                        "unknown threshold form: ['value']"),
     "relation": (lambda: shift_below(Q2, 1, F(1, 3), "le"),
                  "relation must be \"lt\" or \"ge\", got 'le'"),
+    "extra-depth": (lambda: measure_mc(shift_below(Q2, 1, F(1, 3)), 10, 0, extra_depth=0),
+                    "extra depth must be >= 1, got 0"),
 }
 
 
@@ -286,8 +289,11 @@ def measure_mc_by_columns(spec, samples, seed, extra_depth=32, chunk=65536):
 
 ATOMS = st.sampled_from([SIGMA, GEN(2), GEN(3)])
 PROGRAMS = st.lists(ATOMS, max_size=3).map(lambda w: ShiftProgram(tuple(w)))
-BASES = st.sampled_from([Q2, Q3, QSequence.periodic([2, 3]),
-                         QSequence.explicit([3, 2, 4])])
+# 4 and 8 take raw words, 2**32 takes them unshifted (sampling depth 1),
+# 2**33 takes the bounded 64-bit draw
+BASES = st.sampled_from([Q2, Q3, QSequence.constant(4), QSequence.constant(8),
+                         QSequence.periodic([2, 3]), QSequence.explicit([3, 2, 4]),
+                         QSequence.constant(2**32), QSequence.constant(2**33)])
 FRACTIONS = st.fractions(min_value=0, max_value=1, max_denominator=50)
 
 
@@ -297,7 +303,10 @@ def mc_specs(draw):
     threshold, or a `ProgramOnZ` one under "lt" or with unequal image
     denominators."""
     q = draw(BASES)
-    lhs = draw(PROGRAMS)
+    # a base of 2**32 or more samples one digit, which a program of z may
+    # not consume
+    programs_of_z = st.just(ShiftProgram(())) if q.at(1) >= 2**32 else PROGRAMS
+    lhs = draw(programs_of_z)
     relation = draw(st.sampled_from(["lt", "ge"]))
     kind = draw(st.sampled_from(["const", "x", "z"]))
     if kind == "const":
@@ -305,7 +314,7 @@ def mc_specs(draw):
     elif kind == "x":
         rhs = ProgramOnX(draw(PROGRAMS), draw(FRACTIONS))
     else:
-        rhs = ProgramOnZ(draw(PROGRAMS))
+        rhs = ProgramOnZ(draw(programs_of_z))
     spec = GKSetSpec(q, lhs, rhs, relation)
     if kind == "z" and relation == "ge":
         depth = gk_module._mc_depth(q, spec.required_depth, 32)
@@ -336,6 +345,31 @@ class TestSamplingKernel:
         want = measure_mc_by_columns(spec, samples, seed, extra, **kw)
         with mock.patch.object(gk_module, "_MC_CHUNK", chunk or gk_module._MC_CHUNK):
             assert measure_mc(spec, samples, seed, extra) == want
+
+    @pytest.mark.parametrize("q", [QSequence.periodic([2, 3]), QSequence((3, 2, 4), (5, 2, 7)),
+                                   QSequence.constant(4)], ids=["2-3", "3-2-4+5-2-7", "4"])
+    @pytest.mark.parametrize("samples", [1, 13, 17, 99])
+    def test_odd_chunks_hand_the_buffered_half_on(self, q, samples):
+        # chunks of 7 samples: a raw-word row draws 7 words and leaves a
+        # buffered half, which the next row (bounded or raw) takes first;
+        # in a last chunk of 1 or 3 samples, 7 or 2 raw rows share a draw
+        spec = GKSetSpec(q, ShiftProgram((SIGMA,)), ProgramOnZ(ShiftProgram((GEN(2),))))
+        want = measure_mc_by_columns(spec, samples, 11, 20, chunk=7)
+        with mock.patch.object(gk_module, "_MC_CHUNK", 7):
+            assert measure_mc(spec, samples, 11, 20) == want
+
+    def test_memory_stays_within_a_few_rows(self):
+        # 65536 samples at depth 62: a (depth x samples) int64 block alone
+        # is 32 MiB; the row sums hold a few buffers of one row each
+        spec = shift_below(Q2, 1, F(1, 3))
+        measure_mc(spec, 10, 0)  # numpy's own first-call allocations
+        tracemalloc.start()
+        try:
+            r = measure_mc(spec, 65536, 1, extra_depth=61)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.depth == 62 and peak < 8 * 2**20
 
     @pytest.mark.parametrize("name", sorted(TIE_SPECS))
     def test_tied_samples_count_as_ge(self, name):

@@ -772,10 +772,12 @@ class TestIntegral:
         class Recorder:
             def __init__(self, seed):
                 self.rng = default_rng(seed)
+                # the raw-word source reads and sets the buffered half word
+                self.bit_generator = self.rng.bit_generator
 
             def integers(self, low, high, size, dtype):
                 # q = 2 reads one digit from each byte drawn: an int8, or
-                # a byte of a raw 32-bit word
+                # a byte of a raw 64-bit word
                 digits.append(int(np.prod(size)) * np.dtype(dtype).itemsize)
                 return self.rng.integers(low, high, size=size, dtype=dtype)
 
@@ -872,6 +874,22 @@ class TestMcBlocks:
         got = words.astype("<u4", copy=False).view(np.uint8)[:n] >> (9 - q.bit_length())
         assert got.tolist() == want.tolist()
         assert raw.bit_generator.state == bounded.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**63), before=st.integers(0, 3),
+           n=st.integers(1, 5000) | st.integers(1, 8))
+    def test_words32_is_the_uint32_draw(self, seed, before, n):
+        # 0-3 words drawn first leave the generator with or without a
+        # buffered half; the draws after the words must read the same stream
+        def draw(words):
+            rng = np.random.default_rng(seed)
+            rng.integers(0, 2**32, size=before, dtype=np.uint32)
+            got = words(rng)
+            return (got.dtype, got.tolist(), int(rng.integers(0, 2**32, dtype=np.uint32)),
+                    rng.integers(0, 3, size=5).tolist())
+
+        assert (draw(lambda rng: salem_module._words32(rng, n))
+                == draw(lambda rng: rng.integers(0, 2**32, size=n, dtype=np.uint32)))
 
     @settings(max_examples=60, deadline=None)
     @given(system=mc_systems(), samples=st.integers(2, 9000),

@@ -27,10 +27,16 @@ or with equal weight over equal denominators, as past `required_depth`
 on a tie) scale every count alike and are left out.  The bounds are
 exact, and the counts do not depend on the order of the walk.
 
-Only the sampler `measure_mc` uses numpy, and it imports numpy when
-called, so importing this module (or the package) does not load it.
-Its power-of-two digits come from `salem._words32`, the 64-bit word
-source it shares with `salem.mc_mean`.
+The sampler `measure_mc` classifies one rank-d cylinder per sample by
+the same scaled difference and thresholds (`_scaled_difference`).  It
+sums the difference one digit position at a time and counts a sample
+as soon as the positions still to come cannot move it across a
+threshold; its last chunk stops drawing once every sample is counted.
+
+Only `measure_mc` uses numpy, and it imports numpy when called, so
+importing this module (or the package) does not load it.  Its
+power-of-two digits come from `salem._words32`, the 64-bit word source
+it shares with `salem.mc_mean`.
 """
 
 from __future__ import annotations
@@ -233,6 +239,27 @@ def _resolve_rhs(spec: GKSetSpec, qv):
     return [0] * len(qv), val.numerator, val.denominator, 0
 
 
+def _scaled_difference(spec: GKSetSpec, qv):
+    """(e, below, above, tie) for the scaled difference of the two images
+    over the base values `qv` = (q_1, ..., q_depth).
+
+    With left weights wl_s over dl and right ones wr_s over dr (see
+    `_resolve_rhs`), e_s = (wl_s*dr - wr_s*dl)/g for the gcd g of the
+    unscaled values.  A rank-depth cylinder with digits c_s, whose sum
+    S = sum c_s*e_s, lies inside "lt" iff S <= below and inside "ge"
+    iff S >= above.  `tie` is whether S = 0 means equal images over the
+    whole cylinder: a program threshold over an equal denominator.
+    """
+    wl, dl = _image_weights(spec.lhs.word, qv)
+    wr, base_r, dr, tail_r = _resolve_rhs(spec, qv)
+    diff = [a * dr - b * dl for a, b in zip(wl, wr)]
+    # every sum is a multiple of g, so the thresholds round inwards
+    g = gcd(*diff) or 1
+    return ([e // g for e in diff], (base_r * dl - dr) // g,
+            -(-(base_r + tail_r) * dl // g),
+            isinstance(spec.rhs, ProgramOnZ) and dl == dr)
+
+
 def measure_bounds(spec: GKSetSpec, depth: int) -> MeasureBounds:
     """Exact lower/upper bounds on the measure at cylinder rank `depth`.
 
@@ -259,20 +286,12 @@ def measure_bounds(spec: GKSetSpec, depth: int) -> MeasureBounds:
             f"depth {depth} too shallow: programs consume {req} digits, "
             f"need depth >= {req + 1}", required=req + 1)
     qv = spec.q.values(0, depth)
-    wl, dl = _image_weights(spec.lhs.word, qv)
-    wr, base_r, dr, tail_r = _resolve_rhs(spec, qv)
-
-    diff = [a * dr - b * dl for a, b in zip(wl, wr)]
-    # every sum is a multiple of g, so the thresholds round inwards
-    g = gcd(*diff) or 1
-    below = (base_r * dl - dr) // g
-    above = -(-(base_r + tail_r) * dl // g)
+    diff, below, above, _ = _scaled_difference(spec, qv)
     # a position with e = 0 moves no sum: it multiplies every count and
     # the total alike, so it drops out of every fraction below
     steps = []
     for qs, e in zip(qv, diff):
         if e:
-            e //= g
             span = (qs - 1) * e
             steps.append((abs(span), span, qs, e))
     steps.sort()
@@ -333,8 +352,8 @@ class McMeasure:
 
 
 _INT64_LIMIT = 2**62
-_FLOAT_BAND = 1e-9
 _MC_CHUNK = 65536  # most samples one chunk draws, and most raw words one draw takes
+_MC_CHECK = 256  # a check is due once the positions since the last split a cylinder this many ways
 
 
 def _mc_depth(q: QSequence, req: int, extra: int) -> int:
@@ -358,22 +377,40 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
                extra_depth: int = 32) -> McMeasure:
     """Estimate the measure by sampling digit strings uniformly.
 
-    Each sample is a digit prefix deep enough that membership is decided
-    up to a set of measure ~ the cylinder width; comparisons run in
-    float arithmetic with an exact integer re-check for samples landing
-    within 1e-9 of the threshold, so the hit decision matches the exact
-    classifier except on cylinders the exact bracket also leaves open
-    (counted as misses).  The one exception is a tie with a `ProgramOnZ`
-    threshold, equal image numerators over equal denominators: both
-    images then agree for every tail, so the sample is a hit for "ge"
-    however wide its cylinder.
+    Each sample is a rank-`depth` cylinder, where `depth` is the
+    programs' digit consumption plus `extra_depth`, cut where the
+    cylinder denominator would pass 2**62.  A sample is a hit iff its
+    cylinder lies inside the set as `measure_bounds` classifies it: its
+    scaled image difference S = sum c_s*e_s is <= below for "lt" and
+    >= above for "ge".  A straddling cylinder is a miss, with one
+    exception: a tie with a `ProgramOnZ` threshold over an equal
+    denominator (S = 0) agrees for every tail, so it is a hit for "ge"
+    however wide the cylinder.  This is the test the images once took as
+    floats, with samples within 1e-9 of the threshold re-checked in
+    integers: a float image carries a relative error near 2**-52, so
+    outside that band the float comparison cannot differ from the
+    integer one.
+
+    S is summed in int64, one position at a time over a row of the
+    chunk's samples: |S| stays below the cylinder denominator (at most
+    2**62), since for a fixed threshold S is the left image numerator
+    and for a program of z |S| < lcm(dl, dr), a divisor of the
+    cylinder denominator.  The later positions add at most `up` and at
+    least `down` to S (the sums of their positive and of their negative
+    spans (q_s - 1)*e_s), and the test is monotone in S, so a sample
+    whose S passes it at both S + down and S + up, or fails it at both,
+    is decided.  Once the base values summed since the last check
+    multiply to at least min(undecided samples, 256), a check counts
+    the decided samples and drops them from the row arithmetic; a
+    position after which every step is 0 is always checked, so the last
+    one decides every sample.
 
     The result is fixed by (spec, samples, seed, extra_depth), the
     inputs it records (`depth` follows from the spec and `extra_depth`).
     `samples` runs from 1 to `MAX_SAMPLES` (10**7), drawn in chunks of
     at most 65536; `extra_depth` must be at least 1.
 
-    Position i's digits for a chunk of m samples are those of
+    Position i's digits for a chunk of m samples are still those of
     `rng.integers(0, q_i, size=m)`, one position after another.  For
     q_i = 2**k <= 2**32 that bounded draw (Lemire's method) takes each
     digit as the top k bits of one 32-bit word and never rejects one,
@@ -382,11 +419,11 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     buffered half word carried into and out of the draw, which leaves
     the stream where the bounded draws would.  Consecutive such rows
     share one draw of at most 65536 words, since their words follow one
-    another in the stream.  Other bases keep the
-    bounded draw.  The image numerators of both sides are summed row by
-    row into two reused int64 buffers of length m, so no (depth x m)
-    block is built; the sums are exact, so the order does not change
-    them.
+    another in the stream.  Other bases keep the bounded draw.  A chunk
+    other than the last draws every row, decided samples or not, so the
+    next chunk reads the same stream; the last chunk stops drawing once
+    every sample is decided.  So neither the checks nor their schedule
+    change a result.
     """
     if samples < 1:
         raise DomainError("need at least 1 sample")
@@ -396,49 +433,52 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
         raise DomainError(f"extra depth must be >= 1, got {extra_depth}")
     depth = _mc_depth(spec.q, spec.required_depth, extra_depth)
     qv = spec.q.values(0, depth)
-    wl, dl = _image_weights(spec.lhs.word, qv)
-    wr, base_r, dr, tail_r = _resolve_rhs(spec, qv)
-    rhs_is_program = isinstance(spec.rhs, ProgramOnZ)
-    want_lt = spec.relation == "lt"
-    ties_hit = rhs_is_program and not want_lt and dl == dr
-    dl_f = float(dl)
-    if rhs_is_program:
-        dr_f = float(dr)
+    steps, below, above, tie = _scaled_difference(spec, qv)
+    if spec.relation == "lt":
+        top = below
     else:
-        # a fixed threshold may exceed int64, so it stays in Python ints;
-        # images lie in [0, 1], so clamping to [-1, 2] keeps a finite float
-        f_r = float(min(max(Fraction(base_r, dr), -1), 2))
-    # (q, shift, left weight, right weight, raw rows from here on) per
-    # position; q = 2**k <= 2**32 takes the top k bits of a raw word, any
-    # other q the bounded draw
+        # S >= above becomes -S <= -above; a tie, S = 0, counts as "ge"
+        steps = [-e for e in steps]
+        top = 0 if tie else -above
+    # every sum, partial or whole, lies in (-2**62, 2**62), so clamping
+    # the threshold changes no comparison and keeps `sure` and `open`
+    # below in int64
+    top = min(max(top, -_INT64_LIMIT), _INT64_LIMIT)
+    # (q, shift, step, raw rows from here on, sure, open) per position;
+    # q = 2**k <= 2**32 takes the top k bits of a raw word, any other q
+    # the bounded draw.  A sample whose sum so far is at most `sure` is
+    # a hit whatever the later digits, one above `open` is a miss
     rows = []
-    run = 0
-    for v, a, b in zip(reversed(qv), reversed(wl), reversed(wr)):
+    run = up = down = 0
+    for v, e in zip(reversed(qv), reversed(steps)):
         raw = v & (v - 1) == 0 and v <= 2**32
         run = run + 1 if raw else 0
-        rows.append((v, 33 - v.bit_length() if raw else None, a, b, run))
+        rows.append((v, 33 - v.bit_length() if raw else None, e, run, top - up, top - down))
+        if e > 0:
+            up += (v - 1) * e
+        else:
+            down += (v - 1) * e
     rows.reverse()
-
-    def exact_hit(lo_l: int, lo_r: int) -> bool:
-        if want_lt:
-            return (lo_l + 1) * dr <= lo_r * dl
-        return lo_l * dr >= (lo_r + tail_r) * dl
 
     import numpy as np
 
     size = min(_MC_CHUNK, samples)
     digs_buf, term_buf = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-    lo_l_buf, lo_r_buf = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    sums_buf = np.empty(size, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
+    hits = done = 0
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
-        digs, term, lo_l, lo_r = digs_buf[:m], term_buf[:m], lo_l_buf[:m], lo_r_buf[:m]
-        lo_l.fill(0)
-        lo_r.fill(0)
+        done += m
+        # n samples of the chunk are undecided, at indices `keep` of a
+        # row (None: all of them)
+        n, keep, drawn = m, None, 1
+        sums = sums_buf[:m]
+        sums.fill(0)
         words = ()
-        for q, shift, a, b, run in rows:
+        for q, shift, e, run, sure, open_ in rows:
+            if not n and done == samples:
+                break  # nothing reads the stream after the last chunk
             if shift is None:
                 row = rng.integers(0, q, size=m)
             else:
@@ -446,23 +486,24 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
                     # this raw row and the raw rows after it share one draw
                     # of at most 65536 words
                     words = _words32(rng, min(run, max(1, _MC_CHUNK // m)) * m)
-                row = np.right_shift(words[:m], shift, out=digs)
-                words = words[m:]
-            if a:
-                lo_l += np.multiply(row, a, out=term)
-            if b:
-                lo_r += np.multiply(row, b, out=term)
-        if rhs_is_program:
-            f_r = (lo_r + (0.0 if want_lt else float(tail_r))) / dr_f
-        f_l = (lo_l + (1.0 if want_lt else 0.0)) / dl_f
-        hit = f_l <= f_r if want_lt else f_l >= f_r
-        near = np.abs(f_l - f_r) < _FLOAT_BAND
-        for j in np.nonzero(near)[0]:
-            hit[j] = exact_hit(int(lo_l[j]), int(lo_r[j]) if rhs_is_program else base_r)
-        if ties_hit:
-            hit |= lo_l == lo_r
-        hits += int(hit.sum())
-        done += m
+                row, words = words[:m], words[m:]
+            if not n:
+                continue  # drawn only to leave the stream where the next chunk reads it
+            if e:
+                if keep is not None:
+                    row = row[keep]
+                if shift is not None:
+                    row = np.right_shift(row, shift, out=digs_buf[:n])
+                sums += np.multiply(row, e, out=term_buf[:n])
+                drawn *= q
+            if drawn >= min(n, _MC_CHECK) or sure == open_:
+                drawn = 1
+                hits += int(np.count_nonzero(sums <= sure))
+                left = np.flatnonzero((sums > sure) & (sums <= open_))
+                n = len(left)
+                keep = left if keep is None else keep[left]
+                sums_buf[:n] = sums[left]
+                sums = sums_buf[:n]
     est = hits / samples
     se = sqrt(max(est * (1.0 - est), 0.0) / samples)
     return McMeasure(est, se, hits, samples, seed, depth)

@@ -767,7 +767,19 @@ class TestFreshProcess:
           "--samples", "5001", "--seed", "7"],
          '{"depth": 31, "estimate": 0.3649270145970806, "hits": 1825, "samples": 5001, '
          '"seed": 7, "std_err": 0.0068074803976945495}\n'),
-    ], ids=["salem-mc", "gk-mc", "gk-mc-periodic-2-3", "gk-mc-q4"])
+        # a tie of measure 1/9 that counts as "ge" however wide its cylinder
+        (["gk", "mc", "--spec", '{"q": 3, "lhs": {"word": [{"gen": 2}, {"gen": 3}]}, '
+          '"rhs": {"programOnZ": {"word": [{"sigma": null}, {"sigma": null}]}}, '
+          '"relation": "ge"}', "--samples", "5001", "--seed", "7"],
+         '{"depth": 36, "estimate": 0.5640871825634873, "hits": 2821, "samples": 5001, '
+         '"seed": 7, "std_err": 0.007012041989295481}\n'),
+        # three chunks: the first two draw every row, the last stops early
+        (["gk", "mc", "--spec", '{"q": 2, "lhs": {"word": [{"sigma": null}]}, '
+          '"rhs": {"const": "1/3"}}', "--samples", "140001", "--seed", "7"],
+         '{"depth": 33, "estimate": 0.33396904307826375, "hits": 46756, "samples": 140001, '
+         '"seed": 7, "std_err": 0.0012604764760730813}\n'),
+    ], ids=["salem-mc", "gk-mc", "gk-mc-periodic-2-3", "gk-mc-q4", "gk-mc-tie-q3-ge",
+            "gk-mc-three-chunks"])
     def test_sampler_output_is_pinned(self, argv, want):
         # numpy is imported inside the samplers; the seeded stream and the
         # printed bytes are those of the import at module level

@@ -250,10 +250,15 @@ def test_refused_input_names_its_fault(call, message):
     assert type(info.value) is DomainError and str(info.value) == message
 
 
+FLOAT_BAND = 1e-9
+
+
 def measure_mc_by_columns(spec, samples, seed, extra_depth=32, chunk=65536):
-    """The sampling loop before ties counted as "ge", drawing digits
-    column by column into an (m, depth) block.  A test oracle for
-    `measure_mc` on specs without ties."""
+    """The sampling loop before samples were decided from their leading
+    digits: every digit drawn column by column into an (m, depth) block,
+    the images compared as floats, samples within 1e-9 of the threshold
+    re-checked in integers, and a tie over equal denominators counted
+    as "ge".  A test oracle for `measure_mc`."""
     q = spec.q
     depth = gk_module._mc_depth(q, spec.required_depth, extra_depth)
     qv = [q.at(i) for i in range(1, depth + 1)]
@@ -261,6 +266,7 @@ def measure_mc_by_columns(spec, samples, seed, extra_depth=32, chunk=65536):
     wr, base_r, dr, tail_r = gk_module._resolve_rhs(spec, qv)
     on_z = isinstance(spec.rhs, ProgramOnZ)
     want_lt = spec.relation == "lt"
+    ties_hit = on_z and not want_lt and dl == dr
     if not on_z:
         f_r = float(min(max(F(base_r, dr), -1), 2))
     rng = np.random.default_rng(seed)
@@ -276,10 +282,12 @@ def measure_mc_by_columns(spec, samples, seed, extra_depth=32, chunk=65536):
             f_r = (lo_r + (0.0 if want_lt else float(tail_r))) / float(dr)
         f_l = (lo_l + (1.0 if want_lt else 0.0)) / float(dl)
         hit = f_l <= f_r if want_lt else f_l >= f_r
-        for j in np.nonzero(np.abs(f_l - f_r) < gk_module._FLOAT_BAND)[0]:
+        for j in np.nonzero(np.abs(f_l - f_r) < FLOAT_BAND)[0]:
             a, b = int(lo_l[j]), int(lo_r[j]) if on_z else base_r
             hit[j] = ((a + 1) * dr <= b * dl if want_lt
                       else a * dr >= (b + tail_r) * dl)
+        if ties_hit:
+            hit |= lo_l == lo_r
         hits += int(hit.sum())
         done += m
     est = hits / samples
@@ -299,28 +307,28 @@ FRACTIONS = st.fractions(min_value=0, max_value=1, max_denominator=50)
 
 @st.composite
 def mc_specs(draw):
-    """Specs without a tie of positive mass: a constant or `ProgramOnX`
-    threshold, or a `ProgramOnZ` one under "lt" or with unequal image
-    denominators."""
+    """Specs with a constant, `ProgramOnX` or `ProgramOnZ` threshold.
+    A "tie" threshold has as many atoms as the left side, so over a
+    constant base the two image denominators are equal and a tie has
+    positive mass."""
     q = draw(BASES)
     # a base of 2**32 or more samples one digit, which a program of z may
     # not consume
     programs_of_z = st.just(ShiftProgram(())) if q.at(1) >= 2**32 else PROGRAMS
     lhs = draw(programs_of_z)
     relation = draw(st.sampled_from(["lt", "ge"]))
-    kind = draw(st.sampled_from(["const", "x", "z"]))
+    kind = draw(st.sampled_from(["const", "x", "z", "tie"]))
     if kind == "const":
         rhs = ConstRhs(draw(FRACTIONS))
     elif kind == "x":
         rhs = ProgramOnX(draw(PROGRAMS), draw(FRACTIONS))
-    else:
+    elif kind == "z":
         rhs = ProgramOnZ(draw(programs_of_z))
-    spec = GKSetSpec(q, lhs, rhs, relation)
-    if kind == "z" and relation == "ge":
-        depth = gk_module._mc_depth(q, spec.required_depth, 32)
-        assume(_image_weights(lhs.word, q.values(0, depth))[1]
-               != _image_weights(rhs.program.word, q.values(0, depth))[1])
-    return spec
+    else:
+        size = len(lhs.word)
+        rhs = ProgramOnZ(ShiftProgram(tuple(draw(st.lists(ATOMS, min_size=size,
+                                                          max_size=size)))))
+    return GKSetSpec(q, lhs, rhs, relation)
 
 
 TIE_SPECS = {
@@ -337,7 +345,10 @@ def tie_spec(name, relation):
 class TestSamplingKernel:
     @settings(max_examples=120, deadline=None)
     @given(spec=mc_specs(), samples=st.integers(1, 3000), seed=st.integers(0, 2**31),
-           chunk=st.sampled_from([None, 7, 500]), extra=st.integers(1, 32))
+           chunk=st.sampled_from([None, 7, 500]),
+           # a sample of 1 to 3 free digits has a cylinder far wider than
+           # the float band
+           extra=st.one_of(st.integers(1, 3), st.integers(1, 32)))
     def test_matches_column_loop(self, spec, samples, seed, chunk, extra):
         kw = {} if chunk is None else {"chunk": chunk}
         if chunk == 7:
@@ -357,6 +368,37 @@ class TestSamplingKernel:
         want = measure_mc_by_columns(spec, samples, 11, 20, chunk=7)
         with mock.patch.object(gk_module, "_MC_CHUNK", 7):
             assert measure_mc(spec, samples, 11, 20) == want
+
+    @staticmethod
+    def count_words(drawn):
+        """A stand-in for `_words32` that records each draw's size."""
+        real = gk_module._words32
+
+        def words(rng, n):
+            drawn.append(n)
+            return real(rng, n)
+        return words
+
+    def test_last_chunk_stops_once_every_sample_is_decided(self):
+        # each digit of the shifted image decides about half the samples
+        # still open against 1/3, so all 20000 are decided well before
+        # the 33rd row
+        spec, drawn = shift_below(Q2, 1, F(1, 3)), []
+        with mock.patch.object(gk_module, "_words32", self.count_words(drawn)):
+            r = measure_mc(spec, 20000, 5)
+        assert r.depth == 33 and sum(drawn) <= 2 * 33 * 20000 // 3
+        assert r == measure_mc_by_columns(spec, 20000, 5)
+
+    def test_other_chunks_draw_every_row(self):
+        # chunks of 7 samples: the next chunk reads the stream after all
+        # 33 rows of 7 words, however early this chunk's samples are
+        # decided; the last chunk of 3 draws two rows at a time
+        spec, drawn = shift_below(Q2, 1, F(1, 3)), []
+        with mock.patch.object(gk_module, "_MC_CHUNK", 7), \
+                mock.patch.object(gk_module, "_words32", self.count_words(drawn)):
+            r = measure_mc(spec, 5 * 7 + 3, 11)
+        assert drawn[:5 * 33] == [7] * (5 * 33) and set(drawn[5 * 33:]) == {6}
+        assert r == measure_mc_by_columns(spec, 5 * 7 + 3, 11, chunk=7)
 
     def test_memory_stays_within_a_few_rows(self):
         # 65536 samples at depth 62: a (depth x samples) int64 block alone

@@ -29,6 +29,7 @@ import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import MAX_EXPONENT, DomainError, InsufficientDepthError, InvalidSystemError
 from .numeral import (
@@ -291,7 +292,8 @@ def _cmd_gk_scan(args) -> None:
     q = _parse_q(args.q)
     rule = _json_arg(args.family)
     rhs = rhs_from_json(_json_arg(args.rhs))
-    family = generator_family(q, rule, rhs, args.relation)
+    # the default depth rule reads the spec `limit_scan` has just built
+    family = lru_cache(maxsize=1)(generator_family(q, rule, rhs, args.relation))
     params = _parse_params(args.params)
     if args.depth is not None:
         depth_rule = lambda n: args.depth

@@ -78,3 +78,13 @@ def json_decoder(func):
                 f"malformed input to {func.__qualname__}: {exc!r}") from exc
 
     return decode
+
+
+def json_int(value) -> int:
+    """An integer read from JSON: an int, or a float or string naming one
+    (3, 3.0 or "3").  A float with a fractional part is refused with a
+    DomainError instead of being truncated."""
+    n = int(value)
+    if isinstance(value, float) and n != value:
+        raise DomainError(f"expected an integer, got {value!r}")
+    return n

@@ -14,6 +14,14 @@ comparing the two image intervals, and weight by the cylinder measure
 1/(q_1 ... q_d).  The bracket width is exactly the straddling mass and
 shrinks as d grows.
 
+A constant or `ProgramOnX` threshold x needs no walk for its exact
+value: under Lebesgue measure the digits a program keeps are
+independent and uniform, so its image is uniform on [0, 1] and
+mu{P(z) < x} = clamp(x, 0, 1) for every base and program (1 minus that
+for "ge"); the walk brackets this value.  A `ProgramOnZ` threshold is a
+second image of the same z, not independent of the first, and its
+boundary {P(z) = R(z)} can carry positive mass.
+
 A program image over a rank-d cylinder is itself an interval with
 rational endpoints: the digits surviving the program contribute a known
 partial sum, the unseen tail contributes [0, 1/(product of surviving
@@ -385,11 +393,7 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     >= above for "ge".  A straddling cylinder is a miss, with one
     exception: a tie with a `ProgramOnZ` threshold over an equal
     denominator (S = 0) agrees for every tail, so it is a hit for "ge"
-    however wide the cylinder.  This is the test the images once took as
-    floats, with samples within 1e-9 of the threshold re-checked in
-    integers: a float image carries a relative error near 2**-52, so
-    outside that band the float comparison cannot differ from the
-    integer one.
+    however wide the cylinder.
 
     S is summed in int64, one position at a time over a row of the
     chunk's samples: |S| stays below the cylinder denominator (at most

@@ -44,7 +44,7 @@ from typing import Optional, Union
 
 from .errors import (
     MAX_EXPAND_DEPTH, MAX_EXPONENT, MAX_PROBE, DomainError, InsufficientDepthError,
-    json_decoder,
+    json_decoder, json_int,
 )
 
 __all__ = [
@@ -179,10 +179,8 @@ class QSequence:
         """The sequence with the m-th value (1-indexed) deleted."""
         if m < 1:
             raise DomainError(f"removal index must be >= 1, got {m}")
-        if m <= len(self.prefix):
-            return QSequence(self.prefix[: m - 1] + self.prefix[m:], self.cycle)
-        r = (m - len(self.prefix)) % len(self.cycle)
-        return QSequence(self.values(0, m - 1), self.cycle[r:] + self.cycle[:r])
+        rest = self.shift(m)
+        return QSequence(self.values(0, m - 1) + rest.prefix, rest.cycle)
 
     def canonical(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Normal form (prefix, primitive cycle) identifying the sequence."""
@@ -221,20 +219,20 @@ class QSequence:
     @classmethod
     @json_decoder
     def from_json(cls, obj) -> "QSequence":
-        if isinstance(obj, int):
-            return cls.constant(obj)
+        if isinstance(obj, (int, float)):
+            return cls.constant(json_int(obj))
         if isinstance(obj, (list, tuple)):
-            return cls.explicit(obj)
+            return cls.explicit(map(json_int, obj))
         kind = obj.get("kind")
         values = obj.get("values", [])
         if kind == "constant":
             if len(values) != 1:
                 raise DomainError("constant base takes exactly one value")
-            return cls.constant(values[0])
+            return cls.constant(json_int(values[0]))
         if kind == "periodic":
-            return cls.periodic(values)
+            return cls.periodic(map(json_int, values))
         if kind == "explicit":
-            return cls.explicit(values)
+            return cls.explicit(map(json_int, values))
         raise DomainError(f"unknown base kind {kind!r}")
 
     def __repr__(self):
@@ -274,9 +272,9 @@ class Tail:
         if obj == "max":
             return MAX_TAIL
         if isinstance(obj, dict) and "periodic" in obj:
-            return periodic_tail(obj["periodic"])
+            return periodic_tail(map(json_int, obj["periodic"]))
         if isinstance(obj, dict) and "truncated" in obj:
-            return truncated_tail(int(obj["truncated"]))
+            return truncated_tail(json_int(obj["truncated"]))
         raise DomainError(f"unknown tail form {obj!r}")
 
 
@@ -373,14 +371,13 @@ class DigitString:
         if k <= len(self.prefix):
             return self.prefix[k - 1]
         t = self.tail
-        if t.kind == "zero":
-            return 0
         if t.kind == "max":
             return self.base.at(k) - 1
-        if t.kind == "periodic":
-            return t.period[(k - len(self.prefix) - 1) % len(t.period)]
-        raise InsufficientDepthError(
-            f"digit {k} unknown: string truncated at depth {t.depth}", required=k)
+        if t.kind == "truncated":
+            raise InsufficientDepthError(
+                f"digit {k} unknown: string truncated at depth {t.depth}", required=k)
+        pat = t.period or (0,)  # a zero tail repeats the digit 0
+        return pat[(k - len(self.prefix) - 1) % len(pat)]
 
     def digits_to(self, n: int) -> tuple[int, ...]:
         """The first n digits, n >= depth, continuing the prefix by the tail."""
@@ -481,44 +478,6 @@ def _cycle_part(b: int, pi: int) -> int:
     return b // rest
 
 
-def _scan(x: Fraction, q: QSequence, limit: int):
-    """Greedy digit extraction with remainder-state tracking.
-
-    Returns (digits, term, cyc): `digits` is the list produced so far,
-    `term` the index where the remainder hit zero (expansion terminates),
-    `cyc` a pair (entry, period) marking the first recurrence of a
-    (remainder, base-phase) state.  At most one of term/cyc is set; both
-    None means the probe limit was reached first.
-
-    Every remainder is a/b over the denominator b of x, so its numerator
-    a and the base phase identify the state.  Past the base prefix, one
-    base cycle maps a to a * P mod b, where P is the product of the
-    cycle, so a lies on a cycle of states iff b / gcd(a, b) is prime to
-    P, that is iff the part of b built from P's primes divides a.  The
-    first such state is the entry; the scan keeps only it and runs until
-    it recurs at the same base phase.
-    """
-    pre = len(q.prefix)
-    c = len(q.cycle)
-    digits: list[int] = []
-    a, b = x.numerator, x.denominator
-    part = _cycle_part(b, prod(q.cycle))
-    entry = start = None
-    for k, qk in zip(range(limit), chain(q.prefix, cycle(q.cycle))):
-        if a == 0:
-            return digits, k, None
-        if entry is None:
-            if k >= pre and a % part == 0:
-                entry, start = k, a
-        elif a == start and (k - entry) % c == 0:
-            return digits, None, (entry, k - entry)
-        d, a = divmod(a * qk, b)
-        digits.append(d)
-    if a == 0:
-        return digits, len(digits), None
-    return digits, None, None
-
-
 def _decision_bound(x: Fraction, q: QSequence) -> int:
     # every remainder has denominator dividing x.denominator, so the state
     # machine must repeat or terminate within this many steps
@@ -526,7 +485,10 @@ def _decision_bound(x: Fraction, q: QSequence) -> int:
 
 
 def _check_probe(probe: Optional[int]) -> None:
-    """Refuse an explicit probe past `MAX_PROBE`; None is a default."""
+    """Refuse an explicit probe below 0 or past `MAX_PROBE`; None is a
+    default."""
+    if probe is not None and probe < 0:
+        raise DomainError(f"probe must be >= 0, got {probe}")
     if probe is not None and probe > MAX_PROBE:
         raise DomainError(f"probe {probe} exceeds the limit of {MAX_PROBE}")
 
@@ -539,23 +501,42 @@ def _check_unit_interval(x: Fraction):
 
 
 def _resolve(x: Fraction, q: QSequence, limit: int):
-    """(digits, exact): the greedy digits `_scan` reads within `limit`
-    steps, and x's exact string when the scan decided it, else None.
+    """(digits, exact): the greedy digits of x read within `limit` steps,
+    and x's exact string when the scan decided it, else None.
 
-    This is the only reader of `_scan`'s result.  The exact string ends
-    in a zero tail when the expansion terminates and in a periodic tail
-    when a state recurs; x = 1 is the all-maximal string, with no digits
-    read.
+    This is the greedy scan, with remainder-state tracking.  The exact
+    string ends in a zero tail when the remainder hits zero (the
+    expansion terminates) and in a periodic tail from the first
+    recurrence of a (remainder, base-phase) state; x = 1 is the
+    all-maximal string, with no digits read.
+
+    Every remainder is a/b over the denominator b of x, so its numerator
+    a and the base phase identify the state.  Past the base prefix, one
+    base cycle maps a to a * P mod b, where P is the product of the
+    cycle, so a lies on a cycle of states iff b / gcd(a, b) is prime to
+    P, that is iff the part of b built from P's primes divides a.  The
+    first such state is the entry; the scan keeps only it and runs until
+    it recurs at the same base phase.
     """
     if x == 1:
         return [], DigitString(q, (), MAX_TAIL)
-    digits, term, cyc = _scan(x, q, limit)
-    if term is not None:
-        return digits, DigitString(q, tuple(digits), ZERO_TAIL)
-    if cyc is None:
-        return digits, None
-    j0, L = cyc
-    return digits, DigitString(q, tuple(digits[:j0]), periodic_tail(digits[j0:j0 + L]))
+    pre = len(q.prefix)
+    c = len(q.cycle)
+    digits: list[int] = []
+    a, b = x.numerator, x.denominator
+    part = _cycle_part(b, prod(q.cycle))
+    entry = start = None
+    for k, qk in zip(range(limit), chain(q.prefix, cycle(q.cycle))):
+        if a == 0:
+            break
+        if entry is None:
+            if k >= pre and a % part == 0:
+                entry, start = k, a
+        elif a == start and (k - entry) % c == 0:
+            return digits, DigitString(q, tuple(digits[:entry]), periodic_tail(digits[entry:]))
+        d, a = divmod(a * qk, b)
+        digits.append(d)
+    return digits, (DigitString(q, tuple(digits), ZERO_TAIL) if a == 0 else None)
 
 
 _DEFAULT_PROBE_SLACK = 4096

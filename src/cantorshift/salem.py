@@ -52,7 +52,7 @@ from math import lcm, sqrt
 from typing import Optional, Union
 
 from .errors import (
-    MAX_POINTS, MAX_SAMPLES, DomainError, InvalidSystemError, json_decoder,
+    MAX_POINTS, MAX_SAMPLES, DomainError, InvalidSystemError, json_decoder, json_int,
 )
 from .numeral import (
     ONE,
@@ -88,14 +88,11 @@ __all__ = [
 # Reorders
 # ---------------------------------------------------------------------------
 
-def _swap_pairs(k: int) -> int:
-    return k + 1 if k % 2 == 1 else k - 1
-
-
-# name -> (bijection of the steps, period r): steps mr+1 .. mr+r read
-# positions mr + rule(1), ..., mr + rule(r), so every block of r steps
-# reads exactly its own block of r positions
-_RULES = {"swap-pairs": (_swap_pairs, 2)}
+# name -> one block (rule(1), ..., rule(r)) of a bijection of the steps:
+# steps mr+1 .. mr+r read positions mr + rule(1), ..., mr + rule(r), so
+# every block of r steps reads exactly its own block of r positions.  The
+# identity is the block (1,)
+_RULES = {"swap-pairs": (2, 1)}
 
 
 @dataclass(frozen=True)
@@ -125,14 +122,18 @@ class Reorder:
             raise DomainError(
                 f"list reorder positions must be >= 1, got {min(self.values)}")
 
+    def _block(self) -> tuple[int, ...]:
+        """One block of an unbounded kind (see `_RULES`)."""
+        return _RULES[self.name] if self.kind == "rule" else (1,)
+
     def position(self, k: int) -> int:
         """The digit position consumed at step k (both 1-indexed)."""
         if k < 1:
             raise DomainError(f"step index must be >= 1, got {k}")
-        if self.kind == "identity":
-            return k
-        if self.kind == "rule":
-            return _RULES[self.name][0](k)
+        if self.kind != "list":
+            block = self._block()
+            i = (k - 1) % len(block)
+            return k - 1 - i + block[i]
         if k > len(self.values):
             raise DomainError(
                 f"reorder schedule has {len(self.values)} steps; step {k} undefined")
@@ -145,11 +146,7 @@ class Reorder:
     def period(self) -> Optional[int]:
         """Block length r of an unbounded kind: steps mr+1 .. mr+r read
         positions mr + position(1), ..., mr + position(r).  None for a list."""
-        if self.kind == "identity":
-            return 1
-        if self.kind == "rule":
-            return _RULES[self.name][1]
-        return None
+        return None if self.kind == "list" else len(self._block())
 
     def to_json(self) -> dict:
         if self.kind == "identity":
@@ -168,7 +165,7 @@ class Reorder:
         if kind == "rule":
             return cls("rule", name=obj.get("name", ""))
         if kind == "list":
-            return cls("list", values=tuple(obj.get("values", [])))
+            return cls("list", values=tuple(map(json_int, obj.get("values", []))))
         raise DomainError(f"unknown reorder kind {kind!r}")
 
 
@@ -257,9 +254,14 @@ class SalemSystem:
         return _betas(self.p_row(n))
 
     @cached_property
+    def _column_max(self) -> tuple[Fraction, ...]:
+        """Largest |p| of each column, indexed like `_columns`."""
+        return tuple(max(abs(p) for p in col) for col in self._columns)
+
+    @cached_property
     def global_max(self) -> Fraction:
         """Largest |p| across all columns; the truncation bound base."""
-        return max(abs(p) for col in self._columns for p in col)
+        return max(self._column_max)
 
     @cached_property
     def _step_rows(self) -> tuple[list[tuple[int, int, int]], ...]:
@@ -292,18 +294,17 @@ class SalemSystem:
         if not isinstance(obj, dict):
             raise DomainError("system JSON must be an object")
         reorder = Reorder.from_json(obj.get("reorder"))
-        horizon = int(obj.get("horizon", 64))
+        horizon = json_int(obj.get("horizon", 64))
         strict = bool(obj.get("strict-reorder", True))
         if "p" in obj:
-            system = cls.fixed(_coerce_weights(obj["p"]), reorder=reorder,
-                               horizon=horizon, strict_reorder=strict)
+            weights, columns = _coerce_weights(obj["p"]), None
         elif "columns" in obj:
-            system = cls(columns=tuple(_coerce_weights(c) for c in obj["columns"]),
-                         reorder=reorder, horizon=horizon, strict_reorder=strict)
+            weights, columns = None, tuple(map(_coerce_weights, obj["columns"]))
         else:
             raise DomainError("system JSON needs \"p\" or \"columns\"")
+        system = cls(weights, columns, reorder, horizon, strict)
         declared = obj.get("q")
-        if declared is not None and int(declared) != system.q:
+        if declared is not None and json_int(declared) != system.q:
             raise DomainError(
                 f"declared q={declared} does not match {system.q} weights")
         return system
@@ -492,8 +493,9 @@ def _eval_stage(d: DigitString, system: SalemSystem, tol: Fraction,
     while (limit is None or k < limit) and r >= target:
         k += 1
         n = system.reorder.position(k)
-        steps.append(system._step_rows[system._column(n)][d.digit(n)])
-        r *= m if system.is_fixed else max(abs(p) for p in system.p_row(n))
+        i = system._column(n)
+        steps.append(system._step_rows[i][d.digit(n)])
+        r *= system._column_max[i]
     bound = ZERO if limit is not None and k >= limit else r / (1 - m)
     return EvalResult(Fraction(*_series(steps)[::2]), bound, k - stage)
 
@@ -563,25 +565,23 @@ def integral(system: SalemSystem) -> Fraction:
     """Exact Lebesgue mean of the function over [0, 1].
 
     Digits are independent and uniform under Lebesgue measure, so each
-    term factors; for an unbounded injective reorder the geometric sum
-    collapses to (beta_1 + ... + beta_{q-1}) / (q - 1).  Finite systems
-    (list reorders, matrices) get the corresponding finite sum.  Requires
-    an injective schedule; repeats would correlate the factors.
+    term factors; for an unbounded injective reorder `_close` sums the
+    geometric series, to (beta_1 + ... + beta_{q-1}) / (q - 1).  Finite
+    systems (list reorders, matrices) get the corresponding finite sum.
+    Requires an injective schedule; repeats would correlate the factors.
     """
     ensure_valid(system)
-    q = system.q
     limit = system.stage_limit()
-    if limit is None:
-        betas = _betas(system.weights)
-        return sum(betas[1:], ZERO) / (q - 1)
-    if not system.strict_reorder:
+    if limit is not None and not system.strict_reorder:
         raise DomainError(
             "exact mean needs an injective reorder; use the sampling estimate")
     # step k adds s_k / q times q^(1-k), for s_k the sum of its betas;
     # a matrix is validated to the identity order, so step k reads column k
-    rows = (system._step_rows[system._column(k)] for k in range(1, limit + 1))
-    return Fraction(*_series((q * D, sum(c for _, c, _ in row[1:]), D)
-                             for row in rows for D in (row[0][0],))[::2])
+    steps = [(system.q * row[0][0], sum(c for _, c, _ in row[1:]), row[0][0])
+             for row in system._step_rows]
+    if limit is None:  # the fixed tuple's step, repeated forever
+        return _close(_series(()), _series(steps))
+    return Fraction(*_series(steps[system._column(k)] for k in range(1, limit + 1))[::2])
 
 
 # ---------------------------------------------------------------------------
@@ -609,14 +609,9 @@ def emit_table(system: SalemSystem, grid, tol=DEFAULT_TOL) -> list[TableRow]:
     else:
         xs = [x if isinstance(x, Fraction) else parse_rational(x)
               for x in grid]
-    q = system.q
-    rows = []
-    t = _as_tol(tol)
-    for x in xs:
-        d = _prepare_point(x, q, system)
-        res = _eval_stage(d, system, t, 0)
-        rows.append(TableRow(x, res.value, res.error_bound))
-    return rows
+    t = _as_tol(tol)  # refused before the first point, also on an empty grid
+    results = [evaluate(x, system.q, system, t) for x in xs]
+    return [TableRow(x, res.value, res.error_bound) for x, res in zip(xs, results)]
 
 
 @dataclass(frozen=True)

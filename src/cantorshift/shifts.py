@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import MAX_PROGRAM_DEPTH, DomainError, InsufficientDepthError, json_decoder
+from .errors import (MAX_PROGRAM_DEPTH, DomainError, InsufficientDepthError, json_decoder,
+                     json_int)
 from .numeral import (
     DigitString,
     QSequence,
@@ -96,7 +97,7 @@ class Atom:
         if "sigma" in obj:
             return SIGMA
         if "gen" in obj:
-            return GEN(int(obj["gen"]))
+            return GEN(json_int(obj["gen"]))
         raise DomainError(f"unknown atom form {obj!r}")
 
     def __repr__(self):
@@ -121,7 +122,7 @@ def _word(step: Union[Atom, dict], count: int) -> tuple[Atom, ...]:
         return ()
     kind = step.get("kind")
     if kind == "affine":
-        a, b = int(step["a"]), int(step["b"])
+        a, b = json_int(step["a"]), json_int(step["b"])
         if a < 0 or a + b < 1:
             raise DomainError(
                 f"affine schedule a={a}, b={b} must keep indices >= 1")
@@ -129,7 +130,7 @@ def _word(step: Union[Atom, dict], count: int) -> tuple[Atom, ...]:
     if kind == "table":
         values = step.get("values", [])
         n = len(values)
-        word = tuple(GEN(int(values[j])) for j in range(min(count, n)))
+        word = tuple(GEN(json_int(values[j])) for j in range(min(count, n)))
         if count > n:
             raise DomainError(
                 f"table schedule has {n} entries; step {n + 1} undefined")
@@ -138,10 +139,13 @@ def _word(step: Union[Atom, dict], count: int) -> tuple[Atom, ...]:
 
 
 def _word_length(count) -> int:
-    """A generator word's atom count.  Every atom adds at least 1 to the
-    word's required depth, so a count past `MAX_PROGRAM_DEPTH` is refused
-    before the word is built."""
-    count = int(count)
+    """A generator word's atom count, for every rule kind.  A negative
+    count is refused; every atom adds at least 1 to the word's required
+    depth, so a count past `MAX_PROGRAM_DEPTH` is refused before the
+    word is built."""
+    count = json_int(count)
+    if count < 0:
+        raise DomainError("repetition count must be >= 0")
     if count > MAX_PROGRAM_DEPTH:
         raise DomainError(
             f"a word of {count} atoms requires a depth past the limit of {MAX_PROGRAM_DEPTH}")
@@ -162,12 +166,10 @@ def _rule_plan(rule: dict, k: Optional[int]) -> tuple[Union[Atom, dict], int]:
         count = k if k is not None else rule.get("k")
         if count is None:
             raise DomainError("const-repeat rule needs a repetition count")
-        count, m = _word_length(count), int(rule["m"])
-        if count < 0:
-            raise DomainError("repetition count must be >= 0")
-        return GEN(m), count
+        count = _word_length(count)
+        return GEN(json_int(rule["m"])), count
     if kind == "mod-filter":
-        m, c = int(rule["m"]), int(rule["c"])
+        m, c = json_int(rule["m"]), json_int(rule["c"])
         if c < 1:
             raise DomainError("mod-filter modulus must be >= 1")
         if k is None:

@@ -299,6 +299,22 @@ class TestGkCommands:
         warned = [json.loads(w)["warning"]["param"] for w in err.strip().split("\n")]
         assert warned == [2, 3, 5, 6]
 
+    def test_scan_builds_each_word_once(self, capsys, monkeypatch):
+        # the default depth rule reads the spec the scan has just built;
+        # rows 2, 3, 5 and 6 are rejected while their word is built
+        built = []
+        from_generator = cantorshift.ShiftProgram.from_generator
+        monkeypatch.setattr(cantorshift.ShiftProgram, "from_generator", staticmethod(
+            lambda rule, k=None: built.append(k) or from_generator(rule, k)))
+        code, out, err = run(
+            capsys, "gk", "scan", "--q", "2",
+            "--family", json.dumps({"kind": "mod-filter", "m": 2, "c": 3}),
+            "--rhs", json.dumps({"const": "1/2"}),
+            "--params", "1:7")
+        assert code == 0
+        assert out == "n,lower,upper,decided_mass\n1,1/2,1/2,1/1\n4,1/2,1/2,1/1\n7,1/2,1/2,1/1\n"
+        assert built == [1, 2, 3, 4, 5, 6, 7]
+
     def test_scan_all_rejected_is_error(self, capsys):
         code, out, err = run(
             capsys, "gk", "scan", "--q", "2",
@@ -467,6 +483,26 @@ class TestErrors:
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {"type": "domain", "message": message}
+
+    @pytest.mark.parametrize("argv, message", [
+        (("expand", "--x", "1/3", "--q", '{"kind": "constant", "values": [2.5]}',
+          "--depth", "4"), "expected an integer, got 2.5"),
+        (("evaluate", "--q", "2", "--prefix", "1", "--tail", '{"periodic": [1.5]}'),
+         "expected an integer, got 1.5"),
+        (("shift", "--x", "1/3", "--q", "2", "--program", '{"word": [{"gen": 2.9}]}'),
+         "expected an integer, got 2.9"),
+        (("normalize", "--program",
+          '{"generator": {"kind": "affine", "a": 1, "b": 1}, "k": -5}'),
+         "repetition count must be >= 0"),
+        (("classify", "--x", "1/3", "--q", "2", "--probe", "-1"), "probe must be >= 0, got -1"),
+        (("expand", "--x", "1/3", "--q", "2", "--depth", "3", "--probe", "-1"),
+         "probe must be >= 0, got -1"),
+    ], ids=["float-base-value", "float-tail-digit", "float-gen-index", "negative-count",
+            "classify-negative-probe", "expand-negative-probe"])
+    def test_non_integral_or_negative_count_is_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == {"type": "domain", "message": message}
 

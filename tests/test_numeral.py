@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorshift import (
+    MAX_TAIL,
     DigitString,
     DomainError,
     InsufficientDepthError,
@@ -27,7 +28,7 @@ from cantorshift import (
 )
 from cantorshift import numeral
 from cantorshift.errors import MAX_EXPAND_DEPTH, MAX_EXPONENT, MAX_PROBE
-from cantorshift.numeral import _decision_bound, _scan
+from cantorshift.numeral import _decision_bound, _resolve
 
 
 @st.composite
@@ -227,7 +228,7 @@ class TestExpand:
         x, q = F(1, 10**30 + 57), QSequence.constant(2)
         assert expand(x, q, 1, probe_limit=MAX_PROBE // 1000).tail.kind == "truncated"
         assert classify_rationality(x, q, probe_depth=MAX_PROBE // 1000).kind == "undecided"
-        monkeypatch.setattr(numeral, "_scan", None)
+        monkeypatch.setattr(numeral, "_resolve", None)
         for call in (lambda: expand(x, q, 1, probe_limit=MAX_PROBE + 1),
                      lambda: expand(F(1), q, 1, probe_limit=MAX_PROBE + 1),
                      lambda: classify_rationality(x, q, probe_depth=MAX_PROBE + 1)):
@@ -490,24 +491,40 @@ def reference_scan(x: F, q: QSequence, limit: int):
     return digits, (limit if r == 0 else None), None
 
 
+def reference_resolve(x: F, q: QSequence, limit: int):
+    # the digits of `reference_scan` and the exact string its terminating
+    # index or (entry, period) pair decides; x = 1 is the max string
+    if x == 1:
+        return [], DigitString(q, (), MAX_TAIL)
+    digits, term, cyc = reference_scan(x, q, limit)
+    if term is not None:
+        return digits, DigitString(q, tuple(digits), ZERO_TAIL)
+    if cyc is None:
+        return digits, None
+    j0, L = cyc
+    return digits, DigitString(q, tuple(digits[:j0]), periodic_tail(digits[j0:j0 + L]))
+
+
 class TestScan:
     @settings(max_examples=300, deadline=None)
     @given(unit_rationals(max_den=3000), pre_periodic_bases(), st.data())
     def test_matches_state_dict_reference(self, x, q, data):
         bound = _decision_bound(x, q)
         limit = data.draw(st.sampled_from([bound, 0, 1, 7, 40, 300]))
-        assert _scan(x, q, limit) == reference_scan(x, q, limit)
+        assert _resolve(x, q, limit) == reference_resolve(x, q, limit)
 
     def test_entry_and_period_worked(self):
         # 1/28 over 3, 2, 3, 2, ...: the remainders 1, 3, 6, 18 (over 28) are
         # not multiples of 4, the part of 28 built from the primes of the
         # cycle product 6; 8 is the first that is, and it returns 4 steps later
-        assert _scan(F(1, 28), QSequence((3,), (2, 3)), 100) == (
-            [0, 0, 0, 1, 0, 1, 2, 0], None, (4, 4))
+        q = QSequence((3,), (2, 3))
+        assert _resolve(F(1, 28), q, 100) == (
+            [0, 0, 0, 1, 0, 1, 2, 0], DigitString(q, (0, 0, 0, 1), periodic_tail((0, 1, 2, 0))))
         # 1/7 over 2, 2, 4, ...: remainder 1/7 comes back after 5 steps at
         # another base phase, and at the same phase only after 9
-        assert _scan(F(1, 7), QSequence.periodic((2, 2, 4)), 100) == (
-            [0, 0, 2, 0, 1, 0, 1, 0, 1], None, (0, 9))
+        q = QSequence.periodic((2, 2, 4))
+        digits = [0, 0, 2, 0, 1, 0, 1, 0, 1]
+        assert _resolve(F(1, 7), q, 100) == (digits, DigitString(q, (), periodic_tail(digits)))
 
     def test_memory_per_digit(self):
         # 2 has order 20028 modulo the prime 20029; a dict of the states
@@ -630,7 +647,28 @@ REFUSALS = {
                               "cannot materialize to depth 3: truncated at 1"),
     "expand-depth": (lambda: expand(F(1, 3), Q2, 0), DomainError,
                      "depth must be >= 1, got 0"),
+    "expand-probe-negative": (lambda: expand(F(1, 3), Q2, 3, probe_limit=-1), DomainError,
+                              "probe must be >= 0, got -1"),
+    "classify-probe-negative": (lambda: classify_rationality(F(1, 3), Q2, probe_depth=-1),
+                                DomainError, "probe must be >= 0, got -1"),
+    # JSON numbers where an integer is expected are refused, not truncated
+    "base-json-fraction": (lambda: QSequence.from_json({"kind": "constant", "values": [2.5]}),
+                           DomainError, "expected an integer, got 2.5"),
+    "base-json-bare-fraction": (lambda: QSequence.from_json(2.5), DomainError,
+                                "expected an integer, got 2.5"),
+    "tail-json-fraction": (lambda: Tail.from_json({"periodic": [1.5]}), DomainError,
+                           "expected an integer, got 1.5"),
 }
+
+
+def test_integral_json_numbers_are_read():
+    # 3, 3.0 and "3" all name the integer 3; a bare base is a number
+    assert QSequence.from_json(3.0) == QSequence.from_json(3) == QSequence.constant(3)
+    for v in (3, 3.0, "3"):
+        assert QSequence.from_json({"kind": "constant", "values": [v]}) == QSequence.constant(3)
+        assert QSequence.from_json([2, v]) == QSequence.explicit([2, 3])
+        assert Tail.from_json({"truncated": v}) == truncated_tail(3)
+        assert Tail.from_json({"periodic": [v, 0]}) == periodic_tail((3, 0))
 
 
 @pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())

@@ -400,18 +400,19 @@ class TestTolerancePath:
 
     def test_truncated_string_stops_at_its_first_missing_digit(self):
         # the bound would take all 1000 columns at this tol, but digit 6
-        # is unknown: no column past it is read.  With a fixed tuple near
+        # is unknown: its read raises, and no digit past it is asked for.
+        # With a fixed tuple near
         # 1, such as (999/1000, 1/1000), those would be tens of thousands
         # of Fraction steps before the error
         s = SalemSystem.matrix([[F(1, 2), F(1, 2)]] * 1000)
         d = DigitString(QSequence.constant(2), (1, 0, 1, 0, 1), truncated_tail(5))
         read = []
-        p_row = SalemSystem.p_row
-        with mock.patch.object(SalemSystem, "p_row",
-                               lambda self, n: read.append(n) or p_row(self, n)):
+        digit = DigitString.digit
+        with mock.patch.object(DigitString, "digit",
+                               lambda self, n: read.append(n) or digit(self, n)):
             with pytest.raises(InsufficientDepthError) as e:
                 evaluate(d, 2, s, tol=F(1, 10**400))
-        assert e.value.required == 6 and read == [1, 2, 3, 4, 5]
+        assert e.value.required == 6 and read == [1, 2, 3, 4, 5, 6]
 
     @settings(max_examples=150, deadline=None)
     @given(tolerance_systems())
@@ -600,6 +601,11 @@ REFUSALS = {
                        "reorder schedule has 2 steps; step 3 undefined"),
     "reorder-json-kind": (lambda: Reorder.from_json({"kind": "spiral"}), DomainError,
                           "unknown reorder kind 'spiral'"),
+    "reorder-json-fraction": (lambda: Reorder.from_json({"kind": "list", "values": [1, 2.5]}),
+                              DomainError, "expected an integer, got 2.5"),
+    "system-json-fraction": (lambda: SalemSystem.from_json(
+                                 {"p": ["1/2", "1/2"], "horizon": 2.5}),
+                             DomainError, "expected an integer, got 2.5"),
     "weights-or-columns": (lambda: SalemSystem(), DomainError,
                            "a system takes either a weight tuple or columns"),
     "horizon": (lambda: fixed(["1/2", "1/2"], horizon=0), DomainError,

@@ -558,7 +558,36 @@ REFUSALS = {
                     "shift count must be >= 0, got -1"),
     "position": (lambda: drop_positions(expand_exact(F(1, 3), QSequence.constant(2)), [0]),
                  "digit positions must be >= 1"),
+    # a negative word length is refused by every rule kind, not read as 0
+    "mod-filter-negative": (lambda: ShiftProgram.from_generator(
+                                {"kind": "mod-filter", "m": 2, "c": 3}, -5),
+                            "repetition count must be >= 0"),
+    "affine-negative": (lambda: ShiftProgram.from_generator(
+                            {"kind": "affine", "a": 1, "b": 1}, -5),
+                        "repetition count must be >= 0"),
+    "table-negative": (lambda: ShiftProgram.from_generator(
+                           {"kind": "table", "values": [2, 3]}, -1),
+                       "repetition count must be >= 0"),
+    # JSON numbers where an integer is expected are refused, not truncated
+    "atom-json-fraction": (lambda: Atom.from_json({"gen": 2.9}),
+                           "expected an integer, got 2.9"),
+    "rule-field-fraction": (lambda: ShiftProgram.from_generator(
+                                {"kind": "affine", "a": 1, "b": 0.5}, 2),
+                            "expected an integer, got 0.5"),
+    "rule-count-fraction": (lambda: ShiftProgram.from_json(
+                                {"generator": {"kind": "const-repeat", "m": 2}, "k": 1.5}),
+                            "expected an integer, got 1.5"),
 }
+
+
+def test_zero_count_word_is_empty_and_integral_json_numbers_are_read():
+    for rule in ({"kind": "const-repeat", "m": 2}, {"kind": "mod-filter", "m": 2, "c": 1},
+                 {"kind": "affine", "a": 1, "b": 1}, {"kind": "table", "values": [2]}):
+        assert ShiftProgram.from_generator(rule, 0).word == ()
+    for v in (2, 2.0, "2"):
+        assert Atom.from_json({"gen": v}) == GEN(2)
+        assert ShiftProgram.from_generator({"kind": "affine", "a": v, "b": 1}, 2).word == (
+            GEN(3), GEN(5))
 
 
 @pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())

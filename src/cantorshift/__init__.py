@@ -1,90 +1,18 @@
 """cantorshift: exact digit arithmetic over Cantor-series bases, shift
 and digit-deletion operators with their composition calculus,
-singular-function systems, and measure bounds for digit-defined sets."""
+singular-function systems, and measure bounds for digit-defined sets.
 
-from .errors import DomainError, InsufficientDepthError, InvalidSystemError
-from .numeral import (
-    Cylinder,
-    ClassifyResult,
-    DigitString,
-    Interval,
-    MAX_TAIL,
-    QSequence,
-    Tail,
-    ZERO_TAIL,
-    classify_rationality,
-    cylinder_info,
-    eval_prefix,
-    expand,
-    expand_exact,
-    format_rational,
-    parse_rational,
-    periodic_tail,
-    truncated_tail,
-)
-from .shifts import (
-    Atom,
-    GEN,
-    ReconstructionCheck,
-    SIGMA,
-    ShiftProgram,
-    apply_program,
-    drop_positions,
-    gen_shift,
-    normalize_program,
-    reconstruct_identity,
-    required_depth,
-    shift_n,
-)
-from .salem import (
-    EvalResult,
-    McMean,
-    Reorder,
-    SalemSystem,
-    TableRow,
-    ValidationReport,
-    Violation,
-    emit_table,
-    ensure_valid,
-    evaluate,
-    integral,
-    mc_mean,
-    residual,
-    validate_system,
-)
-from .gausskuzmin import (
-    ConstRhs,
-    GKSetSpec,
-    McMeasure,
-    MeasureBounds,
-    ProgramOnX,
-    ProgramOnZ,
-    ScanRow,
-    generator_family,
-    limit_scan,
-    measure_bounds,
-    measure_mc,
-    rhs_from_json,
-    sigma_family,
-)
+The public names are each module's `__all__`, republished here, plus
+`__version__`."""
+
+from . import errors, gausskuzmin, numeral, salem, shifts
+from .errors import *
+from .numeral import *
+from .shifts import *
+from .salem import *
+from .gausskuzmin import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DomainError", "InsufficientDepthError", "InvalidSystemError",
-    "QSequence", "DigitString", "Tail", "ZERO_TAIL", "MAX_TAIL",
-    "periodic_tail", "truncated_tail", "Interval", "Cylinder",
-    "ClassifyResult", "expand", "expand_exact", "eval_prefix",
-    "classify_rationality", "cylinder_info", "parse_rational",
-    "format_rational",
-    "Atom", "SIGMA", "GEN", "ShiftProgram", "shift_n", "gen_shift",
-    "apply_program", "normalize_program", "reconstruct_identity",
-    "ReconstructionCheck", "required_depth", "drop_positions",
-    "Reorder", "SalemSystem", "Violation", "ValidationReport",
-    "validate_system", "ensure_valid", "EvalResult", "evaluate",
-    "residual", "integral", "TableRow", "emit_table", "McMean", "mc_mean",
-    "ConstRhs", "ProgramOnZ", "ProgramOnX", "rhs_from_json", "GKSetSpec",
-    "MeasureBounds", "measure_bounds", "McMeasure", "measure_mc", "ScanRow",
-    "limit_scan", "sigma_family", "generator_family",
-    "__version__",
-]
+__all__ = [*errors.__all__, *numeral.__all__, *shifts.__all__, *salem.__all__,
+           *gausskuzmin.__all__, "__version__"]

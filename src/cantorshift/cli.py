@@ -27,6 +27,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
@@ -46,6 +47,7 @@ from .numeral import (
 )
 from .shifts import ShiftProgram, apply_program, gen_shift, normalize_program, shift_n
 from .salem import (
+    DEFAULT_TOL,
     SalemSystem,
     emit_table,
     evaluate,
@@ -145,6 +147,17 @@ def _decimal(x: Fraction, digits: int) -> str:
 
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
+
+
+def _write_csv(header, rows, path=None) -> None:
+    """Write the header and rows as CSV to the file `path`, or to stdout.
+    A path that cannot be opened is refused before anything is written."""
+    try:
+        out = open(path, "w", newline="") if path else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
+    with out as f:
+        csv.writer(f, lineterminator="\n").writerows([header, *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +273,7 @@ def _cmd_salem_table(args) -> None:
     # every row is rendered before the file is opened or the header written
     rows = [[fmt(row.x), fmt(row.value), fmt(row.error_bound)]
             for row in emit_table(system, grid, tol=parse_rational(args.tol))]
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["x", "g", "err_bound"])
-        w.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    _write_csv(["x", "g", "err_bound"], rows, args.out)
 
 
 def _cmd_salem_mc(args) -> None:
@@ -316,17 +322,12 @@ def _cmd_gk_scan(args) -> None:
         rendered.append([row.param, fmt(b.lower), fmt(b.upper), fmt(b.decided_mass)])
     if not rendered:
         raise DomainError("no parameter in the scan produced bounds")
-    w = csv.writer(sys.stdout, lineterminator="\n")
-    w.writerow(["n", "lower", "upper", "decided_mass"])
-    w.writerows(rendered)
+    _write_csv(["n", "lower", "upper", "decided_mass"], rendered)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-_TOL_DEFAULT = "1/1000000000"
-
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="cantorshift",
@@ -385,7 +386,7 @@ def _build_parser() -> _Parser:
     s = ssub.add_parser("eval", help="evaluate the system's function")
     s.add_argument("--system", required=True)
     s.add_argument("--x", required=True)
-    s.add_argument("--tol", default=_TOL_DEFAULT)
+    s.add_argument("--tol", default=format_rational(DEFAULT_TOL))
     s.add_argument("--exact", action="store_true",
                    help="fail unless the value is closed exactly")
     s.set_defaults(func=_cmd_salem_eval)
@@ -394,7 +395,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--system", required=True)
     s.add_argument("--x", required=True)
     s.add_argument("--k", type=int, required=True)
-    s.add_argument("--tol", default=_TOL_DEFAULT)
+    s.add_argument("--tol", default=format_rational(DEFAULT_TOL))
     s.set_defaults(func=_cmd_salem_residual)
 
     s = ssub.add_parser("integral", help="exact Lebesgue mean")
@@ -406,7 +407,7 @@ def _build_parser() -> _Parser:
     g = s.add_mutually_exclusive_group(required=True)
     g.add_argument("--points", type=int, help="uniform grid size (includes 0 and 1)")
     g.add_argument("--grid", help="comma-separated rationals")
-    s.add_argument("--tol", default=_TOL_DEFAULT)
+    s.add_argument("--tol", default=format_rational(DEFAULT_TOL))
     s.add_argument("--digits", type=int, default=12,
                    help="decimal places for the default rendering")
     s.add_argument("--exact", action="store_true",

@@ -2,6 +2,8 @@
 
 from functools import wraps
 
+__all__ = ["DomainError", "InsufficientDepthError", "InvalidSystemError"]
+
 # Largest sample count `mc_mean` and `measure_mc` accept.  A larger one is
 # refused with a DomainError before any digit is drawn.
 MAX_SAMPLES = 10**7

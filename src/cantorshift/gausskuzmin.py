@@ -56,7 +56,7 @@ from math import gcd, sqrt
 from typing import Callable, Optional, Union
 
 from .errors import (MAX_BOUNDS_DEPTH, MAX_PARAMS, MAX_SAMPLES, DomainError,
-                     InsufficientDepthError, json_decoder)
+                     InsufficientDepthError, json_decoder, json_int)
 from .numeral import (
     QSequence,
     format_rational,
@@ -534,19 +534,20 @@ def limit_scan(family: Callable[[int], GKSetSpec], params,
     depth is the digits consumed plus six, giving a bracket width of at
     most the corresponding cylinder measure.  At most `MAX_PARAMS`
     (10**5) parameters are taken; a longer iterable is refused before
-    any row is computed.
+    any row is computed, and so is a parameter that is not an integer
+    (`errors.json_int`: 2 and 2.0 read as 2, 2.5 is refused).
     """
     params = list(islice(params, MAX_PARAMS + 1))
     if len(params) > MAX_PARAMS:
         raise DomainError(f"scan parameters exceed the limit of {MAX_PARAMS}")
     rows = []
-    for n in params:
+    for n in list(map(json_int, params)):  # every parameter is read before any row
         try:
-            spec = family(int(n))
-            depth = depth_rule(int(n)) if depth_rule else spec.required_depth + 6
-            rows.append(ScanRow(int(n), measure_bounds(spec, depth)))
+            spec = family(n)
+            depth = depth_rule(n) if depth_rule else spec.required_depth + 6
+            rows.append(ScanRow(n, measure_bounds(spec, depth)))
         except ValueError as exc:  # all package errors derive from ValueError
-            rows.append(ScanRow(int(n), None, str(exc)))
+            rows.append(ScanRow(n, None, str(exc)))
     return rows
 
 

@@ -143,9 +143,7 @@ class QSequence:
         """The k-th base value, 1-indexed."""
         if k < 1:
             raise DomainError(f"base index must be >= 1, got {k}")
-        if k <= len(self.prefix):
-            return self.prefix[k - 1]
-        return self.cycle[(k - len(self.prefix) - 1) % len(self.cycle)]
+        return self.values(k - 1, k)[0]
 
     def values(self, start: int, stop: int) -> tuple[int, ...]:
         """(q_{start+1}, ..., q_stop): the base values of positions
@@ -410,7 +408,11 @@ class DigitString:
 
     @classmethod
     def from_json(cls, obj, base: QSequence) -> "DigitString":
-        return cls(base, tuple(obj.get("prefix", [])), Tail.from_json(obj.get("tail", "zero")))
+        # the prefix list is read before the tail and its digits after,
+        # as the constructor would read them
+        prefix = tuple(obj.get("prefix", []))
+        tail = Tail.from_json(obj.get("tail", "zero"))
+        return cls(base, tuple(map(json_int, prefix)), tail)
 
 
 # ---------------------------------------------------------------------------

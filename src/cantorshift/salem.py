@@ -159,14 +159,10 @@ class Reorder:
     def from_json(cls, obj) -> "Reorder":
         if obj is None:
             return cls()
+        # the identity reads no field, and a rule only its name
         kind = obj.get("kind", "identity")
-        if kind == "identity":
-            return cls()
-        if kind == "rule":
-            return cls("rule", name=obj.get("name", ""))
-        if kind == "list":
-            return cls("list", values=tuple(map(json_int, obj.get("values", []))))
-        raise DomainError(f"unknown reorder kind {kind!r}")
+        values = tuple(map(json_int, obj.get("values", []))) if kind == "list" else ()
+        return cls(kind, values, obj.get("name", "") if kind == "rule" else "")
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +237,12 @@ class SalemSystem:
         serves digit position n: the fixed tuple, or matrix column n."""
         return 0 if self.is_fixed else n - 1
 
+    def _step(self, k: int) -> tuple[int, int]:
+        """(n, i): the digit position n that step k reads, and the index
+        `_column(n)` of the column that serves it."""
+        n = self.reorder.position(k)
+        return n, self._column(n)
+
     def p_row(self, n: int) -> tuple[Fraction, ...]:
         """Weight tuple applied to digit position n."""
         i = self._column(n)
@@ -296,10 +298,12 @@ class SalemSystem:
         reorder = Reorder.from_json(obj.get("reorder"))
         horizon = json_int(obj.get("horizon", 64))
         strict = bool(obj.get("strict-reorder", True))
+        # the constructor parses the weights; tuple() refuses a null list
+        # as malformed, where the constructor would read it as absent
         if "p" in obj:
-            weights, columns = _coerce_weights(obj["p"]), None
+            weights, columns = tuple(obj["p"]), None
         elif "columns" in obj:
-            weights, columns = None, tuple(map(_coerce_weights, obj["columns"]))
+            weights, columns = None, tuple(obj["columns"])
         else:
             raise DomainError("system JSON needs \"p\" or \"columns\"")
         system = cls(weights, columns, reorder, horizon, strict)
@@ -492,8 +496,7 @@ def _eval_stage(d: DigitString, system: SalemSystem, tol: Fraction,
     steps = []
     while (limit is None or k < limit) and r >= target:
         k += 1
-        n = system.reorder.position(k)
-        i = system._column(n)
+        n, i = system._step(k)
         steps.append(system._step_rows[i][d.digit(n)])
         r *= system._column_max[i]
     bound = ZERO if limit is not None and k >= limit else r / (1 - m)
@@ -575,13 +578,12 @@ def integral(system: SalemSystem) -> Fraction:
     if limit is not None and not system.strict_reorder:
         raise DomainError(
             "exact mean needs an injective reorder; use the sampling estimate")
-    # step k adds s_k / q times q^(1-k), for s_k the sum of its betas;
-    # a matrix is validated to the identity order, so step k reads column k
+    # step k adds s_k / q times q^(1-k), for s_k the sum of its betas
     steps = [(system.q * row[0][0], sum(c for _, c, _ in row[1:]), row[0][0])
              for row in system._step_rows]
     if limit is None:  # the fixed tuple's step, repeated forever
         return _close(_series(()), _series(steps))
-    return Fraction(*_series(steps[system._column(k)] for k in range(1, limit + 1))[::2])
+    return Fraction(*_series(steps[system._step(k)[1]] for k in range(1, limit + 1))[::2])
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +725,8 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
         k_tol += 1
         bound *= m
     terms = k_tol if limit is None else min(k_tol, limit)
-    positions = [system.reorder.position(t) for t in range(1, terms + 1)]
-    maxpos = max(positions, default=1)
+    plan = [system._step(t) for t in range(1, terms + 1)]
+    maxpos = max((n for n, _ in plan), default=1)
     size = 1 if q <= 127 else 8  # bytes per digit: int8 or int64
     if maxpos * size > _MC_BLOCK_BYTES:
         raise DomainError(
@@ -736,8 +738,7 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
     used = system._step_rows[:terms]  # a matrix is read in identity order
     b_rows = [np.array([c / D for D, c, _ in row]) for row in used]
     p_rows = [np.array([a / D for D, _, a in row]) for row in used]
-    at = map(system._column, positions)
-    steps = [(b_rows[i], p_rows[i], n - 1) for i, n in zip(at, positions)]
+    steps = [(b_rows[i], p_rows[i], n - 1) for n, i in plan]
 
     dtype = np.int8 if size == 1 else np.int64
     chunk = min(_MC_CHUNK, _MC_BLOCK_BYTES // (maxpos * size))

@@ -111,13 +111,10 @@ def GEN(m: int) -> Atom:
     return Atom("gen", m)
 
 
-def _word(step: Union[Atom, dict], count: int) -> tuple[Atom, ...]:
-    """The word of a generator rule from its plan (see `_rule_plan`): the
-    atom `step` repeated `count` times, or the deletions GEN(psi(1)),
-    ..., GEN(psi(count)) of the index schedule psi = `step`.  A schedule
-    is read and checked once, and not at all for a count below 1."""
-    if isinstance(step, Atom):
-        return (step,) * count
+def _schedule_word(step: dict, count: int) -> tuple[Atom, ...]:
+    """The deletions GEN(psi(1)), ..., GEN(psi(count)) of the index
+    schedule psi = `step`, an affine or a table rule.  A schedule is read
+    and checked once, and not at all for a count below 1."""
     if count < 1:
         return ()
     kind = step.get("kind")
@@ -152,9 +149,9 @@ def _word_length(count) -> int:
     return count
 
 
-def _rule_plan(rule: dict, k: Optional[int]) -> tuple[Union[Atom, dict], int]:
-    """(step, count) of a generator rule, whose word is `_word(step,
-    count)`: a repeated atom, or an index schedule's deletions.
+def _rule_word(rule: dict, k: Optional[int]) -> tuple[Atom, ...]:
+    """The word of a generator rule: a repeated deletion, or an index
+    schedule's deletions (see `_schedule_word`).
 
     `k` is the family parameter (word length / repetition count); rules
     that carry their own count use it as a default.
@@ -167,7 +164,7 @@ def _rule_plan(rule: dict, k: Optional[int]) -> tuple[Union[Atom, dict], int]:
         if count is None:
             raise DomainError("const-repeat rule needs a repetition count")
         count = _word_length(count)
-        return GEN(json_int(rule["m"])), count
+        return (GEN(json_int(rule["m"])),) * count
     if kind == "mod-filter":
         m, c = json_int(rule["m"]), json_int(rule["c"])
         if c < 1:
@@ -178,26 +175,22 @@ def _rule_plan(rule: dict, k: Optional[int]) -> tuple[Union[Atom, dict], int]:
         if k % c != 1 % c:
             raise DomainError(
                 f"count {k} not admitted by mod-filter: need k = 1 (mod {c})")
-        return GEN(m), k
+        return (GEN(m),) * k
     if kind == "affine":
         if k is None:
             raise DomainError("affine rule needs a word length")
-        return rule, _word_length(k)
+        return _schedule_word(rule, _word_length(k))
     if kind == "table":
         values = rule.get("values", [])
         count = _word_length(len(values) if k is None else k)
         if count > len(values):
             raise DomainError(
                 f"table rule has {len(values)} entries, requested {count}")
-        return rule, count
+        return _schedule_word(rule, count)
     if "psi" in rule and "phi" in rule:
         # composed family: the admission rule `phi` fixes the word length,
-        # the schedule `psi` supplies the deletion indices.  Only an
-        # index schedule in `phi` is expanded, to check its indices
-        step, count = _rule_plan(rule["phi"], k)
-        if not isinstance(step, Atom):
-            _word(step, count)
-        return rule["psi"], count
+        # the schedule `psi` supplies the deletion indices
+        return _schedule_word(rule["psi"], len(_rule_word(rule["phi"], k)))
     raise DomainError(f"unknown generator rule kind {kind!r}")
 
 
@@ -231,7 +224,7 @@ class ShiftProgram:
     @classmethod
     @json_decoder
     def from_generator(cls, rule: dict, k: Optional[int] = None) -> "ShiftProgram":
-        return cls(_word(*_rule_plan(rule, k)), generator=dict(rule))
+        return cls(_rule_word(rule, k), generator=dict(rule))
 
     @property
     def required_depth(self) -> int:

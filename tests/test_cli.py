@@ -204,6 +204,15 @@ class TestSalemCommands:
             assert json.loads(err)["error"]["message"] == "decimal precision must be >= 1, got 0"
         assert not fresh.exists() and kept.read_text() == "earlier\n"
 
+    def test_unwritable_out_path_is_refused(self, capsys, tmp_path):
+        for path, reason in ((tmp_path / "missing" / "x.csv", "No such file or directory"),
+                             (tmp_path, "Is a directory")):
+            code, out, err = run(capsys, "salem", "table", "--system", SYSTEM,
+                                 "--points", "3", "--out", str(path))
+            assert code == 2 and out == ""
+            assert json.loads(err) == {"error": {
+                "type": "domain", "message": f"cannot write {path}: {reason}"}}
+
     def test_mc(self, capsys):
         out = run_json(capsys, "salem", "mc", "--system", SYSTEM,
                        "--samples", "20000", "--seed", "3")

@@ -651,6 +651,15 @@ class TestScans:
         with pytest.raises(DomainError, match="limit of 3"):
             limit_scan(fam, [1, 2, 3, 4])
 
+    def test_parameters_are_integers_read_before_any_row(self, monkeypatch):
+        fam = sigma_family(Q2, F(1, 3))
+        assert limit_scan(fam, [2.0]) == limit_scan(fam, [2])
+        assert limit_scan(fam, [2])[0].param == 2
+        monkeypatch.setattr(gk_module, "measure_bounds", None)
+        with pytest.raises(DomainError) as info:
+            limit_scan(fam, [2, 2.5])
+        assert str(info.value) == "expected an integer, got 2.5"
+
     def test_custom_depth_rule(self):
         fam = sigma_family(Q2, F(1, 3))
         rows = limit_scan(fam, [2], depth_rule=lambda n: n + 4)

@@ -658,6 +658,8 @@ REFUSALS = {
                                 "expected an integer, got 2.5"),
     "tail-json-fraction": (lambda: Tail.from_json({"periodic": [1.5]}), DomainError,
                            "expected an integer, got 1.5"),
+    "digits-json-fraction": (lambda: DigitString.from_json({"prefix": [1.5, 0.9]}, Q2),
+                             DomainError, "expected an integer, got 1.5"),
 }
 
 
@@ -669,6 +671,7 @@ def test_integral_json_numbers_are_read():
         assert QSequence.from_json([2, v]) == QSequence.explicit([2, 3])
         assert Tail.from_json({"truncated": v}) == truncated_tail(3)
         assert Tail.from_json({"periodic": [v, 0]}) == periodic_tail((3, 0))
+        assert DigitString.from_json({"prefix": [0, v]}, QSequence.constant(4)).prefix == (0, 3)
 
 
 @pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())

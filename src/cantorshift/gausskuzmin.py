@@ -39,7 +39,9 @@ The sampler `measure_mc` classifies one rank-d cylinder per sample by
 the same scaled difference and thresholds (`_scaled_difference`).  It
 sums the difference one digit position at a time and counts a sample
 as soon as the positions still to come cannot move it across a
-threshold; its last chunk stops drawing once every sample is counted.
+threshold; its last chunk stops drawing once every sample is counted,
+and another chunk passes the raw-word rows it no longer needs with
+`PCG64.advance`.
 
 Only `measure_mc` uses numpy, and it imports numpy when called, so
 importing this module (or the package) does not load it.  Its
@@ -381,6 +383,24 @@ def _mc_depth(q: QSequence, req: int, extra: int) -> int:
     return d
 
 
+def _skip32(rng, n: int) -> None:
+    """Move a PCG64 generator `rng` past n >= 0 32-bit words, so that
+    every later draw reads the stream that follows `_words32(rng, n)`.
+
+    The words are the buffered half word, if there is one, then the
+    halves of 64-bit words; `advance` passes whole 64-bit words and
+    clears the buffered half, so an odd count draws its last 64-bit word
+    to buffer the high half, as `_words32` does.
+    """
+    if not n:
+        return
+    gen = rng.bit_generator
+    need = n - gen.state["has_uint32"]
+    gen.advance(need // 2)
+    if need & 1:
+        _words32(rng, 1)
+
+
 def measure_mc(spec: GKSetSpec, samples: int, seed: int,
                extra_depth: int = 32) -> McMeasure:
     """Estimate the measure by sampling digit strings uniformly.
@@ -423,11 +443,13 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     buffered half word carried into and out of the draw, which leaves
     the stream where the bounded draws would.  Consecutive such rows
     share one draw of at most 65536 words, since their words follow one
-    another in the stream.  Other bases keep the bounded draw.  A chunk
-    other than the last draws every row, decided samples or not, so the
-    next chunk reads the same stream; the last chunk stops drawing once
-    every sample is decided.  So neither the checks nor their schedule
-    change a result.
+    another in the stream.  Other bases keep the bounded draw.  Once
+    every sample of a chunk other than the last is decided, the chunk
+    passes the words of its remaining raw rows with `_skip32`, once per
+    run of such rows, and still draws its bounded rows, which may reject
+    words; so the next chunk reads the same stream.  The last chunk stops
+    drawing once every sample is decided.  So neither the checks nor
+    their schedule change a result.
     """
     if samples < 1:
         raise DomainError("need at least 1 sample")
@@ -480,9 +502,22 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
         sums = sums_buf[:m]
         sums.fill(0)
         words = ()
+        skip = 0  # raw words of the rows passed since the last draw
         for q, shift, e, run, sure, open_ in rows:
-            if not n and done == samples:
-                break  # nothing reads the stream after the last chunk
+            if not n:
+                if done == samples:
+                    break  # nothing reads the stream after the last chunk
+                # every sample is decided: pass the row so that the next
+                # chunk reads the stream where it would after drawing it
+                if shift is None:
+                    _skip32(rng, skip)
+                    skip = 0
+                    rng.integers(0, q, size=m)
+                elif len(words):
+                    words = words[m:]
+                else:
+                    skip += m
+                continue
             if shift is None:
                 row = rng.integers(0, q, size=m)
             else:
@@ -491,8 +526,6 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
                     # of at most 65536 words
                     words = _words32(rng, min(run, max(1, _MC_CHUNK // m)) * m)
                 row, words = words[:m], words[m:]
-            if not n:
-                continue  # drawn only to leave the stream where the next chunk reads it
             if e:
                 if keep is not None:
                     row = row[keep]
@@ -508,6 +541,7 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
                 keep = left if keep is None else keep[left]
                 sums_buf[:n] = sums[left]
                 sums = sums_buf[:n]
+        _skip32(rng, skip)
     est = hits / samples
     se = sqrt(max(est * (1.0 - est), 0.0) / samples)
     return McMeasure(est, se, hits, samples, seed, depth)

@@ -684,21 +684,34 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
     `MAX_SAMPLES` (10**7).  One sample reads the digits up to the
     largest position its terms consume; a schedule whose row of those
     digits exceeds 64 MiB is refused before numpy is loaded.  A chunk
-    draws at most 65536 rows of digits from numpy's seeded generator,
-    and fewer when the digit block would exceed 64 MiB.
+    covers at most 65536 rows of digits from numpy's seeded generator,
+    and fewer when its digits would exceed 64 MiB.
 
-    The digits are those of `rng.integers(0, q, dtype=int8)` (int64 for
-    q >= 128), one row after another.  For q = 2**k <= 64 that bounded
-    draw (Lemire's method) takes each digit as the top k bits of one
-    byte of the generator's 32-bit words, low byte first, and never
-    rejects one.  So such a chunk takes ceil(rows * positions / 4) raw
-    32-bit words from `_words32`, one byte per digit: half as many
-    64-bit words, read low half first, with the generator's buffered
-    half word used first and an odd last half buffered again, so the
-    stream continues where the bounded draw would leave it.  The top
-    bits are shifted down only in the columns a block sums.
+    The digits are those of one `rng.integers(0, q, size=(rows,
+    positions), dtype=int8)` per chunk (int64 for q >= 128), and each
+    block of 4096 of its rows draws its own part just before it is
+    summed, so no draw takes more than one block's digits: at most
+    min(4096 * positions * bytes per digit, 64 MiB).  For q >= 128 a
+    block makes the int64 bounded draw of its own rows, which reads on
+    in the chunk draw's stream: numpy takes each digit below 2**32 from
+    whole 32-bit words (one more after a rejection), so no call leaves
+    part of a word behind.  For q = 2**k <= 64 the bounded draw (Lemire's
+    method) takes each digit as the top k bits of one byte of the
+    generator's 32-bit words, low byte first, and never rejects one.
+    So such a block takes raw 32-bit words from `_words32`, one byte per
+    digit: half as many 64-bit words, read low half first, with the
+    generator's buffered half word used first and an odd last half
+    buffered again.  The bytes of its last word that the block does not
+    read go to the next block of the chunk, which draws only what they
+    do not cover, and the chunk's last block drops them, as the chunk
+    draw does.  So the stream continues where the chunk draw would leave
+    it.  The top bits are shifted down only in the columns a block sums.
+    Any other q <= 127 draws the whole chunk at once, which may hold up
+    to 64 MiB: numpy's int8 draw drops the unused bytes of its last
+    32-bit word on every call, and it rejects some bytes, so a block's
+    share of the chunk draw's words is not known in advance.
 
-    Within a chunk the rows are summed in blocks of 4096: each term
+    The rows of a chunk are summed in blocks of 4096: each term
     shifts the block's digit column once into a reused index buffer
     and looks up beta and p into two reused float buffers, so the
     running values and products stay in cache.  Every 64 terms a block
@@ -740,11 +753,12 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
     p_rows = [np.array([a / D for D, _, a in row]) for row in used]
     steps = [(b_rows[i], p_rows[i], n - 1) for n, i in plan]
 
-    dtype = np.int8 if size == 1 else np.int64
     chunk = min(_MC_CHUNK, _MC_BLOCK_BYTES // (maxpos * size))
     # q = 2**k <= 64: draw raw words, and shift each byte down by 8 - k
     raw = q <= 64 and q & (q - 1) == 0
     shift = 9 - q.bit_length() if raw else 0
+    # any other q <= 127 takes the whole chunk's int8 digits in one draw
+    whole = size == 1 and not raw
     rows = min(_MC_ROWS, chunk, samples)
     idx_buf = np.empty(rows, dtype=np.intp)
     b_buf, p_buf, prod_buf = np.empty(rows), np.empty(rows), np.empty(rows)
@@ -754,16 +768,23 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
     done = 0
     while done < samples:
         mrows = min(chunk, samples - done)
-        if raw:
-            n = mrows * maxpos
-            words = _words32(rng, -(-n // 4))
-            digs = words.astype("<u4", copy=False).view(np.uint8)[:n].reshape(mrows, maxpos)
-        else:
-            digs = rng.integers(0, q, size=(mrows, maxpos), dtype=dtype)
+        if whole:
+            digs = rng.integers(0, q, size=(mrows, maxpos), dtype=np.int8)
+        spare = np.empty(0, dtype=np.uint8)  # drawn bytes no block has read yet
         vals = np.zeros(mrows)
         for r0 in range(0, mrows, rows):
-            block = digs[r0:r0 + rows]
-            k = len(block)
+            k = min(rows, mrows - r0)
+            if whole:
+                block = digs[r0:r0 + k]
+            elif raw:
+                n = k * maxpos
+                if n > len(spare):
+                    words = _words32(rng, -(-(n - len(spare)) // 4))
+                    got = words.astype("<u4", copy=False).view(np.uint8)
+                    spare = np.concatenate((spare, got)) if len(spare) else got
+                block, spare = spare[:n].reshape(k, maxpos), spare[n:]
+            else:
+                block = rng.integers(0, q, size=(k, maxpos), dtype=np.int64)
             v = vals[r0:r0 + k]
             idx, b, p, prod = idx_buf[:k], b_buf[:k], p_buf[:k], prod_buf[:k]
             prod.fill(1.0)

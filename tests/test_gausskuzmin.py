@@ -389,16 +389,67 @@ class TestSamplingKernel:
         assert r.depth == 33 and sum(drawn) <= 2 * 33 * 20000 // 3
         assert r == measure_mc_by_columns(spec, 20000, 5)
 
-    def test_other_chunks_draw_every_row(self):
+    def test_other_chunks_pass_every_row(self):
         # chunks of 7 samples: the next chunk reads the stream after all
-        # 33 rows of 7 words, however early this chunk's samples are
-        # decided; the last chunk of 3 draws two rows at a time
-        spec, drawn = shift_below(Q2, 1, F(1, 3)), []
+        # 33 rows of 7 words.  A chunk draws rows until its samples are
+        # decided and passes the rest with one `_skip32`, whose odd count
+        # draws one word to buffer a half; the last chunk of 3 draws two
+        # rows at a time and stops
+        spec, drawn, skipped = shift_below(Q2, 1, F(1, 3)), [], []
+        real = gk_module._skip32
+
+        def skip(rng, n):
+            skipped.append(n)
+            real(rng, n)
+
         with mock.patch.object(gk_module, "_MC_CHUNK", 7), \
-                mock.patch.object(gk_module, "_words32", self.count_words(drawn)):
+                mock.patch.object(gk_module, "_words32", self.count_words(drawn)), \
+                mock.patch.object(gk_module, "_skip32", skip):
             r = measure_mc(spec, 5 * 7 + 3, 11)
-        assert drawn[:5 * 33] == [7] * (5 * 33) and set(drawn[5 * 33:]) == {6}
         assert r == measure_mc_by_columns(spec, 5 * 7 + 3, 11, chunk=7)
+        assert len(skipped) == 6 and skipped[-1] == 0 and set(drawn) == {1, 6, 7}
+        assert 7 * drawn.count(7) + sum(skipped) == 5 * 33 * 7
+        assert drawn.count(7) < 5 * 33 // 2
+
+    @pytest.mark.parametrize("base, relation, hits", [
+        ("2", "lt", (46722, 46557)), ("2", "ge", (93279, 93444)),
+        ("2-3", "lt", (69869, 70149)), ("2-3", "ge", (70132, 69852)),
+    ])
+    def test_decided_chunks_skip_their_rows(self, base, relation, hits):
+        # 140001 samples: two chunks of 65536 are decided long before
+        # their last row and pass the rest of their raw rows with
+        # `advance`.  The hits at seeds 1 and 2 were recorded when every
+        # row of those chunks was drawn, so the third chunk reads the
+        # same stream
+        if base == "2":
+            spec = shift_below(Q2, 1, F(1, 3), relation)
+        else:
+            spec = GKSetSpec(QSequence.periodic([2, 3]), ShiftProgram((SIGMA,)),
+                             ProgramOnZ(ShiftProgram((GEN(2),))), relation)
+        drawn = []
+        with mock.patch.object(gk_module, "_words32", self.count_words(drawn)):
+            r = measure_mc(spec, 140001, 1)
+        assert (r.hits, measure_mc(spec, 140001, 2).hits) == hits
+        assert r == measure_mc_by_columns(spec, 140001, 1)
+        # one word per raw digit: the call draws under 2/3 of them
+        raw_rows = sum(v == 2 for v in spec.q.values(0, r.depth))
+        assert sum(drawn) < 2 * raw_rows * 140001 // 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**63), before=st.integers(0, 3),
+           n=st.integers(0, 5000) | st.integers(0, 8))
+    def test_skip32_passes_the_uint32_draw(self, seed, before, n):
+        # 0-3 words drawn first leave the generator with or without a
+        # buffered half; the draws after the skip read the same stream
+        def after(move):
+            rng = np.random.default_rng(seed)
+            rng.integers(0, 2**32, size=before, dtype=np.uint32)
+            move(rng)
+            return (int(rng.integers(0, 2**32, dtype=np.uint32)),
+                    rng.integers(0, 3, size=5).tolist(), gk_module._words32(rng, 3).tolist())
+
+        assert (after(lambda rng: gk_module._skip32(rng, n))
+                == after(lambda rng: rng.integers(0, 2**32, size=n, dtype=np.uint32)))
 
     def test_memory_stays_within_a_few_rows(self):
         # 65536 samples at depth 62: a (depth x samples) int64 block alone

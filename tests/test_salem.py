@@ -772,27 +772,33 @@ class TestIntegral:
         # every digit block drawn stays under the cap; only the chunking moves
         s = fixed(["1/3", "2/3"])  # 54 terms: 54 one-byte digits per row
         want = mc_mean(s, samples=5000, seed=4)
-        digits = []
-        default_rng = np.random.default_rng
-
-        class Recorder:
-            def __init__(self, seed):
-                self.rng = default_rng(seed)
-                # the raw-word source reads and sets the buffered half word
-                self.bit_generator = self.rng.bit_generator
-
-            def integers(self, low, high, size, dtype):
-                # q = 2 reads one digit from each byte drawn: an int8, or
-                # a byte of a raw 64-bit word
-                digits.append(int(np.prod(size)) * np.dtype(dtype).itemsize)
-                return self.rng.integers(low, high, size=size, dtype=dtype)
-
-        monkeypatch.setattr(np.random, "default_rng", Recorder)
+        digits = record_draws(monkeypatch)
         monkeypatch.setattr(salem_module, "_MC_BLOCK_BYTES", 54 * 1000)
         r = mc_mean(s, samples=5000, seed=4)
         assert r.mean == pytest.approx(want.mean, rel=1e-12)
         assert r.std_err == pytest.approx(want.std_err, rel=1e-9)
         assert digits == [1000 * 54] * 5
+
+
+def record_draws(monkeypatch):
+    """Make `np.random.default_rng` record the bytes of each draw from the
+    generator, in a list that it returns.  q < 128 reads one digit from
+    each byte drawn: an int8, or a byte of a raw 64-bit word."""
+    digits = []
+    default_rng = np.random.default_rng
+
+    class Recorder:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+            # the raw-word source reads and sets the buffered half word
+            self.bit_generator = self.rng.bit_generator
+
+        def integers(self, low, high, size, dtype):
+            digits.append(int(np.prod(size)) * np.dtype(dtype).itemsize)
+            return self.rng.integers(low, high, size=size, dtype=dtype)
+
+    monkeypatch.setattr(np.random, "default_rng", Recorder)
+    return digits
 
 
 def mc_mean_per_column(system, samples, seed, chunk=65536):
@@ -912,6 +918,62 @@ class TestMcBlocks:
         want = mc_mean_per_column(system, samples, seed, **kw)
         with mock.patch.object(salem_module, "_MC_ROWS", rows):
             assert mc_mean_at_chunk(system, samples, seed, chunk) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(q=st.sampled_from([2, 3, 4, 8, 64, 128, 200]), data=st.data(),
+           last=st.sampled_from([1, 3, 5, 7, 13, 61]), samples=st.integers(2, 300),
+           seed=st.integers(0, 2**31), chunk=st.sampled_from([1, 5, 100]),
+           rows=st.sampled_from([1, 3, 7]))
+    def test_blocks_read_the_chunk_stream(self, q, data, last, samples, seed, chunk, rows):
+        # each block draws its own digits: a row of an odd number of
+        # one-byte digits leaves part of a 32-bit word to the next block
+        # of the chunk, and q >= 128 draws int64 digits block by block
+        positions = data.draw(st.lists(st.integers(1, last), max_size=8)) + [last]
+        system = SalemSystem.fixed(data.draw(weight_tuples(q)),
+                                   reorder=Reorder("list", values=tuple(positions)), **LAX)
+        want = mc_mean_per_column(system, samples, seed, chunk=chunk)
+        with mock.patch.object(salem_module, "_MC_ROWS", rows):
+            assert mc_mean_at_chunk(system, samples, seed, chunk) == want
+
+    def test_spare_bytes_may_cover_whole_blocks(self):
+        # blocks of one one-byte digit: a word's last three bytes are the
+        # next three blocks, which draw nothing; a chunk of 10 rows takes
+        # 3 words and drops the last two bytes
+        s = fixed(["1/3", "2/3"], reorder=Reorder("list", values=(1,)), **LAX)
+        drawn = []
+        real = salem_module._words32
+
+        def words(rng, n):
+            drawn.append(n)
+            return real(rng, n)
+
+        with mock.patch.object(salem_module, "_MC_ROWS", 1), \
+                mock.patch.object(salem_module, "_words32", words):
+            r = mc_mean_at_chunk(s, 25, 9, 10)
+        assert drawn == [1, 1, 1] * 2 + [1, 1]
+        assert r == mc_mean_per_column(s, 25, 9, chunk=10)
+
+    def test_memory_is_one_block(self, monkeypatch):
+        # 40000 rows of 219 one-byte digits: every draw takes at most one
+        # block of 4096 rows, not the 8.8 MB chunk
+        s = fixed(["9/10", "1/10"])
+        want = mc_mean_per_column(s, 40000, 1)
+        digits = record_draws(monkeypatch)
+        r = mc_mean(s, 40000, 1)
+        assert r == want and r.terms == 219
+        assert max(digits) <= salem_module._MC_ROWS * 219 and sum(digits) >= 40000 * 219
+
+    def test_bounded_int8_draws_whole_chunks(self, monkeypatch):
+        # q = 3: numpy's int8 draw drops the unused bytes of its last
+        # word and rejects digits, so each chunk of 5000 rows takes one
+        # draw, and its two blocks sum from it
+        s = fixed(["9/10", "1/20", "1/20"])
+        monkeypatch.setattr(salem_module, "_MC_CHUNK", 5000)
+        want = mc_mean_per_column(s, 12000, 1, chunk=5000)
+        digits = record_draws(monkeypatch)
+        r = mc_mean(s, 12000, 1)
+        assert r == want
+        assert digits == [rows * r.terms for rows in (5000, 5000, 2000)]
 
     def test_dead_blocks_stop_early(self):
         # 999/1000 runs 20000 terms, but a block stops once every row is

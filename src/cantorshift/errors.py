@@ -84,9 +84,19 @@ def json_decoder(func):
 
 def json_int(value) -> int:
     """An integer read from JSON: an int, or a float or string naming one
-    (3, 3.0 or "3").  A float with a fractional part is refused with a
-    DomainError instead of being truncated."""
+    (3, 3.0 or "3").  A float with a fractional part, or a boolean, is
+    refused with a DomainError instead of being truncated or read as 0
+    or 1."""
     n = int(value)
-    if isinstance(value, float) and n != value:
+    if isinstance(value, bool) or isinstance(value, float) and n != value:
         raise DomainError(f"expected an integer, got {value!r}")
     return n
+
+
+def json_list(value):
+    """A JSON array: a list or a tuple, returned as it is.  Anything else,
+    a string above all, is refused with a DomainError instead of being
+    read item by item."""
+    if not isinstance(value, (list, tuple)):
+        raise DomainError(f"expected a JSON array, got {value!r}")
+    return value

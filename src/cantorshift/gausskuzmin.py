@@ -432,7 +432,7 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     The result is fixed by (spec, samples, seed, extra_depth), the
     inputs it records (`depth` follows from the spec and `extra_depth`).
     `samples` runs from 1 to `MAX_SAMPLES` (10**7), drawn in chunks of
-    at most 65536; `extra_depth` must be at least 1.
+    at most 65536; `seed` must be at least 0 and `extra_depth` at least 1.
 
     Position i's digits for a chunk of m samples are still those of
     `rng.integers(0, q_i, size=m)`, one position after another.  For
@@ -445,16 +445,19 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     share one draw of at most 65536 words, since their words follow one
     another in the stream.  Other bases keep the bounded draw.  Once
     every sample of a chunk other than the last is decided, the chunk
-    passes the words of its remaining raw rows with `_skip32`, once per
-    run of such rows, and still draws its bounded rows, which may reject
-    words; so the next chunk reads the same stream.  The last chunk stops
-    drawing once every sample is decided.  So neither the checks nor
-    their schedule change a result.
+    still reads each remaining row at the same site: it draws a bounded
+    row, which may reject words, slices a raw row off a shared draw
+    that already covers it, and passes any other raw row's words with
+    one `_skip32`; so the next chunk reads the same stream.  The last
+    chunk stops drawing once every sample is decided.  So neither the
+    checks nor their schedule change a result.
     """
     if samples < 1:
         raise DomainError("need at least 1 sample")
     if samples > MAX_SAMPLES:
         raise DomainError(f"samples {samples} exceed the limit of {MAX_SAMPLES}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if extra_depth < 1:
         raise DomainError(f"extra depth must be >= 1, got {extra_depth}")
     depth = _mc_depth(spec.q, spec.required_depth, extra_depth)
@@ -502,30 +505,23 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
         sums = sums_buf[:m]
         sums.fill(0)
         words = ()
-        skip = 0  # raw words of the rows passed since the last draw
         for q, shift, e, run, sure, open_ in rows:
-            if not n:
-                if done == samples:
-                    break  # nothing reads the stream after the last chunk
-                # every sample is decided: pass the row so that the next
-                # chunk reads the stream where it would after drawing it
-                if shift is None:
-                    _skip32(rng, skip)
-                    skip = 0
-                    rng.integers(0, q, size=m)
-                elif len(words):
-                    words = words[m:]
-                else:
-                    skip += m
-                continue
+            if not n and done == samples:
+                break  # nothing reads the stream after the last chunk
+            # once every sample is decided the row is still read here, so
+            # that the next chunk reads the stream where it would after it
             if shift is None:
                 row = rng.integers(0, q, size=m)
-            else:
+            elif n or len(words):
                 if not len(words):
                     # this raw row and the raw rows after it share one draw
                     # of at most 65536 words
                     words = _words32(rng, min(run, max(1, _MC_CHUNK // m)) * m)
                 row, words = words[:m], words[m:]
+            else:
+                _skip32(rng, m)
+            if not n:
+                continue
             if e:
                 if keep is not None:
                     row = row[keep]
@@ -541,7 +537,6 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
                 keep = left if keep is None else keep[left]
                 sums_buf[:n] = sums[left]
                 sums = sums_buf[:n]
-        _skip32(rng, skip)
     est = hits / samples
     se = sqrt(max(est * (1.0 - est), 0.0) / samples)
     return McMeasure(est, se, hits, samples, seed, depth)

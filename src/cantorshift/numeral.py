@@ -22,9 +22,12 @@ base value q_k is the step (q_k, e_k, 1); the Salem functions of
 `salem` use (D, c_e, a_e) for weights over a common denominator D.  A
 tail that repeats one block of steps forever is closed by `_close`, the
 only place H + P_H * B / (1 - P_B) is formed, from the head's sum and
-product and the block's.  A `DigitString` says how its zero, max or
-periodic tail continues: `digit` for one position, `digits_to` and
-`tail_past` for a run of them.
+product and the block's: `_close(steps, K)` sums the head steps[:K] and
+the block steps[K:].  A `DigitString` says how its zero, max or periodic
+tail continues: `digit` for one position, `digits_to` and `tail_past`
+for a run of them.  Where its repeating block starts and how long it is
+comes from one rule, `DigitString._block`: the range check, `eval_prefix`
+and the Salem closure all read it.
 
 Base values.  A loop over positions reads its base values from one
 window, `QSequence.values(start, stop)`, a tuple sliced from the prefix
@@ -44,7 +47,7 @@ from typing import Optional, Union
 
 from .errors import (
     MAX_EXPAND_DEPTH, MAX_EXPONENT, MAX_PROBE, DomainError, InsufficientDepthError,
-    json_decoder, json_int,
+    json_decoder, json_int, json_list,
 )
 
 __all__ = [
@@ -158,7 +161,7 @@ class QSequence:
         if start > p:  # the window opens inside the cycle: rotate it there
             r = (start - p) % len(cyc)
             cyc, p = cyc[r:] + cyc[:r], start
-        return pre[start:] + (cyc * ((stop - p) // len(cyc) + 1))[:stop - p]
+        return pre[start:] + (cyc * -(-(stop - p) // len(cyc)))[:stop - p]
 
     def partial_product(self, m: int) -> int:
         """q_1 q_2 ... q_m as an exact integer; m = 0 gives 1."""
@@ -168,10 +171,8 @@ class QSequence:
         """The sequence with the first n values removed."""
         if n < 0:
             raise DomainError("shift count must be >= 0")
-        if n <= len(self.prefix):
-            return QSequence(self.prefix[n:], self.cycle)
-        r = (n - len(self.prefix)) % len(self.cycle)
-        return QSequence((), self.cycle[r:] + self.cycle[:r])
+        p = max(n, len(self.prefix))
+        return QSequence(self.prefix[n:], self.values(p, p + len(self.cycle)))
 
     def remove_at(self, m: int) -> "QSequence":
         """The sequence with the m-th value (1-indexed) deleted."""
@@ -222,7 +223,7 @@ class QSequence:
         if isinstance(obj, (list, tuple)):
             return cls.explicit(map(json_int, obj))
         kind = obj.get("kind")
-        values = obj.get("values", [])
+        values = json_list(obj.get("values", []))
         if kind == "constant":
             if len(values) != 1:
                 raise DomainError("constant base takes exactly one value")
@@ -270,7 +271,7 @@ class Tail:
         if obj == "max":
             return MAX_TAIL
         if isinstance(obj, dict) and "periodic" in obj:
-            return periodic_tail(map(json_int, obj["periodic"]))
+            return periodic_tail(map(json_int, json_list(obj["periodic"])))
         if isinstance(obj, dict) and "truncated" in obj:
             return truncated_tail(json_int(obj["truncated"]))
         raise DomainError(f"unknown tail form {obj!r}")
@@ -308,13 +309,6 @@ class Interval:
         return self.lo <= x <= self.hi
 
 
-def _first_fault(digits, qv) -> int:
-    """Index of the first digit d_i outside 0..qv[i] - 1, for digits
-    known to hold one.  A range check tests the pairs in one zip loop,
-    which keeps no index, and asks for the position only on a fault."""
-    return next(i for i, (d, q) in enumerate(zip(digits, qv)) if not 0 <= d < q)
-
-
 @dataclass(frozen=True)
 class DigitString:
     """A digit representation: exact finite prefix plus a tail descriptor.
@@ -331,32 +325,30 @@ class DigitString:
     def __post_init__(self):
         prefix = tuple(map(int, self.prefix))
         object.__setattr__(self, "prefix", prefix)
-        qv = self.base.values(0, len(prefix))
-        for d, q in zip(prefix, qv):
-            if not 0 <= d < q:
-                i = _first_fault(prefix, qv)
-                raise DomainError(
-                    f"digit {prefix[i]} at position {i + 1} outside range 0..{qv[i] - 1}")
         t = self.tail
-        if t.kind == "truncated" and t.depth != len(self.prefix):
-            raise DomainError(
-                f"truncated tail depth {t.depth} != prefix length {len(self.prefix)}")
-        if t.kind == "periodic":
-            self._check_periodic_range()
-
-    def _check_periodic_range(self):
-        # past max(depth, base prefix) the (digit, base value) pairs repeat
-        # every lcm(period, cycle) positions, so one such block holds the
-        # first digit out of range, if there is one
-        start = len(self.prefix)
-        end = max(start, len(self.base.prefix)) + lcm(len(self.tail.period), len(self.base.cycle))
-        qv = self.base.values(start, end)
-        block = self.digits_to(end)[start:]
-        for d, q in zip(block, qv):
+        # a periodic tail is checked up to the end of its first block:
+        # past it the (digit, base value) pairs repeat (see `_block`)
+        digits = self.digits_to(sum(self._block())) if t.kind == "periodic" else prefix
+        qv = self.base.values(0, len(digits))
+        for d, q in zip(digits, qv):  # keeps no index: found again on a fault
             if not 0 <= d < q:
-                i = _first_fault(block, qv)
+                i = next(k for k, (e, v) in enumerate(zip(digits, qv)) if not 0 <= e < v)
+                if i < len(prefix):
+                    raise DomainError(
+                        f"digit {digits[i]} at position {i + 1} outside range 0..{qv[i] - 1}")
                 raise DomainError(
-                    f"periodic tail digit {block[i]} outside range at position {start + i + 1}")
+                    f"periodic tail digit {digits[i]} outside range at position {i + 1}")
+        if t.kind == "truncated" and t.depth != len(prefix):
+            raise DomainError(
+                f"truncated tail depth {t.depth} != prefix length {len(prefix)}")
+
+    def _block(self, r: int = 1) -> tuple[int, int]:
+        """(K, T): K is the first multiple of r at or past max(depth,
+        base prefix), and from position K + 1 on the (digit, base value)
+        pairs repeat every T = lcm(tail period or 1, base cycle, r)
+        positions; a zero or max tail has period 1."""
+        K = -(-max(len(self.prefix), len(self.base.prefix)) // r) * r
+        return K, lcm(len(self.tail.period) or 1, len(self.base.cycle), r)
 
     @property
     def depth(self) -> int:
@@ -410,7 +402,7 @@ class DigitString:
     def from_json(cls, obj, base: QSequence) -> "DigitString":
         # the prefix list is read before the tail and its digits after,
         # as the constructor would read them
-        prefix = tuple(obj.get("prefix", []))
+        prefix = tuple(json_list(obj.get("prefix", [])))
         tail = Tail.from_json(obj.get("tail", "zero"))
         return cls(base, tuple(map(json_int, prefix)), tail)
 
@@ -434,11 +426,12 @@ def _series(steps) -> tuple[int, int, int]:
     return n, a, e
 
 
-def _close(head, block) -> Fraction:
-    """H + P_H * B / (1 - P_B) for `_series` triples of a head and of
-    one block of steps that repeats forever after it; needs |P_B| < 1."""
-    n_head, a_head, e_head = head
-    n_block, a_block, e_block = block
+def _close(steps, K: int) -> Fraction:
+    """H + P_H * B / (1 - P_B) for the `_series` sums of the head
+    steps[:K] and of the block steps[K:] that repeats forever after it;
+    needs |P_B| < 1."""
+    n_head, a_head, e_head = _series(steps[:K])
+    n_block, a_block, e_block = _series(steps[K:])
     gap = e_block - a_block  # E_B (1 - P_B)
     return Fraction(n_head * gap + a_head * n_block, e_head * gap)
 
@@ -455,16 +448,14 @@ def eval_prefix(d: DigitString) -> Union[Fraction, Interval]:
     gives the exact interval of all numbers sharing the known prefix.
 
     Past K = max(depth, base prefix) the (tail phase, base phase) pair
-    repeats every T = lcm(tail period, base cycle) positions, so the
-    digits after K are one block of T digits repeated.
+    repeats every T = lcm(tail period, base cycle) positions
+    (`DigitString._block`), so the digits after K are one block of T
+    digits repeated.
     """
-    t = d.tail
-    if t.kind == "truncated":
+    if d.tail.kind == "truncated":
         return cylinder_info(d.prefix, d.base).interval()
-    K = max(d.depth, len(d.base.prefix))
-    T = lcm(len(t.period) or 1, len(d.base.cycle))
-    steps = _steps(d.digits_to(K + T), d.base)
-    return _close(_series(steps[:K]), _series(steps[K:]))
+    K, T = d._block()
+    return _close(_steps(d.digits_to(K + T), d.base), K)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from typing import Optional, Union
 
 from .errors import (
     MAX_POINTS, MAX_SAMPLES, DomainError, InvalidSystemError, json_decoder, json_int,
+    json_list,
 )
 from .numeral import (
     ONE,
@@ -161,7 +162,7 @@ class Reorder:
             return cls()
         # the identity reads no field, and a rule only its name
         kind = obj.get("kind", "identity")
-        values = tuple(map(json_int, obj.get("values", []))) if kind == "list" else ()
+        values = tuple(map(json_int, json_list(obj.get("values", [])))) if kind == "list" else ()
         return cls(kind, values, obj.get("name", "") if kind == "rule" else "")
 
 
@@ -181,7 +182,8 @@ class SalemSystem:
     Exactly one of `weights` / `columns` is set.  `horizon` bounds how
     much of a list reorder the validator certifies as a permutation;
     `strict_reorder=False` turns off that certification for exploratory
-    schedules with repeats (`integral` then refuses their exact mean).
+    schedules (`integral` refuses the exact mean of one that repeats a
+    position).
     """
 
     weights: Optional[tuple[Fraction, ...]] = None
@@ -297,13 +299,15 @@ class SalemSystem:
             raise DomainError("system JSON must be an object")
         reorder = Reorder.from_json(obj.get("reorder"))
         horizon = json_int(obj.get("horizon", 64))
-        strict = bool(obj.get("strict-reorder", True))
-        # the constructor parses the weights; tuple() refuses a null list
+        strict = obj.get("strict-reorder", True)
+        if not isinstance(strict, bool):
+            raise DomainError(f"strict-reorder must be true or false, got {strict!r}")
+        # the constructor parses the weights; json_list refuses a null list
         # as malformed, where the constructor would read it as absent
         if "p" in obj:
-            weights, columns = tuple(obj["p"]), None
+            weights, columns = tuple(json_list(obj["p"])), None
         elif "columns" in obj:
-            weights, columns = None, tuple(obj["columns"])
+            weights, columns = None, tuple(map(json_list, json_list(obj["columns"])))
         else:
             raise DomainError("system JSON needs \"p\" or \"columns\"")
         system = cls(weights, columns, reorder, horizon, strict)
@@ -453,11 +457,13 @@ def _eval_stage(d: DigitString, system: SalemSystem, tol: Fraction,
     j-fold shifted point).
 
     A fixed system with an unbounded reorder closes a zero, max or
-    periodic tail exactly.  Past the step K >= max(stage, depth) that
-    ends a reorder block, the steps read the tail's digits in blocks of
-    T = lcm(tail period, reorder period) steps that repeat (a zero or
-    max tail has period 1).  `_series` sums the head and one block, and
-    `_close` returns H + P_H * B / (1 - P_B).
+    periodic tail exactly.  K0 and T come from `DigitString._block`
+    with r the reorder period: K0 is the first multiple of r at or past
+    the depth, and past it the steps read the tail's digits in blocks of
+    T = lcm(tail period, r) steps that repeat (a zero or max tail has
+    period 1).  The head runs to K = max(K0, stage rounded up to a
+    multiple of r), and `_close` returns H + P_H * B / (1 - P_B) for
+    the head's steps and one block's.
 
     Every other case takes the tolerance path.  The remainder bound r
     after step k is a product of column maxima |p|, so the last step k
@@ -471,19 +477,18 @@ def _eval_stage(d: DigitString, system: SalemSystem, tol: Fraction,
     limit = system.stage_limit()
     if limit is None and t.kind != "truncated":
         r = system.reorder.period()
-        T = lcm(len(t.period) or 1, r)
-        # the steps past the first block end K0 >= depth repeat every T
-        # steps, so a later stage has the remainder of one within T of K0
-        K0 = -(-d.depth // r) * r
+        # the steps past K0 repeat every T steps, so a later stage has
+        # the remainder of one within T of K0
+        K0, T = d._block(r)
         if stage > K0:
             stage -= (stage - K0) // T * T
-        K = -(-max(stage, d.depth) // r) * r
+        K = max(K0, -(-stage // r) * r)
         digits = d.digits_to(K + T)
         perm = [system.reorder.position(i) - 1 for i in range(1, r + 1)]
         step = system._step_rows[0]
         steps = [step[digits[m + i]] for m in range(0, K + T, r) for i in perm][stage:]
-        value = _close(_series(steps[:K - stage]), _series(steps[K - stage:]))
-        return EvalResult(value, ZERO, K - stage + (T if t.kind == "periodic" else 0))
+        return EvalResult(_close(steps, K - stage), ZERO,
+                          K - stage + (T if t.kind == "periodic" else 0))
 
     # tolerance path: take steps until the remainder bound sinks below
     # tol, or the system runs out of steps (then the finite sum is
@@ -512,7 +517,10 @@ def _prepare_point(x, q: int, system: SalemSystem) -> DigitString:
     if isinstance(x, DigitString):
         if x.base != base:
             raise DomainError("digit string base does not match q")
-        return x
+        # an equal base stored with a prefix or a longer cycle would move
+        # the block `_block` reads
+        return x if x.base.cycle == (q,) and not x.base.prefix else (
+            DigitString(base, x.prefix, x.tail))
     return expand_exact(x, base)
 
 
@@ -570,19 +578,20 @@ def integral(system: SalemSystem) -> Fraction:
     Digits are independent and uniform under Lebesgue measure, so each
     term factors; for an unbounded injective reorder `_close` sums the
     geometric series, to (beta_1 + ... + beta_{q-1}) / (q - 1).  Finite
-    systems (list reorders, matrices) get the corresponding finite sum.
+    systems (list reorders, matrices) get the corresponding finite sum,
+    also for a lax list that need not start with a permutation.
     Requires an injective schedule; repeats would correlate the factors.
     """
     ensure_valid(system)
     limit = system.stage_limit()
-    if limit is not None and not system.strict_reorder:
+    if len(set(system.reorder.values)) < len(system.reorder.values):
         raise DomainError(
             "exact mean needs an injective reorder; use the sampling estimate")
     # step k adds s_k / q times q^(1-k), for s_k the sum of its betas
     steps = [(system.q * row[0][0], sum(c for _, c, _ in row[1:]), row[0][0])
              for row in system._step_rows]
     if limit is None:  # the fixed tuple's step, repeated forever
-        return _close(_series(()), _series(steps))
+        return _close(steps, 0)
     return Fraction(*_series(steps[system._step(k)[1]] for k in range(1, limit + 1))[::2])
 
 
@@ -681,7 +690,7 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
     records.  The series is cut at enough terms for a 1e-9 tail bound
     (capped); the remaining bias is far below the reported standard
     error at practical sample sizes.  `samples` runs from 2 to
-    `MAX_SAMPLES` (10**7).  One sample reads the digits up to the
+    `MAX_SAMPLES` (10**7), and `seed` must be at least 0.  One sample reads the digits up to the
     largest position its terms consume; a schedule whose row of those
     digits exceeds 64 MiB is refused before numpy is loaded.  A chunk
     covers at most 65536 rows of digits from numpy's seeded generator,
@@ -689,9 +698,13 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
 
     The digits are those of one `rng.integers(0, q, size=(rows,
     positions), dtype=int8)` per chunk (int64 for q >= 128), and each
-    block of 4096 of its rows draws its own part just before it is
-    summed, so no draw takes more than one block's digits: at most
-    min(4096 * positions * bytes per digit, 64 MiB).  For q >= 128 a
+    block of 4096 of its rows reads its rows from one flat buffer of
+    drawn digits that no block has read yet (numpy fills a draw in row
+    order, so a flat draw of rows * positions digits holds the same
+    ones).  Apart from the int8 case below, each block draws its own
+    part just before it is summed, so no draw takes more than one
+    block's digits: at most min(4096 * positions * bytes per digit,
+    64 MiB).  For q >= 128 a
     block makes the int64 bounded draw of its own rows, which reads on
     in the chunk draw's stream: numpy takes each digit below 2**32 from
     whole 32-bit words (one more after a rejection), so no call leaves
@@ -729,6 +742,8 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
         raise DomainError("need at least 2 samples")
     if samples > MAX_SAMPLES:
         raise DomainError(f"samples {samples} exceed the limit of {MAX_SAMPLES}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     q = system.q
     m = float(system.global_max)
     limit = system.stage_limit()
@@ -768,23 +783,22 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
     done = 0
     while done < samples:
         mrows = min(chunk, samples - done)
-        if whole:
-            digs = rng.integers(0, q, size=(mrows, maxpos), dtype=np.int8)
-        spare = np.empty(0, dtype=np.uint8)  # drawn bytes no block has read yet
+        # drawn digits, in row order, that no block has read yet: the
+        # whole chunk's int8 draw, a raw block's bytes or a block's int64
+        # draw.  Each block reads its rows from here
+        spare = (rng.integers(0, q, size=mrows * maxpos, dtype=np.int8) if whole
+                 else np.empty(0, dtype=np.uint8))
         vals = np.zeros(mrows)
         for r0 in range(0, mrows, rows):
             k = min(rows, mrows - r0)
-            if whole:
-                block = digs[r0:r0 + k]
-            elif raw:
-                n = k * maxpos
-                if n > len(spare):
-                    words = _words32(rng, -(-(n - len(spare)) // 4))
-                    got = words.astype("<u4", copy=False).view(np.uint8)
-                    spare = np.concatenate((spare, got)) if len(spare) else got
-                block, spare = spare[:n].reshape(k, maxpos), spare[n:]
-            else:
-                block = rng.integers(0, q, size=(k, maxpos), dtype=np.int64)
+            n = k * maxpos
+            if raw and n > len(spare):
+                words = _words32(rng, -(-(n - len(spare)) // 4))
+                got = words.astype("<u4", copy=False).view(np.uint8)
+                spare = np.concatenate((spare, got)) if len(spare) else got
+            elif size == 8:
+                spare = rng.integers(0, q, size=n, dtype=np.int64)
+            block, spare = spare[:n].reshape(k, maxpos), spare[n:]
             v = vals[r0:r0 + k]
             idx, b, p, prod = idx_buf[:k], b_buf[:k], p_buf[:k], prod_buf[:k]
             prod.fill(1.0)

@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import (MAX_PROGRAM_DEPTH, DomainError, InsufficientDepthError, json_decoder,
-                     json_int)
+                     json_int, json_list)
 from .numeral import (
     DigitString,
     QSequence,
@@ -125,7 +125,7 @@ def _schedule_word(step: dict, count: int) -> tuple[Atom, ...]:
                 f"affine schedule a={a}, b={b} must keep indices >= 1")
         return tuple(GEN(a * j + b) for j in range(1, count + 1))
     if kind == "table":
-        values = step.get("values", [])
+        values = json_list(step.get("values", []))
         n = len(values)
         word = tuple(GEN(json_int(values[j])) for j in range(min(count, n)))
         if count > n:
@@ -181,7 +181,7 @@ def _rule_word(rule: dict, k: Optional[int]) -> tuple[Atom, ...]:
             raise DomainError("affine rule needs a word length")
         return _schedule_word(rule, _word_length(k))
     if kind == "table":
-        values = rule.get("values", [])
+        values = json_list(rule.get("values", []))
         count = _word_length(len(values) if k is None else k)
         if count > len(values):
             raise DomainError(

@@ -578,6 +578,18 @@ class TestErrors:
         assert json.loads(err)["error"] == {
             "type": "domain", "message": f"extra depth must be >= 1, got {extra}"}
 
+    @pytest.mark.parametrize("argv", [
+        ["salem", "mc", "--system", '{"q": 2, "p": ["1/3", "2/3"]}'],
+        ["gk", "mc", "--spec", SPEC],
+    ], ids=["salem", "gk"])
+    def test_mc_refuses_a_negative_seed(self, capsys, monkeypatch, argv):
+        # once numpy's own "expected non-negative integer", after loading it
+        monkeypatch.setattr(np.random, "default_rng", None)
+        code, out, err = run(capsys, *argv, "--samples", "10", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "type": "domain", "message": "seed must be >= 0, got -1"}
+
     @pytest.mark.parametrize("params, message", [
         ("a:b", "parameter range must be int:int, got 'a:b'"),
         ("3:1", "empty parameter range '3:1'"),

@@ -229,6 +229,12 @@ class TestSampling:
         with pytest.raises(DomainError, match="limit of 1000"):
             measure_mc(spec, samples=1001, seed=0)
 
+    def test_negative_seed_refused_before_numpy_is_imported(self, monkeypatch):
+        # numpy would refuse it too, but only after loading
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
+            measure_mc(shift_below(Q2, 1, F(1, 3)), samples=10, seed=-1)
+
 
 # name -> (call, exact message): one DomainError case per refusal branch
 REFUSALS = {
@@ -240,6 +246,8 @@ REFUSALS = {
                  "relation must be \"lt\" or \"ge\", got 'le'"),
     "extra-depth": (lambda: measure_mc(shift_below(Q2, 1, F(1, 3)), 10, 0, extra_depth=0),
                     "extra depth must be >= 1, got 0"),
+    "mc-seed": (lambda: measure_mc(shift_below(Q2, 1, F(1, 3)), 10, -1),
+                "seed must be >= 0, got -1"),
 }
 
 
@@ -392,9 +400,9 @@ class TestSamplingKernel:
     def test_other_chunks_pass_every_row(self):
         # chunks of 7 samples: the next chunk reads the stream after all
         # 33 rows of 7 words.  A chunk draws rows until its samples are
-        # decided and passes the rest with one `_skip32`, whose odd count
-        # draws one word to buffer a half; the last chunk of 3 draws two
-        # rows at a time and stops
+        # decided and passes each remaining row with its own `_skip32` of
+        # 7 words, whose odd count draws one word to buffer a half; the
+        # last chunk of 3 draws two rows at a time and stops
         spec, drawn, skipped = shift_below(Q2, 1, F(1, 3)), [], []
         real = gk_module._skip32
 
@@ -407,7 +415,7 @@ class TestSamplingKernel:
                 mock.patch.object(gk_module, "_skip32", skip):
             r = measure_mc(spec, 5 * 7 + 3, 11)
         assert r == measure_mc_by_columns(spec, 5 * 7 + 3, 11, chunk=7)
-        assert len(skipped) == 6 and skipped[-1] == 0 and set(drawn) == {1, 6, 7}
+        assert len(skipped) == 137 and set(skipped) == {7} and set(drawn) == {1, 6, 7}
         assert 7 * drawn.count(7) + sum(skipped) == 5 * 33 * 7
         assert drawn.count(7) < 5 * 33 // 2
 

@@ -311,24 +311,35 @@ class TestDigitString:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([P23, E234, QSequence.periodic([3, 2, 4]), QSequence((4, 2), (3, 2))]),
            st.lists(st.integers(-1, 4), max_size=6),
-           st.lists(st.integers(-1, 4), min_size=1, max_size=5))
-    def test_first_out_of_range_digit_matches_single_lookups(self, q, prefix, period):
-        # the oracle checks every position up to the product bound with `at`
+           st.one_of(st.lists(st.integers(-1, 4), min_size=1, max_size=5),
+                     st.sampled_from(["zero", "max"]), st.integers(0, 7)))
+    def test_first_out_of_range_digit_matches_single_lookups(self, q, prefix, tail):
+        # a tail is a periodic pattern, "zero", "max" or a truncation
+        # depth, which may differ from the prefix length; the range error
+        # comes before the depth error.  The oracle checks every position
+        # up to the product bound with `at`
         bad = [(k, d) for k, d in enumerate(prefix, 1) if not 0 <= d < q.at(k)]
-        end = max(len(prefix), len(q.prefix)) + len(period) * len(q.cycle)
-        bad_tail = [(k, period[(k - len(prefix) - 1) % len(period)])
-                    for k in range(len(prefix) + 1, end + 1)]
-        bad_tail = [(k, d) for k, d in bad_tail if not 0 <= d < q.at(k)]
+        bad_tail = []
+        if isinstance(tail, list):
+            end = max(len(prefix), len(q.prefix)) + len(tail) * len(q.cycle)
+            bad_tail = [(k, tail[(k - len(prefix) - 1) % len(tail)])
+                        for k in range(len(prefix) + 1, end + 1)]
+            bad_tail = [(k, d) for k, d in bad_tail if not 0 <= d < q.at(k)]
+            tail = periodic_tail(tail)
+        else:
+            tail = truncated_tail(tail) if isinstance(tail, int) else Tail.from_json(tail)
         if bad:
             k, d = bad[0]
             want = f"digit {d} at position {k} outside range 0..{q.at(k) - 1}"
         elif bad_tail:
             want = "periodic tail digit {1} outside range at position {0}".format(*bad_tail[0])
+        elif tail.kind == "truncated" and tail.depth != len(prefix):
+            want = f"truncated tail depth {tail.depth} != prefix length {len(prefix)}"
         else:
-            DigitString(q, tuple(prefix), periodic_tail(period))
+            DigitString(q, tuple(prefix), tail)
             return
         with pytest.raises(DomainError) as e:
-            DigitString(q, tuple(prefix), periodic_tail(period))
+            DigitString(q, tuple(prefix), tail)
         assert str(e.value) == want
 
     def test_truncated_depth_must_match(self):
@@ -660,6 +671,15 @@ REFUSALS = {
                            "expected an integer, got 1.5"),
     "digits-json-fraction": (lambda: DigitString.from_json({"prefix": [1.5, 0.9]}, Q2),
                              DomainError, "expected an integer, got 1.5"),
+    # a JSON string or a boolean is refused, not read digit by digit or as 0 or 1
+    "base-json-string": (lambda: QSequence.from_json({"kind": "periodic", "values": "23"}),
+                         DomainError, "expected a JSON array, got '23'"),
+    "base-json-bool": (lambda: QSequence.from_json({"kind": "constant", "values": [True]}),
+                       DomainError, "expected an integer, got True"),
+    "tail-json-string": (lambda: Tail.from_json({"periodic": "10"}), DomainError,
+                         "expected a JSON array, got '10'"),
+    "digits-json-string": (lambda: DigitString.from_json({"prefix": "101"}, Q2), DomainError,
+                           "expected a JSON array, got '101'"),
 }
 
 

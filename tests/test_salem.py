@@ -1,5 +1,6 @@
 """Digit-weight series systems: evaluation, residuals, integrals, sampling."""
 
+import itertools
 import sys
 from fractions import Fraction as F
 from math import sqrt
@@ -252,6 +253,17 @@ class TestClosure:
         assert r.error_bound == 0
         assert r.value == oracle_value(d.prefix, pattern, list(s.weights),
                                        s.reorder.kind == "rule")
+
+    @pytest.mark.parametrize("base", [QSequence.explicit([2, 2, 2, 2]),
+                                      QSequence.periodic([2, 2, 2])])
+    @pytest.mark.parametrize("tail", [periodic_tail((1, 0, 0)), MAX_TAIL])
+    def test_equal_base_stored_longer_closes_alike(self, base, tail):
+        # the closure's block is read from the string's base, so one equal
+        # to the constant base but stored with a prefix or a longer cycle
+        # gives the same value, bound and term count
+        s = fixed(["1/3", "2/3"], reorder=SWAP)
+        want = evaluate(DigitString(QSequence.constant(2), (1,), tail), 2, s)
+        assert evaluate(DigitString(base, (1,), tail), 2, s) == want
 
     def test_skewed_weights_close_in_one_period(self):
         r = evaluate(F(1, 3), 2, fixed(["999/1000", "1/1000"]))
@@ -606,6 +618,23 @@ REFUSALS = {
     "system-json-fraction": (lambda: SalemSystem.from_json(
                                  {"p": ["1/2", "1/2"], "horizon": 2.5}),
                              DomainError, "expected an integer, got 2.5"),
+    # a JSON string is refused, not read item by item; a flag must be a boolean
+    "reorder-json-string": (lambda: Reorder.from_json({"kind": "list", "values": "21"}),
+                            DomainError, "expected a JSON array, got '21'"),
+    "system-json-string": (lambda: SalemSystem.from_json({"p": "12"}), DomainError,
+                           "expected a JSON array, got '12'"),
+    "columns-json-string": (lambda: SalemSystem.from_json({"columns": "12"}), DomainError,
+                            "expected a JSON array, got '12'"),
+    "column-json-string": (lambda: SalemSystem.from_json({"columns": [["1/2", "1/2"], "12"]}),
+                           DomainError, "expected a JSON array, got '12'"),
+    "system-json-bool": (lambda: SalemSystem.from_json({"p": ["1/2", "1/2"], "horizon": True}),
+                         DomainError, "expected an integer, got True"),
+    "strict-reorder-string": (lambda: SalemSystem.from_json(
+                                  {"p": ["1/2", "1/2"], "strict-reorder": "false"}),
+                              DomainError, "strict-reorder must be true or false, got 'false'"),
+    "strict-reorder-null": (lambda: SalemSystem.from_json(
+                                {"p": ["1/2", "1/2"], "strict-reorder": None}),
+                            DomainError, "strict-reorder must be true or false, got None"),
     "weights-or-columns": (lambda: SalemSystem(), DomainError,
                            "a system takes either a weight tuple or columns"),
     "horizon": (lambda: fixed(["1/2", "1/2"], horizon=0), DomainError,
@@ -638,6 +667,8 @@ REFUSALS = {
                                         10, 1), DomainError,
                         "a sample reads digit position 1000000000000: 1000000000000 "
                         "bytes of digits exceed the limit of 67108864"),
+    "mc-seed": (lambda: mc_mean(fixed(["1/3", "2/3"]), 10, -1), DomainError,
+                "seed must be >= 0, got -1"),
 }
 
 
@@ -655,6 +686,12 @@ class TestMcRowCap:
         s = fixed(["1/3", "2/3"], reorder=Reorder("list", values=(1, 10**12)), **LAX)
         with pytest.raises(DomainError, match="limit of 67108864$"):
             mc_mean(s, 10, 1)
+
+    def test_negative_seed_refused_before_numpy_is_imported(self, monkeypatch):
+        # numpy would refuse it too, but only after loading
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
+            mc_mean(fixed(["1/3", "2/3"]), 10, -1)
 
     @pytest.mark.parametrize("q, size", [(2, 1), (128, 8)])
     def test_a_row_may_fill_the_cap(self, monkeypatch, q, size):
@@ -704,6 +741,18 @@ class TestIntegral:
         b1 = sum(s.beta_row(1)) / 2
         b2 = sum(s.beta_row(2)) / 2
         assert integral(s) == b1 + F(1, 2) * b2
+
+    def test_lax_injective_list_has_an_exact_mean(self):
+        # a lax list need not start with a permutation; one that repeats
+        # no position still has independent digits, so the finite sum is
+        # its mean.  The oracle averages the series over digits 1-3
+        s = fixed(["1/3", "2/3"], reorder=Reorder("list", values=(3, 1)), **LAX)
+        beta, p = s.beta_row(1), s.p_row(1)
+        want = sum(beta[e[2]] + p[e[2]] * beta[e[0]]
+                   for e in itertools.product(range(2), repeat=3)) / 8
+        assert integral(s) == want == F(1, 4)
+        r = mc_mean(s, 200000, 1)
+        assert abs(r.mean - 0.25) <= 4 * r.std_err
 
     def test_mc_matches_integral(self):
         s = fixed(["1/3", "2/3"])

@@ -394,15 +394,16 @@ class TestPrograms:
         assert e.value.required == required_depth(p.word)
 
     def test_string_image_checks_the_period_at_most_twice(self, monkeypatch):
-        # building a string with a periodic tail checks the whole period;
-        # the image is built from the source's digits and tail without
-        # materialising the source first, so only the image checks it
+        # building a string with a periodic tail checks the whole period,
+        # up to the end of the block `_block` gives; the image is built
+        # from the source's digits and tail without materialising the
+        # source first, so only the image checks it
         q = QSequence.constant(2)
         d = expand_exact(F(1, 4093), q)  # period 4092
         calls = []
-        check = DigitString._check_periodic_range
-        monkeypatch.setattr(DigitString, "_check_periodic_range",
-                            lambda self: calls.append(1) or check(self))
+        block = DigitString._block
+        monkeypatch.setattr(DigitString, "_block",
+                            lambda self, r=1: calls.append(1) or block(self, r))
         word = (SIGMA, SIGMA, GEN(2), GEN(2), GEN(2), GEN(2))
         image = apply_program(ShiftProgram(word), d, q)
         assert len(calls) <= 1
@@ -577,6 +578,13 @@ REFUSALS = {
     "rule-count-fraction": (lambda: ShiftProgram.from_json(
                                 {"generator": {"kind": "const-repeat", "m": 2}, "k": 1.5}),
                             "expected an integer, got 1.5"),
+    # a JSON string is refused, not read item by item, and a boolean is not 0 or 1
+    "table-rule-string": (lambda: ShiftProgram.from_generator({"kind": "table", "values": "23"}),
+                          "expected a JSON array, got '23'"),
+    "table-schedule-string": (lambda: ShiftProgram.from_generator(
+                                  _composed({"kind": "table", "values": "23"}), 2),
+                              "expected a JSON array, got '23'"),
+    "atom-json-bool": (lambda: Atom.from_json({"gen": True}), "expected an integer, got True"),
 }
 
 

@@ -145,8 +145,16 @@ def _decimal(x: Fraction, digits: int) -> str:
     return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+def _formatter(digits):
+    """The CSV renderer of a rational: "num/den" when `digits` is None,
+    else `digits` decimal places (refused at the first value rendered)."""
+    return format_rational if digits is None else lambda v: _decimal(v, digits)
+
+
+def _emit(obj, file=None) -> None:
+    """Write `obj` as one sorted-key JSON line to `file`, or to the
+    current `sys.stdout`."""
+    print(json.dumps(obj, sort_keys=True), file=file)
 
 
 def _write_csv(header, rows, path=None) -> None:
@@ -186,12 +194,9 @@ def _cmd_classify(args) -> None:
     q = _parse_q(args.q)
     r = classify_rationality(x, q, probe_depth=args.probe)
     out = {"kind": r.kind, "probe_depth": r.probe_depth}
-    if r.zero_form is not None:
-        out["zero_form"] = r.zero_form.to_json()
-    if r.max_form is not None:
-        out["max_form"] = r.max_form.to_json()
-    if r.certificate is not None:
-        out["certificate"] = r.certificate.to_json()
+    for key in ("zero_form", "max_form", "certificate"):
+        if getattr(r, key) is not None:
+            out[key] = getattr(r, key).to_json()
     _emit(out)
 
 
@@ -266,10 +271,7 @@ def _cmd_salem_table(args) -> None:
     system = _system(args)
     grid = args.points if args.points is not None else [
         parse_rational(v) for v in args.grid.split(",")]
-    if args.exact:
-        fmt = format_rational
-    else:
-        fmt = lambda v: _decimal(v, args.digits)
+    fmt = _formatter(None if args.exact else args.digits)
     # every row is rendered before the file is opened or the header written
     rows = [[fmt(row.x), fmt(row.value), fmt(row.error_bound)]
             for row in emit_table(system, grid, tol=parse_rational(args.tol))]
@@ -306,17 +308,12 @@ def _cmd_gk_scan(args) -> None:
     else:
         depth_rule = lambda n: family(n).required_depth + args.depth_offset
     rows = limit_scan(family, params, depth_rule)
-    if args.digits is not None:
-        fmt = lambda v: _decimal(v, args.digits)
-    else:
-        fmt = format_rational
+    fmt = _formatter(args.digits)
     # every row is rendered before the header is written
     rendered = []
     for row in rows:
         if row.bounds is None:
-            print(json.dumps({"warning": {"param": row.param,
-                                          "message": row.error}},
-                             sort_keys=True), file=sys.stderr)
+            _emit({"warning": {"param": row.param, "message": row.error}}, sys.stderr)
             continue
         b = row.bounds
         rendered.append([row.param, fmt(b.lower), fmt(b.upper), fmt(b.decided_mass)])
@@ -462,7 +459,7 @@ def _fail(code: int, kind: str, exc: Exception, **extra) -> int:
     extras that are not None, and return the exit code."""
     err = {"type": kind, "message": str(exc)}
     err.update((k, v) for k, v in extra.items() if v is not None)
-    print(json.dumps({"error": err}, sort_keys=True), file=sys.stderr)
+    _emit({"error": err}, sys.stderr)
     return code
 
 

@@ -255,10 +255,8 @@ class Tail:
     depth: int = 0
 
     def to_json(self):
-        if self.kind == "zero":
-            return "zero"
-        if self.kind == "max":
-            return "max"
+        if self.kind in ("zero", "max"):  # a bare tail is written as its kind
+            return self.kind
         if self.kind == "periodic":
             return {"periodic": list(self.period)}
         return {"truncated": self.depth}
@@ -266,10 +264,8 @@ class Tail:
     @classmethod
     @json_decoder
     def from_json(cls, obj) -> "Tail":
-        if obj == "zero":
-            return ZERO_TAIL
-        if obj == "max":
-            return MAX_TAIL
+        if obj in ("zero", "max"):
+            return cls(obj)
         if isinstance(obj, dict) and "periodic" in obj:
             return periodic_tail(map(json_int, json_list(obj["periodic"])))
         if isinstance(obj, dict) and "truncated" in obj:

@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm, sqrt
 from typing import Optional, Union
 
@@ -319,10 +320,7 @@ class SalemSystem:
 
 
 def _betas(col: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    out = [ZERO]
-    for p in col[:-1]:
-        out.append(out[-1] + p)
-    return tuple(out)
+    return tuple(accumulate(col[:-1], initial=ZERO))
 
 
 def _step_row(col: tuple[Fraction, ...]) -> list[tuple[int, int, int]]:

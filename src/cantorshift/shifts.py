@@ -264,10 +264,7 @@ def required_depth(word) -> int:
     its continuation; a deletion at m needs at least m digits."""
     req = 0
     for atom in reversed(tuple(word)):
-        if atom.kind == "sigma":
-            req += 1
-        else:
-            req = max(atom.index, req + 1)
+        req = max(atom.index, req + 1)  # a shift has index 0
     return req
 
 
@@ -342,16 +339,18 @@ def _string_image(word, required: int, d: DigitString) -> DigitString:
     An atom maps a known prefix length l to max(l, k) - 1, so the word
     maps it to max(l, R) - len(word) with R = `required` (required_depth(word)):
     one materialisation to max(depth, R) fixes the image prefix, the rotation
-    of a periodic tail and the base.  A truncated string is not extended;
-    a word that needs more than its depth raises.
+    of a periodic tail and the base.  The base comes from one window of base
+    values, through the source base's prefix and one cycle past it.  A
+    truncated string is not extended; a word that needs more than its depth
+    raises.
     """
     truncated = d.tail.kind == "truncated"
     n = d.depth if truncated else max(d.depth, required)
     surv = _surviving_positions(word, n)
     digits = d.digits_to(n)
-    qv = d.base.values(0, n)
-    rest = d.base.shift(n)
-    base = QSequence(tuple(qv[s - 1] for s in surv) + rest.prefix, rest.cycle)
+    p = max(n, len(d.base.prefix))  # the image base's cycle starts past q_p
+    qv = d.base.values(0, p + len(d.base.cycle))
+    base = QSequence(tuple(qv[s - 1] for s in surv) + qv[n:p], qv[p:])
     tail = truncated_tail(len(surv)) if truncated else d.tail_past(n)
     return DigitString(base, tuple(digits[s - 1] for s in surv), tail)
 

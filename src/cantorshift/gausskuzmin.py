@@ -566,6 +566,8 @@ def limit_scan(family: Callable[[int], GKSetSpec], params,
     any row is computed, and so is a parameter that is not an integer
     (`errors.json_int`: 2 and 2.0 read as 2, 2.5 is refused).
     """
+    if isinstance(params, (str, bytes)):  # not read item by item
+        raise DomainError(f"scan parameters must be integers, not a string: {params!r}")
     params = list(islice(params, MAX_PARAMS + 1))
     if len(params) > MAX_PARAMS:
         raise DomainError(f"scan parameters exceed the limit of {MAX_PARAMS}")

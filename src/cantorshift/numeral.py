@@ -127,17 +127,17 @@ class QSequence:
     @classmethod
     def constant(cls, q: int) -> "QSequence":
         """The constant sequence q, q, q, ... (ordinary base-q digits)."""
-        return cls((), (int(q),))
+        return cls((), (json_int(q),))
 
     @classmethod
     def periodic(cls, values) -> "QSequence":
         """The purely periodic sequence repeating `values` forever."""
-        return cls((), tuple(int(v) for v in values))
+        return cls((), tuple(map(json_int, values)))
 
     @classmethod
     def explicit(cls, values) -> "QSequence":
         """An explicitly listed head; continues by repeating the last value."""
-        vals = tuple(int(v) for v in values)
+        vals = tuple(map(json_int, values))
         if not vals:
             raise DomainError("explicit base sequence needs at least one value")
         return cls(vals[:-1], (vals[-1],))
@@ -219,19 +219,19 @@ class QSequence:
     @json_decoder
     def from_json(cls, obj) -> "QSequence":
         if isinstance(obj, (int, float)):
-            return cls.constant(json_int(obj))
+            return cls.constant(obj)
         if isinstance(obj, (list, tuple)):
-            return cls.explicit(map(json_int, obj))
+            return cls.explicit(obj)
         kind = obj.get("kind")
         values = json_list(obj.get("values", []))
         if kind == "constant":
             if len(values) != 1:
                 raise DomainError("constant base takes exactly one value")
-            return cls.constant(json_int(values[0]))
+            return cls.constant(values[0])
         if kind == "periodic":
-            return cls.periodic(map(json_int, values))
+            return cls.periodic(values)
         if kind == "explicit":
-            return cls.explicit(map(json_int, values))
+            return cls.explicit(values)
         raise DomainError(f"unknown base kind {kind!r}")
 
     def __repr__(self):
@@ -366,8 +366,10 @@ class DigitString:
         return pat[(k - len(self.prefix) - 1) % len(pat)]
 
     def digits_to(self, n: int) -> tuple[int, ...]:
-        """The first n digits, n >= depth, continuing the prefix by the tail."""
+        """The first n digits, continuing the prefix by the tail past it."""
         d = len(self.prefix)
+        if n <= d:
+            return self.prefix[:n]
         t = self.tail
         if n > d and t.kind == "truncated":
             raise InsufficientDepthError(
@@ -378,7 +380,9 @@ class DigitString:
         return self.prefix + pat * ((n - d) // len(pat)) + pat[:(n - d) % len(pat)]
 
     def tail_past(self, n: int) -> Tail:
-        """The tail that continues `digits_to(n)`."""
+        """The tail that continues `digits_to(n)`, for n >= depth."""
+        if n < len(self.prefix):
+            raise DomainError(f"position {n} lies inside the prefix of depth {len(self.prefix)}")
         t = self.tail
         if t.kind != "periodic":
             return t

@@ -116,8 +116,7 @@ class Reorder:
             raise DomainError(f"unknown reorder kind {self.kind!r}")
         if self.kind == "rule" and self.name not in _RULES:
             raise DomainError(f"unknown reorder rule {self.name!r}")
-        object.__setattr__(self, "values",
-                           tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(json_int, self.values)))
         if self.kind == "list" and not self.values:
             raise DomainError("list reorder needs at least one entry")
         if self.kind == "list" and min(self.values) < 1:
@@ -163,7 +162,7 @@ class Reorder:
             return cls()
         # the identity reads no field, and a rule only its name
         kind = obj.get("kind", "identity")
-        values = tuple(map(json_int, json_list(obj.get("values", [])))) if kind == "list" else ()
+        values = json_list(obj.get("values", [])) if kind == "list" else ()
         return cls(kind, values, obj.get("name", "") if kind == "rule" else "")
 
 

@@ -82,6 +82,8 @@ class Atom:
     def __post_init__(self):
         if self.kind not in ("sigma", "gen"):
             raise DomainError(f"unknown atom kind {self.kind!r}")
+        if type(self.index) is not int:  # a check, not `json_int`: words reach 10**6 atoms
+            raise DomainError(f"expected an integer, got {self.index!r}")
         if self.kind == "gen" and self.index < 1:
             raise DomainError(f"deletion index must be >= 1, got {self.index}")
 
@@ -248,7 +250,7 @@ class ShiftProgram:
         if not isinstance(obj, dict):
             raise DomainError("program JSON must be an object")
         if "word" in obj:
-            word = tuple(Atom.from_json(a) for a in obj["word"])
+            word = tuple(Atom.from_json(a) for a in json_list(obj["word"]))
             return cls(word, generator=obj.get("generator"))
         if "generator" in obj:
             return cls.from_generator(obj["generator"], obj.get("k"))
@@ -402,7 +404,7 @@ def drop_positions(d: DigitString, positions) -> DigitString:
     all still name original positions; its image is built once from the
     surviving positions.
     """
-    pos = sorted(set(int(p) for p in positions), reverse=True)
+    pos = sorted(set(map(json_int, positions)), reverse=True)
     if pos and pos[-1] < 1:
         raise DomainError("digit positions must be >= 1")
     return _image(tuple(map(GEN, pos)), d, d.base)

@@ -248,6 +248,9 @@ REFUSALS = {
                     "extra depth must be >= 1, got 0"),
     "mc-seed": (lambda: measure_mc(shift_below(Q2, 1, F(1, 3)), 10, -1),
                 "seed must be >= 0, got -1"),
+    # a string of parameters is refused, not read digit by digit
+    "scan-params-string": (lambda: limit_scan(sigma_family(Q2, F(1, 3)), "12"),
+                           "scan parameters must be integers, not a string: '12'"),
 }
 
 

@@ -342,6 +342,29 @@ class TestDigitString:
             DigitString(q, tuple(prefix), tail)
         assert str(e.value) == want
 
+    def test_digits_to_below_and_past_the_depth(self):
+        # (1, 2, 3, 4, 5) then 7, 8, 7, 8, ...: two digits are the first two
+        d = DigitString(QSequence.constant(9), (1, 2, 3, 4, 5), periodic_tail((7, 8)))
+        assert d.digits_to(2) == (1, 2)
+        assert d.digits_to(7) == (1, 2, 3, 4, 5, 7, 8)
+        assert d.tail_past(6) == periodic_tail((8, 7))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pre_periodic_bases(), st.lists(st.integers(0, 1), max_size=5),
+           st.one_of(st.sampled_from(["zero", "max", "truncated"]),
+                     st.lists(st.integers(0, 1), min_size=1, max_size=3)))
+    def test_digits_to_reads_digit_by_digit(self, q, prefix, tail):
+        # every n from 0 to two tail periods past the depth; a truncated
+        # string only up to its depth
+        if tail == "truncated":
+            tail = truncated_tail(len(prefix))
+        else:
+            tail = periodic_tail(tail) if isinstance(tail, list) else Tail.from_json(tail)
+        d = DigitString(q, tuple(prefix), tail)
+        top = d.depth if tail.kind == "truncated" else d.depth + 2 * (len(tail.period) or 1)
+        for n in range(top + 1):
+            assert d.digits_to(n) == tuple(d.digit(k) for k in range(1, n + 1))
+
     def test_truncated_depth_must_match(self):
         with pytest.raises(DomainError):
             DigitString(QSequence.constant(2), (1, 0), truncated_tail(3))
@@ -680,6 +703,16 @@ REFUSALS = {
                          "expected a JSON array, got '10'"),
     "digits-json-string": (lambda: DigitString.from_json({"prefix": "101"}, Q2), DomainError,
                            "expected a JSON array, got '101'"),
+    # a tail continues the digits past the depth, not inside the prefix
+    "tail-inside-prefix": (lambda: DigitString(Q2, (1, 0, 1), periodic_tail((1, 0))).tail_past(2),
+                           DomainError, "position 2 lies inside the prefix of depth 3"),
+    # the library constructors refuse a fractional base value, not truncate it
+    "constant-fraction": (lambda: QSequence.constant(2.5), DomainError,
+                          "expected an integer, got 2.5"),
+    "periodic-fraction": (lambda: QSequence.periodic([2.5, 3]), DomainError,
+                          "expected an integer, got 2.5"),
+    "explicit-bool": (lambda: QSequence.explicit([3, True]), DomainError,
+                      "expected an integer, got True"),
 }
 
 

@@ -607,6 +607,10 @@ REFUSALS = {
                    "list reorder needs at least one entry"),
     "list-position": (lambda: Reorder("list", values=(1, 0)), DomainError,
                       "list reorder positions must be >= 1, got 0"),
+    "list-fraction": (lambda: Reorder("list", values=(1.5, 2)), DomainError,
+                      "expected an integer, got 1.5"),
+    "list-bool": (lambda: Reorder("list", values=(True, 2)), DomainError,
+                  "expected an integer, got True"),
     "step-index": (lambda: Reorder().position(0), DomainError,
                    "step index must be >= 1, got 0"),
     "step-past-list": (lambda: Reorder("list", values=(2, 1)).position(3), DomainError,

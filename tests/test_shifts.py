@@ -585,6 +585,14 @@ REFUSALS = {
                                   _composed({"kind": "table", "values": "23"}), 2),
                               "expected a JSON array, got '23'"),
     "atom-json-bool": (lambda: Atom.from_json({"gen": True}), "expected an integer, got True"),
+    "word-json-string": (lambda: ShiftProgram.from_json({"word": "ab"}),
+                         "expected a JSON array, got 'ab'"),
+    # the library constructors refuse a non-integer index, not truncate it
+    "atom-bool": (lambda: GEN(True), "expected an integer, got True"),
+    "atom-fraction": (lambda: GEN(2.5), "expected an integer, got 2.5"),
+    "position-fraction": (lambda: drop_positions(expand_exact(F(1, 3), QSequence.constant(2)),
+                                                 [1.5]),
+                          "expected an integer, got 1.5"),
 }
 
 

@@ -255,7 +255,7 @@ class Tail:
     depth: int = 0
 
     def to_json(self):
-        if self.kind in ("zero", "max"):  # a bare tail is written as its kind
+        if self.kind in ("zero", "max"):
             return self.kind
         if self.kind == "periodic":
             return {"periodic": list(self.period)}
@@ -371,7 +371,7 @@ class DigitString:
         if n <= d:
             return self.prefix[:n]
         t = self.tail
-        if n > d and t.kind == "truncated":
+        if t.kind == "truncated":
             raise InsufficientDepthError(
                 f"cannot materialize to depth {n}: truncated at {d}", required=n)
         if t.kind == "max":

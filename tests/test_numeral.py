@@ -342,13 +342,6 @@ class TestDigitString:
             DigitString(q, tuple(prefix), tail)
         assert str(e.value) == want
 
-    def test_digits_to_below_and_past_the_depth(self):
-        # (1, 2, 3, 4, 5) then 7, 8, 7, 8, ...: two digits are the first two
-        d = DigitString(QSequence.constant(9), (1, 2, 3, 4, 5), periodic_tail((7, 8)))
-        assert d.digits_to(2) == (1, 2)
-        assert d.digits_to(7) == (1, 2, 3, 4, 5, 7, 8)
-        assert d.tail_past(6) == periodic_tail((8, 7))
-
     @settings(max_examples=200, deadline=None)
     @given(pre_periodic_bases(), st.lists(st.integers(0, 1), max_size=5),
            st.one_of(st.sampled_from(["zero", "max", "truncated"]),

@@ -86,6 +86,8 @@ class Atom:
             raise DomainError(f"expected an integer, got {self.index!r}")
         if self.kind == "gen" and self.index < 1:
             raise DomainError(f"deletion index must be >= 1, got {self.index}")
+        if self.kind == "sigma" and self.index != 0:  # `required_depth` reads it as 0
+            raise DomainError(f"a shift atom has index 0, got {self.index}")
 
     def to_json(self) -> dict:
         if self.kind == "sigma":

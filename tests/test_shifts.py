@@ -590,6 +590,7 @@ REFUSALS = {
     # the library constructors refuse a non-integer index, not truncate it
     "atom-bool": (lambda: GEN(True), "expected an integer, got True"),
     "atom-fraction": (lambda: GEN(2.5), "expected an integer, got 2.5"),
+    "shift-index": (lambda: Atom("sigma", 3), "a shift atom has index 0, got 3"),
     "position-fraction": (lambda: drop_positions(expand_exact(F(1, 3), QSequence.constant(2)),
                                                  [1.5]),
                           "expected an integer, got 1.5"),

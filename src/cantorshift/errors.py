@@ -83,12 +83,13 @@ def json_decoder(func):
 
 
 def json_int(value) -> int:
-    """An integer read from JSON: an int, or a float or string naming one
-    (3, 3.0 or "3").  A float with a fractional part, or a boolean, is
-    refused with a DomainError instead of being truncated or read as 0
-    or 1."""
+    """An integer read from JSON or passed as a count: an int, or a float,
+    string or other number naming one (3, 3.0, "3" or Fraction(6, 2)).  A
+    number with a fractional part, such as 2.5 or Fraction(5, 2), or a
+    boolean, is refused with a DomainError instead of being truncated or
+    read as 0 or 1."""
     n = int(value)
-    if isinstance(value, bool) or isinstance(value, float) and n != value:
+    if isinstance(value, bool) or n != value and not isinstance(value, str):
         raise DomainError(f"expected an integer, got {value!r}")
     return n
 

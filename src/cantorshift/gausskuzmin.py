@@ -288,6 +288,7 @@ def measure_bounds(spec: GKSetSpec, depth: int) -> MeasureBounds:
     left out: they scale every count and the number of cylinders by the
     same factor.  So the tie tails past `required_depth` cost nothing.
     """
+    depth = json_int(depth)
     if depth > MAX_BOUNDS_DEPTH:
         raise DomainError(f"depth {depth} exceeds the limit of {MAX_BOUNDS_DEPTH}")
     req = spec.required_depth
@@ -452,6 +453,7 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     chunk stops drawing once every sample is decided.  So neither the
     checks nor their schedule change a result.
     """
+    samples, seed, extra_depth = json_int(samples), json_int(seed), json_int(extra_depth)
     if samples < 1:
         raise DomainError("need at least 1 sample")
     if samples > MAX_SAMPLES:

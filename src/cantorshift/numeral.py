@@ -338,12 +338,12 @@ class DigitString:
             raise DomainError(
                 f"truncated tail depth {t.depth} != prefix length {len(prefix)}")
 
-    def _block(self, r: int = 1) -> tuple[int, int]:
+    def _block(self, r: int = 1, start: int = 0) -> tuple[int, int]:
         """(K, T): K is the first multiple of r at or past max(depth,
-        base prefix), and from position K + 1 on the (digit, base value)
-        pairs repeat every T = lcm(tail period or 1, base cycle, r)
+        base prefix, start), and from position K + 1 on the (digit, base
+        value) pairs repeat every T = lcm(tail period or 1, base cycle, r)
         positions; a zero or max tail has period 1."""
-        K = -(-max(len(self.prefix), len(self.base.prefix)) // r) * r
+        K = -(-max(len(self.prefix), len(self.base.prefix), start) // r) * r
         return K, lcm(len(self.tail.period) or 1, len(self.base.cycle), r)
 
     @property
@@ -477,13 +477,17 @@ def _decision_bound(x: Fraction, q: QSequence) -> int:
     return len(q.prefix) + x.denominator * len(q.cycle) + 2
 
 
-def _check_probe(probe: Optional[int]) -> None:
-    """Refuse an explicit probe below 0 or past `MAX_PROBE`; None is a
-    default."""
-    if probe is not None and probe < 0:
+def _check_probe(probe: Optional[int]) -> Optional[int]:
+    """An explicit probe read as an integer, refused below 0 or past
+    `MAX_PROBE`; None is a default and stays None."""
+    if probe is None:
+        return None
+    probe = json_int(probe)
+    if probe < 0:
         raise DomainError(f"probe must be >= 0, got {probe}")
-    if probe is not None and probe > MAX_PROBE:
+    if probe > MAX_PROBE:
         raise DomainError(f"probe {probe} exceeds the limit of {MAX_PROBE}")
+    return probe
 
 
 def _check_unit_interval(x: Fraction):
@@ -550,11 +554,12 @@ def expand(x: Fraction, q: QSequence, depth: int,
     x = 1 is represented as the all-maximal-digit string.
     """
     _check_unit_interval(x)
+    depth = json_int(depth)
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
     if depth > MAX_EXPAND_DEPTH:
         raise DomainError(f"depth {depth} exceeds the limit of {MAX_EXPAND_DEPTH}")
-    _check_probe(probe_limit)
+    probe_limit = _check_probe(probe_limit)
     if probe_limit is None:
         probe_limit = min(_decision_bound(x, q),
                           max(depth, len(q.prefix)) + _DEFAULT_PROBE_SLACK)
@@ -602,7 +607,7 @@ def classify_rationality(x: Fraction, q: QSequence,
     most `MAX_PROBE` (10**6) steps; the default one is not capped.
     """
     _check_unit_interval(x)
-    _check_probe(probe_depth)
+    probe_depth = _check_probe(probe_depth)
     if probe_depth is None:
         probe_depth = _decision_bound(x, q)
     exact = _resolve(x, q, probe_depth)[1]

@@ -14,21 +14,24 @@ g'(x) = 0 almost everywhere; signed weights give bounded non-monotone
 variants.  The series is the unique bounded solution of the system of
 self-similarity equations that peel off one digit per step.
 
-Systems come in two flavours: a single fixed tuple used at every step,
-or an explicit finite matrix of per-step columns (exploratory).  Columns
-are consumed in order for matrix systems; fixed systems accept identity,
-rule-based, or finite-list reorders.
+A system is one schedule of weight columns: explicit columns serve
+digit positions 1..P, and a repeating tuple, if there is one, serves
+every later position.  A fixed tuple is the schedule with no columns, a
+finite matrix the one with no tuple, whose series ends at step P.  A
+system with a tuple accepts identity, rule-based, or finite-list
+reorders; one without reads its columns in order.
 
 Every sum here runs through `numeral._series`, the integer kernel that
 also evaluates Cantor-series digit strings.  A weight column becomes one
 row of steps (D, c_e, a_e) over its common denominator D, with
 beta_e = c_e / D and p_e = a_e / D; `SalemSystem` keeps those rows.
 
-Evaluation at a rational point is exact for a fixed tuple with an
-unbounded reorder (identity or a rule): past the digit string's prefix
-the digits read repeat with one period, so the self-similarity
-equations close in one step, g(tail) = S / (1 - P) over one period with
-partial sum S and weight product P, formed by `numeral._close`.  Finite
+Evaluation at a rational point is exact for a schedule that ends in a
+repeating tuple, read in an unbounded order (identity or a rule): past
+the digit string's prefix and the columns the digits read repeat with
+one period under the one tuple, so the self-similarity equations close
+in one step, g(tail) = S / (1 - P) over one period with partial sum S
+and weight product P, formed by `numeral._close`.  Finite
 systems and truncated digit strings instead truncate the series once the
 tail bound derived from the largest |p_i| drops below the requested
 tolerance, and report that bound (or stop exactly when the system runs
@@ -177,13 +180,16 @@ def _coerce_weights(values) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class SalemSystem:
-    """A digit-weight system: fixed tuple or per-step column matrix.
+    """A digit-weight system: one schedule of weight columns.
 
-    Exactly one of `weights` / `columns` is set.  `horizon` bounds how
-    much of a list reorder the validator certifies as a permutation;
-    `strict_reorder=False` turns off that certification for exploratory
-    schedules (`integral` refuses the exact mean of one that repeats a
-    position).
+    `columns`, when given, serve digit positions 1..P in order; the
+    tuple `weights`, when given, serves every later position.  So a
+    fixed system (`fixed`) is a tuple and no columns, a finite matrix
+    (`matrix`) is P columns and no tuple, and its series ends at step P.
+    `horizon` bounds how much of a list reorder the validator certifies
+    as a permutation; `strict_reorder=False` turns off that
+    certification for exploratory schedules (`integral` refuses the
+    exact mean of one that repeats a position).
     """
 
     weights: Optional[tuple[Fraction, ...]] = None
@@ -193,14 +199,15 @@ class SalemSystem:
     strict_reorder: bool = True
 
     def __post_init__(self):
-        if (self.weights is None) == (self.columns is None):
-            raise DomainError("a system takes either a weight tuple or columns")
+        if self.weights is None and self.columns is None:
+            raise DomainError("a system takes a weight tuple, columns or both")
         if self.weights is not None:
             object.__setattr__(self, "weights", _coerce_weights(self.weights))
-        else:
-            object.__setattr__(
-                self, "columns",
-                tuple(_coerce_weights(col) for col in self.columns))
+        if self.columns is not None:
+            object.__setattr__(self, "columns", tuple(map(_coerce_weights, self.columns)))
+        # P, the number of columns before the tuple, read at every step
+        object.__setattr__(self, "_P", len(self.columns or ()))
+        object.__setattr__(self, "horizon", json_int(self.horizon))
         if self.horizon < 1:
             raise DomainError("horizon must be >= 1")
 
@@ -218,26 +225,21 @@ class SalemSystem:
     def q(self) -> int:
         return len(self._columns[0]) if self._columns else 0
 
-    @property
-    def is_fixed(self) -> bool:
-        return self.weights is not None
-
     def stage_limit(self) -> Optional[int]:
         """Number of series terms the system defines, None if unbounded."""
-        if self.columns is not None:
-            return len(self.columns)
-        return self.reorder.length()
+        return len(self.columns) if self.weights is None else self.reorder.length()
 
     @cached_property
     def _columns(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The weight columns: the one tuple of a fixed system, or the
-        matrix's columns in order."""
-        return (self.weights,) if self.weights is not None else self.columns
+        """The schedule's columns: those serving positions 1..P, then the
+        tuple, if there is one, at index P."""
+        return (self.columns or ()) + ((self.weights,) if self.weights is not None else ())
 
     def _column(self, n: int) -> int:
         """Index in `_columns` (and `_step_rows`) of the column that
-        serves digit position n: the fixed tuple, or matrix column n."""
-        return 0 if self.is_fixed else n - 1
+        serves digit position n: n - 1 up to P, P past it (the tuple's
+        index, out of range when there is none)."""
+        return n - 1 if n <= self._P else self._P
 
     def _step(self, k: int) -> tuple[int, int]:
         """(n, i): the digit position n that step k reads, and the index
@@ -269,8 +271,8 @@ class SalemSystem:
 
     @cached_property
     def _step_rows(self) -> tuple[list[tuple[int, int, int]], ...]:
-        """The `_series` step of each digit: one row for a fixed tuple,
-        one per matrix column (see `_step_row`)."""
+        """The `_series` step of each digit, one row per column of
+        `_columns` (see `_step_row`)."""
         return tuple(_step_row(col) for col in self._columns)
 
     @cached_property
@@ -283,7 +285,7 @@ class SalemSystem:
         out: dict = {"q": self.q}
         if self.weights is not None:
             out["p"] = [format_rational(p) for p in self.weights]
-        else:
+        if self.columns is not None:
             out["columns"] = [[format_rational(p) for p in col]
                               for col in self.columns]
         out["reorder"] = self.reorder.to_json()
@@ -302,14 +304,12 @@ class SalemSystem:
         strict = obj.get("strict-reorder", True)
         if not isinstance(strict, bool):
             raise DomainError(f"strict-reorder must be true or false, got {strict!r}")
+        if "p" not in obj and "columns" not in obj:
+            raise DomainError("system JSON needs \"p\" or \"columns\"")
         # the constructor parses the weights; json_list refuses a null list
         # as malformed, where the constructor would read it as absent
-        if "p" in obj:
-            weights, columns = tuple(json_list(obj["p"])), None
-        elif "columns" in obj:
-            weights, columns = None, tuple(map(json_list, json_list(obj["columns"])))
-        else:
-            raise DomainError("system JSON needs \"p\" or \"columns\"")
+        weights = tuple(json_list(obj["p"])) if "p" in obj else None
+        columns = tuple(map(json_list, json_list(obj["columns"]))) if "columns" in obj else None
         system = cls(weights, columns, reorder, horizon, strict)
         declared = obj.get("q")
         if declared is not None and json_int(declared) != system.q:
@@ -360,9 +360,9 @@ def validate_system(system: SalemSystem) -> ValidationReport:
     Conditions, in the order tested: "alphabet" (uniform column length
     >= 2), "coefficient-range" (every |p| < 1), "column-sum" (each
     column sums to 1), "partial-sum-range" (each partial sum strictly
-    inside (0, 1)), "reorder" (schedule shape: matrix systems consume
-    columns in order; strict list reorders must be injective with a
-    permutation prefix up to the horizon).
+    inside (0, 1)), "reorder" (schedule shape: a system without a weight
+    tuple consumes its columns in order; strict list reorders must be
+    injective with a permutation prefix up to the horizon).
     """
     cols, q = system._columns, system.q
 
@@ -392,7 +392,7 @@ def validate_system(system: SalemSystem) -> ValidationReport:
                            f"beta_{i} = {betas[i]} outside (0, 1)")
 
     r = system.reorder
-    if system.columns is not None and r.kind != "identity":
+    if system.weights is None and r.kind != "identity":
         return bad("reorder", "schedule",
                    "matrix systems consume their columns in order")
     if r.kind == "list" and system.strict_reorder:
@@ -453,14 +453,17 @@ def _eval_stage(d: DigitString, system: SalemSystem, tol: Fraction,
     j - 1 (for in-order consumption it coincides with the value at the
     j-fold shifted point).
 
-    A fixed system with an unbounded reorder closes a zero, max or
-    periodic tail exactly.  K0 and T come from `DigitString._block`
-    with r the reorder period: K0 is the first multiple of r at or past
-    the depth, and past it the steps read the tail's digits in blocks of
-    T = lcm(tail period, r) steps that repeat (a zero or max tail has
-    period 1).  The head runs to K = max(K0, stage rounded up to a
-    multiple of r), and `_close` returns H + P_H * B / (1 - P_B) for
-    the head's steps and one block's.
+    A schedule that ends in a tuple, read in an unbounded reorder,
+    closes a zero, max or periodic tail exactly.  With r the reorder
+    period, `DigitString._block(r, P)` gives K0, the first multiple of r
+    at or past both the depth and the P columns, and T; H is P rounded up
+    to a multiple of r.  Past K0 every step reads the tuple, and the steps
+    read the tail's digits in blocks of T = lcm(tail period, r) steps
+    that repeat (a zero or max tail has period 1).  Only the steps up to
+    H look up their position's column; later ones read the tuple's row.
+    The head runs to K = max(K0, stage rounded up to a multiple of r),
+    and `_close` returns H + P_H * B / (1 - P_B) for the head's steps
+    and one block's.
 
     Every other case takes the tolerance path.  The remainder bound r
     after step k is a product of column maxima |p|, so the last step k
@@ -474,17 +477,21 @@ def _eval_stage(d: DigitString, system: SalemSystem, tol: Fraction,
     limit = system.stage_limit()
     if limit is None and t.kind != "truncated":
         r = system.reorder.period()
+        rows, P = system._step_rows, system._P  # the tuple's row is rows[P]
+        H = -(-P // r) * r  # every step past H reads the tuple
+        K0, T = d._block(r, P)
         # the steps past K0 repeat every T steps, so a later stage has
         # the remainder of one within T of K0
-        K0, T = d._block(r)
         if stage > K0:
             stage -= (stage - K0) // T * T
         K = max(K0, -(-stage // r) * r)
         digits = d.digits_to(K + T)
         perm = [system.reorder.position(i) - 1 for i in range(1, r + 1)]
-        step = system._step_rows[0]
-        steps = [step[digits[m + i]] for m in range(0, K + T, r) for i in perm][stage:]
-        return EvalResult(_close(steps, K - stage), ZERO,
+        step = rows[P]
+        steps = [step[digits[m + i]] for m in range(H, K + T, r) for i in perm]
+        if H:  # the steps up to H read their positions' columns
+            steps[:0] = [rows[min(m + i, P)][digits[m + i]] for m in range(0, H, r) for i in perm]
+        return EvalResult(_close(steps[stage:], K - stage), ZERO,
                           K - stage + (T if t.kind == "periodic" else 0))
 
     # tolerance path: take steps until the remainder bound sinks below
@@ -525,10 +532,11 @@ def evaluate(x, q: int, system: SalemSystem, tol=DEFAULT_TOL) -> EvalResult:
     """Value of the system's function at x, with a truncation-error bound.
 
     x may be a Fraction in [0, 1] or a DigitString over the constant
-    base q.  A fixed system with an identity or rule reorder evaluates
-    every zero, max or periodic tail exactly (error bound 0), so every
-    rational x is exact; a truncated string or a finite system is summed
-    until the tail bound drops below `tol` or its steps run out.
+    base q.  A system that ends in a weight tuple, with an identity or
+    rule reorder, evaluates every zero, max or periodic tail exactly
+    (error bound 0), so every rational x is exact; a truncated string or
+    a finite system is summed until the tail bound drops below `tol` or
+    its steps run out.
 
     The exact value at a point of period L is a rational of about L times
     log2(D) bits for the common weight denominator D, and summing and
@@ -556,6 +564,7 @@ def residual(x, q: int, system: SalemSystem, k: int, tol=DEFAULT_TOL) -> Fractio
     0 where `evaluate` is exact; both sides go through the same
     evaluation engine used by `evaluate`.
     """
+    k = json_int(k)
     if k < 1:
         raise DomainError(f"equation index must be >= 1, got {k}")
     ensure_valid(system)
@@ -573,11 +582,14 @@ def integral(system: SalemSystem) -> Fraction:
     """Exact Lebesgue mean of the function over [0, 1].
 
     Digits are independent and uniform under Lebesgue measure, so each
-    term factors; for an unbounded injective reorder `_close` sums the
-    geometric series, to (beta_1 + ... + beta_{q-1}) / (q - 1).  Finite
-    systems (list reorders, matrices) get the corresponding finite sum,
-    also for a lax list that need not start with a permutation.
-    Requires an injective schedule; repeats would correlate the factors.
+    term factors: step k adds the mean beta of the column it reads times
+    q^(1-k), in reading order.  For an unbounded reorder every step past
+    the columns' last reorder block reads the tuple, and `_close` sums
+    the head and one block of the geometric tail; with no columns that
+    is (beta_1 + ... + beta_{q-1}) / (q - 1).  Finite systems (list
+    reorders, matrices) get the corresponding finite sum, also for a lax
+    list that need not start with a permutation.  Requires an injective
+    schedule; repeats would correlate the factors.
     """
     ensure_valid(system)
     limit = system.stage_limit()
@@ -587,8 +599,10 @@ def integral(system: SalemSystem) -> Fraction:
     # step k adds s_k / q times q^(1-k), for s_k the sum of its betas
     steps = [(system.q * row[0][0], sum(c for _, c, _ in row[1:]), row[0][0])
              for row in system._step_rows]
-    if limit is None:  # the fixed tuple's step, repeated forever
-        return _close(steps, 0)
+    if limit is None:  # past K, P rounded up to whole reorder blocks, every step is the tuple's
+        r = system.reorder.period()
+        K = -(-system._P // r) * r
+        return _close([steps[system._step(k)[1]] for k in range(1, K + r + 1)], K)
     return Fraction(*_series(steps[system._step(k)[1]] for k in range(1, limit + 1))[::2])
 
 
@@ -608,7 +622,8 @@ def emit_table(system: SalemSystem, grid, tol=DEFAULT_TOL) -> list[TableRow]:
     inclusive, for n from 2 to `MAX_POINTS` (10**5); otherwise an
     iterable of rationals."""
     ensure_valid(system)
-    if isinstance(grid, int):
+    if isinstance(grid, (int, float)):
+        grid = json_int(grid)
         if grid < 2:
             raise DomainError("a uniform grid needs at least 2 points")
         if grid > MAX_POINTS:
@@ -735,6 +750,7 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
     are the ones of the plain per-term loop, in the same order.
     """
     ensure_valid(system)
+    samples, seed = json_int(samples), json_int(seed)
     if samples < 2:
         raise DomainError("need at least 2 samples")
     if samples > MAX_SAMPLES:
@@ -760,7 +776,7 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
     import numpy as np
 
     # int / int rounds correctly, as float(Fraction) does
-    used = system._step_rows[:terms]  # a matrix is read in identity order
+    used = system._step_rows[:maxpos]  # position n reads a column index below n
     b_rows = [np.array([c / D for D, c, _ in row]) for row in used]
     p_rows = [np.array([a / D for D, _, a in row]) for row in used]
     steps = [(b_rows[i], p_rows[i], n - 1) for n, i in plan]

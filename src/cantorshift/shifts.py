@@ -221,6 +221,7 @@ class ShiftProgram:
 
     @classmethod
     def sigma_power(cls, n: int) -> "ShiftProgram":
+        n = json_int(n)
         if n < 0:
             raise DomainError("shift power must be >= 0")
         return cls((SIGMA,) * n)
@@ -383,6 +384,7 @@ def shift_n(x: Value, q: QSequence, n: int) -> Value:
     costs n greedy steps.  A DigitString input gives one image built from
     the surviving positions n + 1, n + 2, ...: their digits and base values.
     """
+    n = json_int(n)
     if n < 0:
         raise DomainError(f"shift count must be >= 0, got {n}")
     _check_depth(n)  # before the n-atom word is built
@@ -469,6 +471,7 @@ def reconstruct_identity(x: Fraction, q: QSequence, n: int) -> ReconstructionChe
     through the digit machinery, not an algebraic rearrangement.  Cost:
     O(n) greedy steps.
     """
+    n = json_int(n)
     shifted = shift_n(x, q, n)
     digits, _, _ = _greedy_head(x, q.values(0, n))
     head, w, denom = _series(_steps(digits, q))

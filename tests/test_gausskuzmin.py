@@ -248,6 +248,16 @@ REFUSALS = {
                     "extra depth must be >= 1, got 0"),
     "mc-seed": (lambda: measure_mc(shift_below(Q2, 1, F(1, 3)), 10, -1),
                 "seed must be >= 0, got -1"),
+    # a count is read as an integer, not truncated or left to fail later
+    "mc-samples-fraction": (lambda: measure_mc(shift_below(Q2, 1, F(1, 3)), 10.5, 1),
+                            "expected an integer, got 10.5"),
+    "mc-seed-fraction": (lambda: measure_mc(shift_below(Q2, 1, F(1, 3)), 10, 1.5),
+                         "expected an integer, got 1.5"),
+    "extra-depth-fraction": (lambda: measure_mc(shift_below(Q2, 1, F(1, 3)), 10, 1,
+                                                extra_depth=2.5),
+                             "expected an integer, got 2.5"),
+    "bounds-depth-fraction": (lambda: measure_bounds(shift_below(Q2, 1, F(1, 3)), 12.5),
+                              "expected an integer, got 12.5"),
     # a string of parameters is refused, not read digit by digit
     "scan-params-string": (lambda: limit_scan(sigma_family(Q2, F(1, 3)), "12"),
                            "scan parameters must be integers, not a string: '12'"),

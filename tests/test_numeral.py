@@ -358,6 +358,28 @@ class TestDigitString:
         for n in range(top + 1):
             assert d.digits_to(n) == tuple(d.digit(k) for k in range(1, n + 1))
 
+    def test_tail_past_worked_case(self):
+        # (1, 2, 3, 4, 5) then 7, 8, 7, 8, ...: the digit at position 7 is 8
+        d = DigitString(QSequence.constant(10), (1, 2, 3, 4, 5), periodic_tail((7, 8)))
+        assert d.digits_to(7) == (1, 2, 3, 4, 5, 7, 8)
+        assert d.tail_past(6) == periodic_tail((8, 7))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pre_periodic_bases(), st.lists(st.integers(0, 1), max_size=5),
+           st.one_of(st.sampled_from(["zero", "max"]),
+                     st.lists(st.integers(0, 1), min_size=1, max_size=3)))
+    def test_continuation_past_the_depth_keeps_the_digits(self, q, prefix, tail):
+        # for n from the depth to two tail periods past it, the first n
+        # digits and the tail past them continue the string: the same
+        # first depth + 4 periods digits
+        tail = periodic_tail(tail) if isinstance(tail, list) else Tail.from_json(tail)
+        d = DigitString(q, tuple(prefix), tail)
+        period = len(tail.period) or 1
+        want = [d.digit(k) for k in range(1, d.depth + 4 * period + 1)]
+        for n in range(d.depth, d.depth + 2 * period + 1):
+            c = DigitString(q, d.digits_to(n), d.tail_past(n))
+            assert [c.digit(k) for k in range(1, len(want) + 1)] == want
+
     def test_truncated_depth_must_match(self):
         with pytest.raises(DomainError):
             DigitString(QSequence.constant(2), (1, 0), truncated_tail(3))
@@ -706,7 +728,24 @@ REFUSALS = {
                           "expected an integer, got 2.5"),
     "explicit-bool": (lambda: QSequence.explicit([3, True]), DomainError,
                       "expected an integer, got True"),
+    # so do the library's depth and probe counts
+    "expand-depth-fraction": (lambda: expand(F(1, 3), Q2, 5.5), DomainError,
+                              "expected an integer, got 5.5"),
+    "expand-depth-bool": (lambda: expand(F(1, 3), Q2, True), DomainError,
+                          "expected an integer, got True"),
+    "expand-probe-fraction": (lambda: expand(F(1, 3), Q2, 4, probe_limit=3.5), DomainError,
+                              "expected an integer, got 3.5"),
+    "classify-probe-fraction": (lambda: classify_rationality(F(1, 3), Q2, 3.5), DomainError,
+                                "expected an integer, got 3.5"),
+    "expand-depth-ratio": (lambda: expand(F(1, 3), Q2, F(5, 2)), DomainError,
+                           "expected an integer, got Fraction(5, 2)"),
 }
+
+
+def test_integral_counts_are_read_and_a_none_probe_is_the_default():
+    assert expand(F(1, 3), Q2, 4.0, probe_limit=F(6, 2)) == expand(F(1, 3), Q2, 4, probe_limit=3)
+    assert expand(F(1, 3), Q2, 4, probe_limit=None) == expand(F(1, 3), Q2, 4)
+    assert classify_rationality(F(1, 3), Q2, None) == classify_rationality(F(1, 3), Q2)
 
 
 def test_integral_json_numbers_are_read():

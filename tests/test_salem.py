@@ -312,7 +312,7 @@ def eval_stage_fraction_reference(d, system, tol, stage):
         dig = d.digit(n)
         total += system.beta_row(n)[dig] * prod
         prod *= system.p_row(n)[dig]
-        r *= max(abs(p) for p in system.p_row(n)) if not system.is_fixed else m
+        r *= max(abs(p) for p in system.p_row(n))
 
 
 def integral_fraction_reference(system):
@@ -342,11 +342,13 @@ def signed_q3(draw):
 def tolerance_systems(draw):
     """A system the tolerance path sums, and whether it is finite."""
     kind = draw(st.sampled_from(["fixed", "swap-pairs", "signed", "strict-list",
-                                 "lax-list", "matrix"]))
+                                 "lax-list", "matrix", "two-part"]))
     if kind == "matrix":
         q = draw(st.integers(2, 4))
         return SalemSystem.matrix(draw(st.lists(weight_tuples(q), min_size=1,
                                                 max_size=40))), True
+    if kind == "two-part":
+        return draw(two_part_systems(orders=("identity", "swap-pairs"))), False
     weights = (draw(signed_q3()) if kind == "signed"
                else draw(weight_tuples(draw(st.integers(2, 4)))))
     if kind == "strict-list":
@@ -640,7 +642,7 @@ REFUSALS = {
                                 {"p": ["1/2", "1/2"], "strict-reorder": None}),
                             DomainError, "strict-reorder must be true or false, got None"),
     "weights-or-columns": (lambda: SalemSystem(), DomainError,
-                           "a system takes either a weight tuple or columns"),
+                           "a system takes a weight tuple, columns or both"),
     "horizon": (lambda: fixed(["1/2", "1/2"], horizon=0), DomainError,
                 "horizon must be >= 1"),
     "column-past-end": (lambda: ONE_COLUMN.p_row(2), DomainError,
@@ -673,6 +675,18 @@ REFUSALS = {
                         "bytes of digits exceed the limit of 67108864"),
     "mc-seed": (lambda: mc_mean(fixed(["1/3", "2/3"]), 10, -1), DomainError,
                 "seed must be >= 0, got -1"),
+    # a count is read as an integer, not truncated or left to fail later
+    "mc-samples-fraction": (lambda: mc_mean(fixed(["1/3", "2/3"]), 2.5, 1), DomainError,
+                            "expected an integer, got 2.5"),
+    "mc-seed-fraction": (lambda: mc_mean(fixed(["1/3", "2/3"]), 10, 1.5), DomainError,
+                         "expected an integer, got 1.5"),
+    "equation-index-fraction": (lambda: residual(F(1, 3), 2, fixed(["1/3", "2/3"]), 1.5),
+                                DomainError, "expected an integer, got 1.5"),
+    "grid-fraction": (lambda: emit_table(fixed(["1/3", "2/3"]), 2.5), DomainError,
+                      "expected an integer, got 2.5"),
+    "horizon-fraction": (lambda: validate_system(fixed(["1/2", "1/2"], horizon=1.5,
+                                                       reorder=Reorder("list", values=(1, 2)))),
+                         DomainError, "expected an integer, got 1.5"),
 }
 
 
@@ -762,6 +776,17 @@ class TestIntegral:
         s = fixed(["1/3", "2/3"])
         r = mc_mean(s, samples=40000, seed=7)
         assert abs(r.mean - float(F(1, 3))) <= 4 * r.std_err
+
+    @pytest.mark.parametrize("system", [
+        fixed(["1/3", "2/3"]),
+        fixed(["7/10", "-1/5", "1/2"], reorder=SWAP),
+        fixed(["1/4", "3/4"], reorder=Reorder("list", values=(3, 1, 2, 4))),
+        SalemSystem.matrix([[F(1, 3), F(2, 3)], [F(1, 2), F(1, 2)], [F(4, 5), F(1, 5)]]),
+        SalemSystem([F(1, 3), F(2, 3)], [[F(1, 2), F(1, 2)], [F(9, 10), F(1, 10)]], SWAP),
+    ], ids=["fixed", "swap-pairs", "strict-list", "matrix", "columns-then-tuple"])
+    def test_mc_agrees_with_integral_on_every_schedule_kind(self, system):
+        r = mc_mean(system, 20000, 5)
+        assert abs(r.mean - float(integral(system))) <= 4 * r.std_err
 
     def test_mc_deterministic(self):
         s = fixed(["1/4", "3/4"])
@@ -895,19 +920,35 @@ def mc_mean_per_column(system, samples, seed, chunk=65536):
 
 
 @st.composite
-def weight_tuples(draw, q):
+def weight_tuples(draw, q, dens=(7, 16, 100)):
     # any partial sums in (0, 1) give a valid tuple; unsorted ones give
     # signed weights
-    den = draw(st.sampled_from([7, 16, 100]))
+    den = draw(st.sampled_from(dens))
     betas = [F(draw(st.integers(1, den - 1)), den) for _ in range(q - 1)]
     edges = [F(0)] + betas + [F(1)]
     return [b - a for a, b in zip(edges, edges[1:])]
 
 
 @st.composite
+def two_part_systems(draw, q=None, orders=("identity", "swap-pairs", "list"),
+                     dens=(7, 16, 100)):
+    """1-5 columns for positions 1..P, then a weight tuple for every later
+    position, read in identity, swap-pairs or strict list order."""
+    q = q or draw(st.integers(2, 4))
+    columns = draw(st.lists(weight_tuples(q, dens), min_size=1, max_size=5))
+    order = draw(st.sampled_from(orders))
+    if order == "list":
+        values = draw(st.permutations(range(1, draw(st.integers(1, 8)) + 1)))
+        reorder = Reorder("list", values=tuple(values))
+    else:
+        reorder = SWAP if order == "swap-pairs" else Reorder()
+    return SalemSystem(draw(weight_tuples(q, dens)), columns, reorder)
+
+
+@st.composite
 def mc_systems(draw):
     kind = draw(st.sampled_from(["fixed", "swap-pairs", "matrix", "skewed",
-                                 "moderate"]))
+                                 "moderate", "two-part"]))
     q = draw(st.sampled_from([2, 3, 4, 5, 8, 16, 64]))
     if kind in ("skewed", "moderate"):
         # p_max >= 0.97: every row's product underflows long before the
@@ -923,6 +964,8 @@ def mc_systems(draw):
     if kind == "matrix":
         cols = draw(st.lists(weight_tuples(q), min_size=1, max_size=40))
         return SalemSystem.matrix(cols)
+    if kind == "two-part":
+        return draw(two_part_systems(q=q))
     reorder = SWAP if kind == "swap-pairs" else Reorder()
     return SalemSystem.fixed(draw(weight_tuples(q)), reorder=reorder)
 
@@ -1069,6 +1112,88 @@ class TestMcBlocks:
 
 
 # ---------------------------------------------------------------------------
+# Columns, then a repeating tuple
+# ---------------------------------------------------------------------------
+
+def schedule_sum(system, x, steps):
+    """The first `steps` series terms at x in plain Fractions: position n
+    reads column n up to P, then the tuple.  A test oracle."""
+    d = expand_exact(x, QSequence.constant(system.q))
+    total, prod = F(0), F(1)
+    for k in range(1, steps + 1):
+        n = system.reorder.position(k)
+        w = system.columns[n - 1] if n <= len(system.columns) else system.weights
+        e = d.digit(n)
+        total += sum(w[:e], F(0)) * prod
+        prod *= w[e]
+    return total
+
+
+TWO_KEYS = {"q": 2, "p": ["1/3", "2/3"], "columns": [["1/2", "1/2"]]}
+
+
+class TestTwoPartSystems:
+    def test_worked_values(self):
+        # 1/3 = 0.0101...: column 1 reads 0, then the tuple reads 2/3, whose
+        # value 1/3 + 2/3 * 1/7 is halved.  The mean is (1/2) / 2 plus half
+        # the tuple's mean 1/3
+        s = SalemSystem.from_json(TWO_KEYS)
+        assert evaluate(F(1, 3), 2, s) == salem_module.EvalResult(F(3, 14), F(0), 3)
+        assert integral(s) == F(5, 12)
+        assert SalemSystem.from_json(s.to_json()) == s
+        assert s.to_json()["columns"] == [["1/2", "1/2"]]
+
+    def test_every_column_is_validated(self):
+        s = SalemSystem.from_json({**TWO_KEYS, "columns": [["1/2", "1/2"], ["1"]]})
+        assert str(validate_system(s)) == "alphabet at column 2: length 1 != 2"
+        # the tuple is the column after the last one given
+        s = SalemSystem([F(1, 3), F(1, 3)], [[F(1, 2), F(1, 2)]])
+        assert str(validate_system(s)) == "column-sum at column 2: sums to 2/3, not 1"
+
+    def test_only_a_system_with_a_tuple_takes_a_reorder(self):
+        cols = [[F(1, 2), F(1, 2)]]
+        assert validate_system(SalemSystem([F(1, 3), F(2, 3)], cols, SWAP)).ok
+        rep = validate_system(SalemSystem(columns=cols, reorder=SWAP))
+        assert rep.violation.condition == "reorder"
+
+    def test_fixed_and_matrix_forms_are_unchanged(self):
+        w = (F(1, 3), F(2, 3))
+        assert SalemSystem.fixed(w).columns is None
+        assert SalemSystem.matrix([w]).weights is None
+        assert "columns" not in SalemSystem.fixed(w).to_json()
+        # no columns before the tuple reads like the tuple alone
+        assert (evaluate(F(2, 7), 2, SalemSystem(w, ()))
+                == evaluate(F(2, 7), 2, SalemSystem.fixed(w)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_part_systems(dens=(7, 16)), st.integers(1, 60), st.data())
+    def test_rationals_close_exactly(self, s, den, data):
+        x = F(data.draw(st.integers(0, den)), den)
+        r = evaluate(x, s.q, s)
+        assert r.error_bound == 0
+        # a list order ends the series; otherwise 400 terms leave at most
+        # m**400 / (1 - m) for the largest |p| m <= 15/16
+        limit = s.stage_limit()
+        m = s.global_max
+        assert abs(r.value - schedule_sum(s, x, limit or 400)) <= (
+            0 if limit else m ** 400 / (1 - m))
+        for k in range(1, min(limit or 5, 5) + 1):
+            assert residual(x, s.q, s, k) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_part_systems())
+    def test_integral_is_the_mean_series_in_reading_order(self, s):
+        # step k adds the mean beta of the column it reads times q**(1 - k)
+        q, limit = s.q, s.stage_limit()
+        total = F(0)
+        for k in range(1, (limit or 400) + 1):
+            n = s.reorder.position(k)
+            w = s.columns[n - 1] if n <= len(s.columns) else s.weights
+            total += sum(sum(w[:e], F(0)) for e in range(q)) / q / F(q) ** (k - 1)
+        assert abs(integral(s) - total) <= (0 if limit else F(1, q) ** 400 / (1 - F(1, q)))
+
+
+# ---------------------------------------------------------------------------
 # Tables
 # ---------------------------------------------------------------------------
 
@@ -1111,6 +1236,10 @@ class TestSerialization:
         j = s.to_json()
         assert j["q"] == 3 and j["p"] == ["7/10", "-1/5", "1/2"]
         assert SalemSystem.from_json(j) == s
+
+    def test_two_part_round_trip(self):
+        s = SalemSystem.from_json({**TWO_KEYS, "reorder": {"kind": "rule", "name": "swap-pairs"}})
+        assert SalemSystem.from_json(s.to_json()) == s
 
     def test_matrix_round_trip(self):
         s = SalemSystem.matrix([[F(1, 3), F(2, 3)], [F(1, 2), F(1, 2)]])

@@ -594,6 +594,14 @@ REFUSALS = {
     "position-fraction": (lambda: drop_positions(expand_exact(F(1, 3), QSequence.constant(2)),
                                                  [1.5]),
                           "expected an integer, got 1.5"),
+    # so do the shift counts
+    "shift-count-fraction": (lambda: shift_n(F(1, 3), QSequence.constant(2), 2.5),
+                             "expected an integer, got 2.5"),
+    "reconstruct-count-fraction": (lambda: reconstruct_identity(F(1, 3), QSequence.constant(2),
+                                                                2.5),
+                                   "expected an integer, got 2.5"),
+    "sigma-power-fraction": (lambda: ShiftProgram.sigma_power(1.5),
+                             "expected an integer, got 1.5"),
 }
 
 

@@ -327,80 +327,79 @@ def _cmd_gk_scan(args) -> None:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> _Parser:
+    """The `cantorshift` parser.  Each argument that more than one command
+    takes is declared once, in a parent parser of its own; a command lists
+    those parents first, in its argument order, and declares the rest."""
+
+    def shared(flag, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(flag, **kwargs)
+        return parent
+
+    x = shared("--x", required=True, help="rational in [0,1], e.g. 5/6")
+    q = shared("--q", required=True, help="base: integer or JSON")
+    system = shared("--system", required=True, help="system JSON")
+    # `salem residual` and `salem table` declare --tol themselves, after
+    # arguments of their own that a parent would move it ahead of
+    tol = shared("--tol", default=format_rational(DEFAULT_TOL))
+    spec = shared("--spec", required=True, help="set spec JSON")
+    samples = shared("--samples", type=int, required=True)
+    seed = shared("--seed", type=int, required=True)
+
+    def command(group, name, func, help, *parents) -> _Parser:
+        s = group.add_parser(name, help=help, parents=parents)
+        s.set_defaults(func=func)
+        return s
+
     p = _Parser(prog="cantorshift",
                 description="Exact Cantor-series digit arithmetic, shift "
                             "operators, singular functions, measure bounds")
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("expand", help="greedy digit expansion of a rational")
-    s.add_argument("--x", required=True, help="rational in [0,1], e.g. 5/6")
-    s.add_argument("--q", required=True, help="base: integer or JSON")
+    s = command(sub, "expand", _cmd_expand, "greedy digit expansion of a rational", x, q)
     s.add_argument("--depth", type=int, required=True)
     s.add_argument("--probe", type=int, default=None,
                    help="cap on the tail-detection scan")
     s.add_argument("--digits", action="store_true",
                    help="print only the digit list")
-    s.set_defaults(func=_cmd_expand)
 
-    s = sub.add_parser("evaluate", help="exact value of a digit string")
-    s.add_argument("--q", required=True)
+    s = command(sub, "evaluate", _cmd_evaluate, "exact value of a digit string", q)
     s.add_argument("--prefix", required=True, help="comma-separated digits")
     s.add_argument("--tail", default="zero",
                    help='"zero", "max", {"periodic": [...]}, {"truncated": n}')
-    s.set_defaults(func=_cmd_evaluate)
 
-    s = sub.add_parser("classify", help="terminating vs non-terminating expansion")
-    s.add_argument("--x", required=True)
-    s.add_argument("--q", required=True)
+    s = command(sub, "classify", _cmd_classify, "terminating vs non-terminating expansion", x, q)
     s.add_argument("--probe", type=int, default=None)
-    s.set_defaults(func=_cmd_classify)
 
-    s = sub.add_parser("cylinder", help="endpoints and measure of a digit cylinder")
-    s.add_argument("--q", required=True)
+    s = command(sub, "cylinder", _cmd_cylinder, "endpoints and measure of a digit cylinder", q)
     s.add_argument("--digits", required=True)
-    s.set_defaults(func=_cmd_cylinder)
 
-    s = sub.add_parser("shift", help="shift / digit deletion / program application")
-    s.add_argument("--x", required=True)
-    s.add_argument("--q", required=True)
+    s = command(sub, "shift", _cmd_shift, "shift / digit deletion / program application", x, q)
     g = s.add_mutually_exclusive_group(required=True)
     g.add_argument("--n", type=int, help="apply the left shift n times")
     g.add_argument("--m", type=int, help="delete the m-th digit")
     g.add_argument("--program", help="shift-program JSON")
-    s.set_defaults(func=_cmd_shift)
 
-    s = sub.add_parser("normalize", help="rewrite a program to pure shifts when possible")
+    s = command(sub, "normalize", _cmd_normalize, "rewrite a program to pure shifts when possible")
     s.add_argument("--program", required=True)
-    s.set_defaults(func=_cmd_normalize)
 
     salem = sub.add_parser("salem", help="digit-weight function systems")
     ssub = salem.add_subparsers(dest="salem_command", required=True)
 
-    s = ssub.add_parser("validate", help="check system requirements")
-    s.add_argument("--system", required=True, help="system JSON")
-    s.set_defaults(func=_cmd_salem_validate)
+    command(ssub, "validate", _cmd_salem_validate, "check system requirements", system)
 
-    s = ssub.add_parser("eval", help="evaluate the system's function")
-    s.add_argument("--system", required=True)
-    s.add_argument("--x", required=True)
-    s.add_argument("--tol", default=format_rational(DEFAULT_TOL))
+    s = command(ssub, "eval", _cmd_salem_eval, "evaluate the system's function", system, x, tol)
     s.add_argument("--exact", action="store_true",
                    help="fail unless the value is closed exactly")
-    s.set_defaults(func=_cmd_salem_eval)
 
-    s = ssub.add_parser("residual", help="defect of the k-th self-similarity equation")
-    s.add_argument("--system", required=True)
-    s.add_argument("--x", required=True)
+    s = command(ssub, "residual", _cmd_salem_residual,
+                "defect of the k-th self-similarity equation", system, x)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--tol", default=format_rational(DEFAULT_TOL))
-    s.set_defaults(func=_cmd_salem_residual)
 
-    s = ssub.add_parser("integral", help="exact Lebesgue mean")
-    s.add_argument("--system", required=True)
-    s.set_defaults(func=_cmd_salem_integral)
+    command(ssub, "integral", _cmd_salem_integral, "exact Lebesgue mean", system)
 
-    s = ssub.add_parser("table", help="CSV table x,g,err_bound over a grid")
-    s.add_argument("--system", required=True)
+    s = command(ssub, "table", _cmd_salem_table, "CSV table x,g,err_bound over a grid", system)
     g = s.add_mutually_exclusive_group(required=True)
     g.add_argument("--points", type=int, help="uniform grid size (includes 0 and 1)")
     g.add_argument("--grid", help="comma-separated rationals")
@@ -410,31 +409,19 @@ def _build_parser() -> _Parser:
     s.add_argument("--exact", action="store_true",
                    help="print exact num/den instead of decimals")
     s.add_argument("--out", default=None, help="write CSV here instead of stdout")
-    s.set_defaults(func=_cmd_salem_table)
 
-    s = ssub.add_parser("mc", help="Monte-Carlo estimate of the mean")
-    s.add_argument("--system", required=True)
-    s.add_argument("--samples", type=int, required=True)
-    s.add_argument("--seed", type=int, required=True)
-    s.set_defaults(func=_cmd_salem_mc)
+    command(ssub, "mc", _cmd_salem_mc, "Monte-Carlo estimate of the mean", system, samples, seed)
 
     gk = sub.add_parser("gk", help="measure of digit-defined sets")
     gsub = gk.add_subparsers(dest="gk_command", required=True)
 
-    s = gsub.add_parser("bounds", help="exact lower/upper measure bounds")
-    s.add_argument("--spec", required=True, help="set spec JSON")
+    s = command(gsub, "bounds", _cmd_gk_bounds, "exact lower/upper measure bounds", spec)
     s.add_argument("--depth", type=int, required=True)
-    s.set_defaults(func=_cmd_gk_bounds)
 
-    s = gsub.add_parser("mc", help="sampling estimate of the measure")
-    s.add_argument("--spec", required=True)
-    s.add_argument("--samples", type=int, required=True)
-    s.add_argument("--seed", type=int, required=True)
+    s = command(gsub, "mc", _cmd_gk_mc, "sampling estimate of the measure", spec, samples, seed)
     s.add_argument("--extra-depth", type=int, default=32)
-    s.set_defaults(func=_cmd_gk_mc)
 
-    s = gsub.add_parser("scan", help="CSV bounds over a family parameter")
-    s.add_argument("--q", required=True)
+    s = command(gsub, "scan", _cmd_gk_scan, "CSV bounds over a family parameter", q)
     s.add_argument("--family", required=True, help="generator rule JSON")
     s.add_argument("--rhs", required=True, help="threshold JSON")
     s.add_argument("--relation", default="lt", choices=["lt", "ge"])
@@ -444,7 +431,6 @@ def _build_parser() -> _Parser:
                    help="depth = digits consumed + offset")
     s.add_argument("--digits", type=int, default=None,
                    help="print decimals with this precision instead of num/den")
-    s.set_defaults(func=_cmd_gk_scan)
 
     return p
 

@@ -49,9 +49,17 @@ class DomainError(ValueError):
 class InsufficientDepthError(ValueError):
     """A digit string does not carry enough known digits for the request.
 
-    `required` holds the minimal prefix length that would have sufficed;
-    every raise in the package sets it.  A step past the end of a finite
-    schedule is a DomainError instead: no deeper string would help.
+    `required` holds a prefix length the request needs; every raise in the
+    package sets it.  Where that length is known before a digit is read (a
+    program's required depth, a materialization), it is the least one that
+    suffices.  A Salem sum over a truncated string reads its digits as it
+    goes and raises at the first missing position, so there `required` is
+    only a lower bound: the depth-6 string of 1/3 under the weights
+    (1/3, 2/3) reports 7, but depth 54 is the first that succeeds.  This is
+    on purpose: finding the least depth first would plan the whole sum,
+    tens of thousands of Fraction steps for weights near 1, before the
+    error.  A step past the end of a finite schedule is a DomainError
+    instead: no deeper string would help.
     """
 
     def __init__(self, message, required=None):

@@ -267,7 +267,7 @@ class Tail:
         if obj in ("zero", "max"):
             return cls(obj)
         if isinstance(obj, dict) and "periodic" in obj:
-            return periodic_tail(map(json_int, json_list(obj["periodic"])))
+            return periodic_tail(json_list(obj["periodic"]))
         if isinstance(obj, dict) and "truncated" in obj:
             return truncated_tail(json_int(obj["truncated"]))
         raise DomainError(f"unknown tail form {obj!r}")
@@ -277,8 +277,16 @@ ZERO_TAIL = Tail("zero")
 MAX_TAIL = Tail("max")
 
 
+def _int_digits(digits) -> tuple[int, ...]:
+    """`digits` as a tuple of ints.  One made only of ints passes a single
+    type test; any other item is read by `json_int`, so 3.0 and a numpy
+    integer are read, while 1.5 and booleans are refused."""
+    digits = tuple(digits)
+    return digits if set(map(type, digits)) <= {int} else tuple(map(json_int, digits))
+
+
 def periodic_tail(pattern) -> Tail:
-    pattern = tuple(map(int, pattern))
+    pattern = _int_digits(pattern)
     if not pattern:
         raise DomainError("periodic tail needs a nonempty pattern")
     return Tail("periodic", period=pattern)
@@ -319,7 +327,7 @@ class DigitString:
     tail: Tail = ZERO_TAIL
 
     def __post_init__(self):
-        prefix = tuple(map(int, self.prefix))
+        prefix = _int_digits(self.prefix)
         object.__setattr__(self, "prefix", prefix)
         t = self.tail
         # a periodic tail is checked up to the end of its first block:
@@ -400,11 +408,10 @@ class DigitString:
 
     @classmethod
     def from_json(cls, obj, base: QSequence) -> "DigitString":
-        # the prefix list is read before the tail and its digits after,
-        # as the constructor would read them
-        prefix = tuple(json_list(obj.get("prefix", [])))
-        tail = Tail.from_json(obj.get("tail", "zero"))
-        return cls(base, tuple(map(json_int, prefix)), tail)
+        # the prefix list is read before the tail, and its digits after it
+        # by the constructor
+        prefix = json_list(obj.get("prefix", []))
+        return cls(base, prefix, Tail.from_json(obj.get("tail", "zero")))
 
 
 # ---------------------------------------------------------------------------

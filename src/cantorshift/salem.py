@@ -53,6 +53,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm, sqrt
+from numbers import Number
 from typing import Optional, Union
 
 from .errors import (
@@ -618,11 +619,15 @@ class TableRow:
 
 
 def emit_table(system: SalemSystem, grid, tol=DEFAULT_TOL) -> list[TableRow]:
-    """Evaluate on a grid: an int n means n uniform points spanning [0, 1]
-    inclusive, for n from 2 to `MAX_POINTS` (10**5); otherwise an
-    iterable of rationals."""
+    """Evaluate on a grid: a number n, read as an integer by `json_int`
+    (so Fraction(5) is 5 and 2.5 is refused), means n uniform points
+    spanning [0, 1] inclusive, for n from 2 to `MAX_POINTS` (10**5);
+    otherwise an iterable of rationals.  A string is refused rather than
+    read one character at a time."""
     ensure_valid(system)
-    if isinstance(grid, (int, float)):
+    if isinstance(grid, (str, bytes)):
+        raise DomainError(f"a grid is a point count or an iterable of rationals, got {grid!r}")
+    if isinstance(grid, Number):
         grid = json_int(grid)
         if grid < 2:
             raise DomainError("a uniform grid needs at least 2 points")

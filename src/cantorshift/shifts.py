@@ -36,7 +36,7 @@ open the suffix, reaches the normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -203,11 +203,12 @@ class ShiftProgram:
     """A finite word of shift/deletion atoms, applied left to right.
 
     `generator`, when present, records the rule the word was expanded
-    from (for round-tripping and scans); it does not affect evaluation.
+    from (for round-tripping and scans); it does not affect evaluation,
+    and programs compare and hash by their word alone.
     """
 
     word: tuple[Atom, ...]
-    generator: Optional[dict] = None
+    generator: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "word", tuple(self.word))

@@ -753,6 +753,46 @@ class TestHelp:
         assert out == want.getvalue()
 
 
+# each command's usage line, printed on one line at 250 columns, and the
+# arguments named when its required ones are missing; a shared argument
+# declared in the wrong place moves in both
+USAGES = {
+    "expand": ("--x X --q Q --depth DEPTH [--probe PROBE] [--digits]", "--x, --q, --depth"),
+    "evaluate": ("--q Q --prefix PREFIX [--tail TAIL]", "--q, --prefix"),
+    "classify": ("--x X --q Q [--probe PROBE]", "--x, --q"),
+    "cylinder": ("--q Q --digits DIGITS", "--q, --digits"),
+    "shift": ("--x X --q Q (--n N | --m M | --program PROGRAM)", "--x, --q"),
+    "normalize": ("--program PROGRAM", "--program"),
+    "salem validate": ("--system SYSTEM", "--system"),
+    "salem eval": ("--system SYSTEM --x X [--tol TOL] [--exact]", "--system, --x"),
+    "salem residual": ("--system SYSTEM --x X --k K [--tol TOL]", "--system, --x, --k"),
+    "salem integral": ("--system SYSTEM", "--system"),
+    "salem table": ("--system SYSTEM (--points POINTS | --grid GRID) [--tol TOL] "
+                    "[--digits DIGITS] [--exact] [--out OUT]", "--system"),
+    "salem mc": ("--system SYSTEM --samples SAMPLES --seed SEED",
+                 "--system, --samples, --seed"),
+    "gk bounds": ("--spec SPEC --depth DEPTH", "--spec, --depth"),
+    "gk mc": ("--spec SPEC --samples SAMPLES --seed SEED [--extra-depth EXTRA_DEPTH]",
+              "--spec, --samples, --seed"),
+    "gk scan": ("--q Q --family FAMILY --rhs RHS [--relation {lt,ge}] --params PARAMS "
+                "[--depth DEPTH] [--depth-offset DEPTH_OFFSET] [--digits DIGITS]",
+                "--q, --family, --rhs, --params"),
+}
+
+
+@pytest.mark.parametrize("command, usage, missing",
+                         [(c, *v) for c, v in USAGES.items()], ids=USAGES.keys())
+def test_usage_line_and_missing_arguments_are_pinned(monkeypatch, command, usage, missing):
+    monkeypatch.setenv("COLUMNS", "250")
+    code, out, err = call_main(command.split() + ["-h"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"usage: cantorshift {command} [-h] {usage}"
+    code, out, err = call_main(command.split())
+    message = f"the following arguments are required: {missing}"
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": {"type": "usage", "message": message}}
+
+
 class TestSharedParser:
     def test_parser_is_built_once_per_process(self, monkeypatch):
         monkeypatch.setattr(cli, "_parser", None)

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -739,6 +740,15 @@ REFUSALS = {
                                 "expected an integer, got 3.5"),
     "expand-depth-ratio": (lambda: expand(F(1, 3), Q2, F(5, 2)), DomainError,
                            "expected an integer, got Fraction(5, 2)"),
+    # so do the digit-string constructors, for a digit of the prefix or the pattern
+    "digits-fraction": (lambda: DigitString(Q2, (1.5, True)), DomainError,
+                        "expected an integer, got 1.5"),
+    "digits-bool": (lambda: DigitString(Q2, (1, True)), DomainError,
+                    "expected an integer, got True"),
+    "pattern-fraction": (lambda: periodic_tail([1.9, False]), DomainError,
+                         "expected an integer, got 1.9"),
+    "pattern-bool": (lambda: periodic_tail([1, False]), DomainError,
+                     "expected an integer, got False"),
 }
 
 
@@ -746,6 +756,15 @@ def test_integral_counts_are_read_and_a_none_probe_is_the_default():
     assert expand(F(1, 3), Q2, 4.0, probe_limit=F(6, 2)) == expand(F(1, 3), Q2, 4, probe_limit=3)
     assert expand(F(1, 3), Q2, 4, probe_limit=None) == expand(F(1, 3), Q2, 4)
     assert classify_rationality(F(1, 3), Q2, None) == classify_rationality(F(1, 3), Q2)
+
+
+def test_integral_digits_are_read_as_ints():
+    q4 = QSequence.constant(4)
+    for v in (3, 3.0, F(6, 2), np.int64(3)):
+        prefix = DigitString(q4, (0, v)).prefix
+        pattern = periodic_tail((v, 0)).period
+        assert (prefix, pattern) == ((0, 3), (3, 0))
+        assert {type(d) for d in prefix + pattern} == {int}
 
 
 def test_integral_json_numbers_are_read():

@@ -684,6 +684,13 @@ REFUSALS = {
                                 DomainError, "expected an integer, got 1.5"),
     "grid-fraction": (lambda: emit_table(fixed(["1/3", "2/3"]), 2.5), DomainError,
                       "expected an integer, got 2.5"),
+    "grid-ratio": (lambda: emit_table(fixed(["1/3", "2/3"]), F(5, 2)), DomainError,
+                   "expected an integer, got Fraction(5, 2)"),
+    # a string grid is refused, not read one character at a time
+    "grid-string": (lambda: emit_table(fixed(["1/3", "2/3"]), "01"), DomainError,
+                    "a grid is a point count or an iterable of rationals, got '01'"),
+    "grid-bytes": (lambda: emit_table(fixed(["1/3", "2/3"]), b"01"), DomainError,
+                   "a grid is a point count or an iterable of rationals, got b'01'"),
     "horizon-fraction": (lambda: validate_system(fixed(["1/2", "1/2"], horizon=1.5,
                                                        reorder=Reorder("list", values=(1, 2)))),
                          DomainError, "expected an integer, got 1.5"),
@@ -1204,6 +1211,10 @@ class TestTables:
         assert [row.x for row in rows] == [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
         assert [row.value for row in rows] == [F(0), F(1, 9), F(1, 3), F(5, 9), F(1)]
         assert all(row.error_bound == 0 for row in rows)
+
+    def test_any_integral_number_is_a_grid_size(self):
+        s = fixed(["1/3", "2/3"])
+        assert emit_table(s, F(5)) == emit_table(s, 5.0) == emit_table(s, 5)
 
     def test_explicit_points(self):
         s = fixed(["1/4", "3/4"])

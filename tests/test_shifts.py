@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from cantorshift import (
     Atom,
+    ConstRhs,
     DigitString,
     DomainError,
     GEN,
+    GKSetSpec,
     InsufficientDepthError,
     QSequence,
     SIGMA,
@@ -450,6 +452,16 @@ class TestGeneratorRules:
     def test_affine_schedule(self):
         p = ShiftProgram.from_generator({"kind": "affine", "a": 2, "b": 1}, 3)
         assert p.word == (GEN(3), GEN(5), GEN(7))
+
+    def test_program_compares_and_hashes_by_its_word(self):
+        # the generator rule is a record of where the word came from, and a
+        # dict: it takes no part in equality or the hash, but is still written
+        rule = {"kind": "affine", "a": 1, "b": 1}
+        p, same = ShiftProgram.from_generator(rule, 3), ShiftProgram((GEN(2), GEN(3), GEN(4)))
+        assert p == same and hash(p) == hash(same)
+        assert p.to_json() == {"word": [{"gen": 2}, {"gen": 3}, {"gen": 4}], "generator": rule}
+        spec = GKSetSpec(QSequence.constant(2), p, ConstRhs(F(1, 2)))
+        assert {spec} == {GKSetSpec(QSequence.constant(2), same, ConstRhs(F(1, 2)))}
         with pytest.raises(DomainError):
             ShiftProgram.from_generator({"kind": "affine", "a": 0, "b": 0}, 2)
 

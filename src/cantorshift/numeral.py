@@ -280,7 +280,10 @@ MAX_TAIL = Tail("max")
 def _int_digits(digits) -> tuple[int, ...]:
     """`digits` as a tuple of ints.  One made only of ints passes a single
     type test; any other item is read by `json_int`, so 3.0 and a numpy
-    integer are read, while 1.5 and booleans are refused."""
+    integer are read, while 1.5 and booleans are refused.  A string or
+    bytes is refused rather than read one character at a time."""
+    if isinstance(digits, (str, bytes)):
+        raise DomainError(f"digits are an iterable of integers, got {digits!r}")
     digits = tuple(digits)
     return digits if set(map(type, digits)) <= {int} else tuple(map(json_int, digits))
 

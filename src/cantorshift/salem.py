@@ -186,18 +186,15 @@ class SalemSystem:
     `columns`, when given, serve digit positions 1..P in order; the
     tuple `weights`, when given, serves every later position.  So a
     fixed system (`fixed`) is a tuple and no columns, a finite matrix
-    (`matrix`) is P columns and no tuple, and its series ends at step P.
-    `horizon` bounds how much of a list reorder the validator certifies
-    as a permutation; `strict_reorder=False` turns off that
-    certification for exploratory schedules (`integral` refuses the
-    exact mean of one that repeats a position).
+    (`matrix`) is P columns and no tuple, and its series ends at step P;
+    empty columns before a tuple are no columns.  A list reorder is any
+    finite schedule of positions, in any order and with repeats
+    (`integral` refuses the exact mean of one that repeats a position).
     """
 
     weights: Optional[tuple[Fraction, ...]] = None
     columns: Optional[tuple[tuple[Fraction, ...], ...]] = None
     reorder: Reorder = Reorder()
-    horizon: int = 64
-    strict_reorder: bool = True
 
     def __post_init__(self):
         if self.weights is None and self.columns is None:
@@ -205,18 +202,16 @@ class SalemSystem:
         if self.weights is not None:
             object.__setattr__(self, "weights", _coerce_weights(self.weights))
         if self.columns is not None:
-            object.__setattr__(self, "columns", tuple(map(_coerce_weights, self.columns)))
+            columns = tuple(map(_coerce_weights, self.columns))
+            # empty columns before a tuple are the fixed system's None
+            object.__setattr__(self, "columns",
+                               None if not columns and self.weights is not None else columns)
         # P, the number of columns before the tuple, read at every step
         object.__setattr__(self, "_P", len(self.columns or ()))
-        object.__setattr__(self, "horizon", json_int(self.horizon))
-        if self.horizon < 1:
-            raise DomainError("horizon must be >= 1")
 
     @classmethod
-    def fixed(cls, weights, reorder: Reorder = Reorder(),
-              horizon: int = 64, strict_reorder: bool = True) -> "SalemSystem":
-        return cls(weights=tuple(weights), reorder=reorder,
-                   horizon=horizon, strict_reorder=strict_reorder)
+    def fixed(cls, weights, reorder: Reorder = Reorder()) -> "SalemSystem":
+        return cls(weights=tuple(weights), reorder=reorder)
 
     @classmethod
     def matrix(cls, columns) -> "SalemSystem":
@@ -290,9 +285,6 @@ class SalemSystem:
             out["columns"] = [[format_rational(p) for p in col]
                               for col in self.columns]
         out["reorder"] = self.reorder.to_json()
-        out["horizon"] = self.horizon
-        if not self.strict_reorder:
-            out["strict-reorder"] = False
         return out
 
     @classmethod
@@ -301,17 +293,13 @@ class SalemSystem:
         if not isinstance(obj, dict):
             raise DomainError("system JSON must be an object")
         reorder = Reorder.from_json(obj.get("reorder"))
-        horizon = json_int(obj.get("horizon", 64))
-        strict = obj.get("strict-reorder", True)
-        if not isinstance(strict, bool):
-            raise DomainError(f"strict-reorder must be true or false, got {strict!r}")
         if "p" not in obj and "columns" not in obj:
             raise DomainError("system JSON needs \"p\" or \"columns\"")
         # the constructor parses the weights; json_list refuses a null list
         # as malformed, where the constructor would read it as absent
         weights = tuple(json_list(obj["p"])) if "p" in obj else None
         columns = tuple(map(json_list, json_list(obj["columns"]))) if "columns" in obj else None
-        system = cls(weights, columns, reorder, horizon, strict)
+        system = cls(weights, columns, reorder)
         declared = obj.get("q")
         if declared is not None and json_int(declared) != system.q:
             raise DomainError(
@@ -361,9 +349,8 @@ def validate_system(system: SalemSystem) -> ValidationReport:
     Conditions, in the order tested: "alphabet" (uniform column length
     >= 2), "coefficient-range" (every |p| < 1), "column-sum" (each
     column sums to 1), "partial-sum-range" (each partial sum strictly
-    inside (0, 1)), "reorder" (schedule shape: a system without a weight
-    tuple consumes its columns in order; strict list reorders must be
-    injective with a permutation prefix up to the horizon).
+    inside (0, 1)), "reorder" (a system without a weight tuple consumes
+    its columns in order; a system with one takes any reorder).
     """
     cols, q = system._columns, system.q
 
@@ -392,17 +379,9 @@ def validate_system(system: SalemSystem) -> ValidationReport:
                 return bad("partial-sum-range", f"column {n}, partial sum {i}",
                            f"beta_{i} = {betas[i]} outside (0, 1)")
 
-    r = system.reorder
-    if system.weights is None and r.kind != "identity":
+    if system.weights is None and system.reorder.kind != "identity":
         return bad("reorder", "schedule",
                    "matrix systems consume their columns in order")
-    if r.kind == "list" and system.strict_reorder:
-        if len(set(r.values)) != len(r.values):
-            return bad("reorder", "schedule", "list reorder repeats a position")
-        h = min(system.horizon, len(r.values))
-        if set(r.values[:h]) != set(range(1, h + 1)):
-            return bad("reorder", "schedule",
-                       f"first {h} entries are not a permutation of 1..{h}")
     return ValidationReport(True)
 
 
@@ -587,10 +566,9 @@ def integral(system: SalemSystem) -> Fraction:
     q^(1-k), in reading order.  For an unbounded reorder every step past
     the columns' last reorder block reads the tuple, and `_close` sums
     the head and one block of the geometric tail; with no columns that
-    is (beta_1 + ... + beta_{q-1}) / (q - 1).  Finite systems (list
-    reorders, matrices) get the corresponding finite sum, also for a lax
-    list that need not start with a permutation.  Requires an injective
-    schedule; repeats would correlate the factors.
+    is (beta_1 + ... + beta_{q-1}) / (q - 1).  Finite systems (matrices,
+    and any injective list) get the corresponding finite sum.  Requires
+    an injective schedule; repeats would correlate the factors.
     """
     ensure_valid(system)
     limit = system.stage_limit()

@@ -561,7 +561,7 @@ class TestErrors:
         # the far position once allocated 931 GiB, and position 0 read
         # digit column -1; both are refused before any draw
         monkeypatch.setattr(np.random, "default_rng", None)
-        system = json.dumps({"q": 2, "p": ["1/3", "2/3"], "horizon": 1,
+        system = json.dumps({"q": 2, "p": ["1/3", "2/3"],
                              "reorder": {"kind": "list", "values": values}})
         code, out, err = run(capsys, "salem", "mc", "--system", system,
                              "--samples", "10", "--seed", "1")

@@ -749,6 +749,14 @@ REFUSALS = {
                          "expected an integer, got 1.9"),
     "pattern-bool": (lambda: periodic_tail([1, False]), DomainError,
                      "expected an integer, got False"),
+    # a string or bytes is refused, not read one character at a time
+    "digits-string": (lambda: DigitString(QSequence.constant(16), "12"), DomainError,
+                      "digits are an iterable of integers, got '12'"),
+    "pattern-bytes": (lambda: periodic_tail(b"10"), DomainError,
+                      "digits are an iterable of integers, got b'10'"),
+    # a value int() does not take is refused, not left to end in a TypeError
+    "expand-depth-none": (lambda: expand(F(1, 3), Q2, None), DomainError,
+                          "expected an integer, got None"),
 }
 
 

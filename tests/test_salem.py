@@ -341,8 +341,8 @@ def signed_q3(draw):
 @st.composite
 def tolerance_systems(draw):
     """A system the tolerance path sums, and whether it is finite."""
-    kind = draw(st.sampled_from(["fixed", "swap-pairs", "signed", "strict-list",
-                                 "lax-list", "matrix", "two-part"]))
+    kind = draw(st.sampled_from(["fixed", "swap-pairs", "signed", "list", "matrix",
+                                 "two-part"]))
     if kind == "matrix":
         q = draw(st.integers(2, 4))
         return SalemSystem.matrix(draw(st.lists(weight_tuples(q), min_size=1,
@@ -351,13 +351,10 @@ def tolerance_systems(draw):
         return draw(two_part_systems(orders=("identity", "swap-pairs"))), False
     weights = (draw(signed_q3()) if kind == "signed"
                else draw(weight_tuples(draw(st.integers(2, 4)))))
-    if kind == "strict-list":
-        order = draw(st.permutations(range(1, draw(st.integers(1, 40)) + 1)))
+    if kind == "list":  # any finite schedule, and often an injective one
+        order = draw(st.lists(st.integers(1, 100), min_size=1, max_size=40)
+                     | st.lists(st.integers(1, 100), min_size=1, max_size=40, unique=True))
         return SalemSystem.fixed(weights, reorder=Reorder("list", values=order)), True
-    if kind == "lax-list":
-        order = draw(st.lists(st.integers(1, 100), min_size=1, max_size=40))
-        return SalemSystem.fixed(weights, reorder=Reorder("list", values=order),
-                                 strict_reorder=False), True
     return SalemSystem.fixed(weights, reorder=SWAP if kind == "swap-pairs"
                              else Reorder()), False
 
@@ -432,7 +429,7 @@ class TestTolerancePath:
     @given(tolerance_systems())
     def test_finite_integral_matches_fraction_loop(self, case):
         s, finite = case
-        assume(finite and s.strict_reorder)
+        assume(finite and len(set(s.reorder.values)) == len(s.reorder.values))
         assert integral(s) == integral_fraction_reference(s)
 
 
@@ -496,13 +493,9 @@ class TestReorders:
         assert r.terms == 2
 
     def test_strict_schedule_rejects_gaps(self):
-        # [3, 1] skips position 2, so it is not a permutation prefix
+        # [3, 1] skips position 2: a finite schedule all the same
         s = fixed(["1/3", "2/3"], reorder=Reorder("list", values=(3, 1)))
-        with pytest.raises(InvalidSystemError):
-            evaluate(F(1, 2), 2, s)
-        lax = fixed(["1/3", "2/3"], reorder=Reorder("list", values=(3, 1)),
-                    strict_reorder=False)
-        r = evaluate(F(1, 2), 2, lax)
+        r = evaluate(F(1, 2), 2, s)
         assert r.error_bound == 0 and r.terms == 2  # finite stages, exact
         # digits of 1/2 are (1, 0, 0, ...): positions 3 then 1 give 0, then 1
         assert r.value == F(1, 3) * F(1, 3)
@@ -524,12 +517,26 @@ class TestReorders:
         assert e.value.report.violation.condition == "reorder"
 
     def test_strict_list_must_be_injective(self):
+        # a repeat validates; only the exact mean needs an injective list
         s = fixed(["1/2", "1/2"], reorder=Reorder("list", values=(1, 1)))
-        rep = validate_system(s)
-        assert not rep.ok and rep.violation.condition == "reorder"
-        lax = fixed(["1/2", "1/2"], reorder=Reorder("list", values=(1, 1)),
-                    strict_reorder=False)
-        assert validate_system(lax).ok
+        assert validate_system(s).ok
+        with pytest.raises(DomainError, match="injective"):
+            integral(s)
+
+    def test_any_list_is_a_finite_schedule(self):
+        # on a default system: a list that skips a position validates and
+        # sums, and one that repeats a position validates but has no
+        # exact mean
+        gap = fixed(["1/3", "2/3"], reorder=Reorder("list", values=(3, 1)))
+        assert validate_system(gap) == validate_system(fixed(["1/3", "2/3"]))
+        r = evaluate(F(1, 2), 2, gap)
+        assert (r.value, r.terms, r.error_bound) == (F(1, 9), 2, 0)
+        assert integral(gap) == F(1, 4)
+        repeat = fixed(["1/3", "2/3"], reorder=Reorder("list", values=(1, 1)))
+        assert validate_system(repeat).ok
+        with pytest.raises(DomainError) as e:
+            integral(repeat)
+        assert str(e.value) == "exact mean needs an injective reorder; use the sampling estimate"
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +604,6 @@ class TestValidation:
 # ---------------------------------------------------------------------------
 
 ONE_COLUMN = SalemSystem.matrix([[F(1, 3), F(2, 3)]])
-LAX = dict(strict_reorder=False)
 
 # name -> (call, error type, exact message): one case per refusal branch
 REFUSALS = {
@@ -621,10 +627,7 @@ REFUSALS = {
                           "unknown reorder kind 'spiral'"),
     "reorder-json-fraction": (lambda: Reorder.from_json({"kind": "list", "values": [1, 2.5]}),
                               DomainError, "expected an integer, got 2.5"),
-    "system-json-fraction": (lambda: SalemSystem.from_json(
-                                 {"p": ["1/2", "1/2"], "horizon": 2.5}),
-                             DomainError, "expected an integer, got 2.5"),
-    # a JSON string is refused, not read item by item; a flag must be a boolean
+    # a JSON string is refused, not read item by item
     "reorder-json-string": (lambda: Reorder.from_json({"kind": "list", "values": "21"}),
                             DomainError, "expected a JSON array, got '21'"),
     "system-json-string": (lambda: SalemSystem.from_json({"p": "12"}), DomainError,
@@ -633,18 +636,8 @@ REFUSALS = {
                             "expected a JSON array, got '12'"),
     "column-json-string": (lambda: SalemSystem.from_json({"columns": [["1/2", "1/2"], "12"]}),
                            DomainError, "expected a JSON array, got '12'"),
-    "system-json-bool": (lambda: SalemSystem.from_json({"p": ["1/2", "1/2"], "horizon": True}),
-                         DomainError, "expected an integer, got True"),
-    "strict-reorder-string": (lambda: SalemSystem.from_json(
-                                  {"p": ["1/2", "1/2"], "strict-reorder": "false"}),
-                              DomainError, "strict-reorder must be true or false, got 'false'"),
-    "strict-reorder-null": (lambda: SalemSystem.from_json(
-                                {"p": ["1/2", "1/2"], "strict-reorder": None}),
-                            DomainError, "strict-reorder must be true or false, got None"),
     "weights-or-columns": (lambda: SalemSystem(), DomainError,
                            "a system takes a weight tuple, columns or both"),
-    "horizon": (lambda: fixed(["1/2", "1/2"], horizon=0), DomainError,
-                "horizon must be >= 1"),
     "column-past-end": (lambda: ONE_COLUMN.p_row(2), DomainError,
                         "system has 1 columns; position 2 undefined"),
     "system-json": (lambda: SalemSystem.from_json({"q": 2}), DomainError,
@@ -665,10 +658,10 @@ REFUSALS = {
     "equation-past-list": (lambda: residual(F(1, 3), 2, fixed(["1/3", "2/3"],
                                             reorder=Reorder("list", values=(2, 1))), 3),
                            DomainError, "reorder schedule has 2 steps; step 3 undefined"),
-    "exact-mean": (lambda: integral(fixed(["1/2", "1/2"], reorder=Reorder("list", values=(1, 1)),
-                                          **LAX)), DomainError,
+    "exact-mean": (lambda: integral(fixed(["1/2", "1/2"], reorder=Reorder("list", values=(1, 1)))),
+                   DomainError,
                    "exact mean needs an injective reorder; use the sampling estimate"),
-    "mc-far-position": (lambda: mc_mean(fixed(["1/3", "2/3"], horizon=1,
+    "mc-far-position": (lambda: mc_mean(fixed(["1/3", "2/3"],
                                               reorder=Reorder("list", values=(1, 10**12))),
                                         10, 1), DomainError,
                         "a sample reads digit position 1000000000000: 1000000000000 "
@@ -691,9 +684,9 @@ REFUSALS = {
                     "a grid is a point count or an iterable of rationals, got '01'"),
     "grid-bytes": (lambda: emit_table(fixed(["1/3", "2/3"]), b"01"), DomainError,
                    "a grid is a point count or an iterable of rationals, got b'01'"),
-    "horizon-fraction": (lambda: validate_system(fixed(["1/2", "1/2"], horizon=1.5,
-                                                       reorder=Reorder("list", values=(1, 2)))),
-                         DomainError, "expected an integer, got 1.5"),
+    # a value int() does not take is refused, not left to end in a TypeError
+    "grid-complex": (lambda: emit_table(fixed(["1/3", "2/3"]), 1j), DomainError,
+                     "expected an integer, got 1j"),
 }
 
 
@@ -708,7 +701,7 @@ class TestMcRowCap:
     def test_refused_before_numpy_is_imported(self, monkeypatch):
         # a row of 10**12 one-byte digits would take 931 GiB
         monkeypatch.setitem(sys.modules, "numpy", None)
-        s = fixed(["1/3", "2/3"], reorder=Reorder("list", values=(1, 10**12)), **LAX)
+        s = fixed(["1/3", "2/3"], reorder=Reorder("list", values=(1, 10**12)))
         with pytest.raises(DomainError, match="limit of 67108864$"):
             mc_mean(s, 10, 1)
 
@@ -725,10 +718,9 @@ class TestMcRowCap:
         monkeypatch.setattr(salem_module, "_MC_BLOCK_BYTES", 96)
         weights = [F(1, q)] * q
         last = 96 // size
-        r = mc_mean(SalemSystem.fixed(weights, reorder=Reorder("list", values=(last, 1)),
-                                      **LAX), 5, 3)
+        r = mc_mean(SalemSystem.fixed(weights, reorder=Reorder("list", values=(last, 1))), 5, 3)
         assert r.samples == 5 and r.terms == 2
-        s = SalemSystem.fixed(weights, reorder=Reorder("list", values=(last + 1, 1)), **LAX)
+        s = SalemSystem.fixed(weights, reorder=Reorder("list", values=(last + 1, 1)))
         with pytest.raises(DomainError, match=f"{(last + 1) * size} bytes"):
             mc_mean(s, 5, 3)
 
@@ -768,10 +760,10 @@ class TestIntegral:
         assert integral(s) == b1 + F(1, 2) * b2
 
     def test_lax_injective_list_has_an_exact_mean(self):
-        # a lax list need not start with a permutation; one that repeats
-        # no position still has independent digits, so the finite sum is
+        # a list need not start with a permutation; one that repeats no
+        # position still has independent digits, so the finite sum is
         # its mean.  The oracle averages the series over digits 1-3
-        s = fixed(["1/3", "2/3"], reorder=Reorder("list", values=(3, 1)), **LAX)
+        s = fixed(["1/3", "2/3"], reorder=Reorder("list", values=(3, 1)))
         beta, p = s.beta_row(1), s.p_row(1)
         want = sum(beta[e[2]] + p[e[2]] * beta[e[0]]
                    for e in itertools.product(range(2), repeat=3)) / 8
@@ -1033,7 +1025,7 @@ class TestMcBlocks:
         # of the chunk, and q >= 128 draws int64 digits block by block
         positions = data.draw(st.lists(st.integers(1, last), max_size=8)) + [last]
         system = SalemSystem.fixed(data.draw(weight_tuples(q)),
-                                   reorder=Reorder("list", values=tuple(positions)), **LAX)
+                                   reorder=Reorder("list", values=tuple(positions)))
         want = mc_mean_per_column(system, samples, seed, chunk=chunk)
         with mock.patch.object(salem_module, "_MC_ROWS", rows):
             assert mc_mean_at_chunk(system, samples, seed, chunk) == want
@@ -1042,7 +1034,7 @@ class TestMcBlocks:
         # blocks of one one-byte digit: a word's last three bytes are the
         # next three blocks, which draw nothing; a chunk of 10 rows takes
         # 3 words and drops the last two bytes
-        s = fixed(["1/3", "2/3"], reorder=Reorder("list", values=(1,)), **LAX)
+        s = fixed(["1/3", "2/3"], reorder=Reorder("list", values=(1,)))
         drawn = []
         real = salem_module._words32
 
@@ -1243,7 +1235,7 @@ class TestTables:
 
 class TestSerialization:
     def test_fixed_round_trip(self):
-        s = fixed(["7/10", "-1/5", "1/2"], horizon=48)
+        s = fixed(["7/10", "-1/5", "1/2"])
         j = s.to_json()
         assert j["q"] == 3 and j["p"] == ["7/10", "-1/5", "1/2"]
         assert SalemSystem.from_json(j) == s
@@ -1264,12 +1256,15 @@ class TestSerialization:
             s = fixed(["1/2", "1/2"], reorder=r)
             assert SalemSystem.from_json(s.to_json()) == s
 
-    def test_strict_flag_round_trip(self):
-        s = fixed(["1/2", "1/2"], reorder=Reorder("list", values=(1, 1)),
-                  strict_reorder=False)
-        j = s.to_json()
-        assert j["strict-reorder"] is False
-        assert SalemSystem.from_json(j) == s
+    def test_empty_columns_before_a_tuple_are_the_fixed_system(self):
+        w = (F(1, 3), F(2, 3))
+        s = SalemSystem(w, ())
+        assert s == SalemSystem.fixed(w) and hash(s) == hash(SalemSystem.fixed(w))
+        assert s.to_json() == SalemSystem.fixed(w).to_json() == {
+            "q": 2, "p": ["1/3", "2/3"], "reorder": {"kind": "identity"}}
+        assert SalemSystem.from_json({"p": ["1/3", "2/3"], "columns": []}) == s
+        # with no tuple, empty columns are still no alphabet
+        assert validate_system(SalemSystem(None, ())).violation.condition == "alphabet"
 
     def test_declared_q_checked(self):
         with pytest.raises(DomainError):

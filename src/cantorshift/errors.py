@@ -95,11 +95,12 @@ def json_int(value) -> int:
     string or other number naming one (3, 3.0, "3" or Fraction(6, 2)).  A
     number with a fractional part, such as 2.5 or Fraction(5, 2), or a
     boolean, is refused with a DomainError instead of being truncated or
-    read as 0 or 1, and so is a value of a type `int()` does not take,
-    such as None, a list or 1j."""
+    read as 0 or 1, and so is any value `int()` does not take: one of
+    another type, such as None, a list or 1j, a string such as "abc",
+    nan or inf."""
     try:
         n = int(value)
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"expected an integer, got {value!r}") from exc
     if isinstance(value, bool) or n != value and not isinstance(value, str):
         raise DomainError(f"expected an integer, got {value!r}")

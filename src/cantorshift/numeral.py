@@ -132,12 +132,12 @@ class QSequence:
     @classmethod
     def periodic(cls, values) -> "QSequence":
         """The purely periodic sequence repeating `values` forever."""
-        return cls((), tuple(map(json_int, values)))
+        return cls((), _int_digits(values))
 
     @classmethod
     def explicit(cls, values) -> "QSequence":
         """An explicitly listed head; continues by repeating the last value."""
-        vals = tuple(map(json_int, values))
+        vals = _int_digits(values)
         if not vals:
             raise DomainError("explicit base sequence needs at least one value")
         return cls(vals[:-1], (vals[-1],))
@@ -278,12 +278,13 @@ MAX_TAIL = Tail("max")
 
 
 def _int_digits(digits) -> tuple[int, ...]:
-    """`digits` as a tuple of ints.  One made only of ints passes a single
-    type test; any other item is read by `json_int`, so 3.0 and a numpy
-    integer are read, while 1.5 and booleans are refused.  A string or
-    bytes is refused rather than read one character at a time."""
+    """`digits` (digits, base values or digit positions) as a tuple of
+    ints.  One made only of ints passes a single type test; any other
+    item is read by `json_int`, so 3.0 and a numpy integer are read, while
+    1.5 and booleans are refused.  A string or bytes is refused rather
+    than read one character at a time."""
     if isinstance(digits, (str, bytes)):
-        raise DomainError(f"digits are an iterable of integers, got {digits!r}")
+        raise DomainError(f"expected an iterable of integers, got {digits!r}")
     digits = tuple(digits)
     return digits if set(map(type, digits)) <= {int} else tuple(map(json_int, digits))
 

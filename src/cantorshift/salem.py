@@ -48,6 +48,7 @@ drawn as 64-bit words (see `mc_mean` and `_words32`).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -66,6 +67,7 @@ from .numeral import (
     DigitString,
     QSequence,
     _close,
+    _int_digits,
     _series,
     expand_exact,
     format_rational,
@@ -120,7 +122,7 @@ class Reorder:
             raise DomainError(f"unknown reorder kind {self.kind!r}")
         if self.kind == "rule" and self.name not in _RULES:
             raise DomainError(f"unknown reorder rule {self.name!r}")
-        object.__setattr__(self, "values", tuple(map(json_int, self.values)))
+        object.__setattr__(self, "values", _int_digits(self.values))
         if self.kind == "list" and not self.values:
             raise DomainError("list reorder needs at least one entry")
         if self.kind == "list" and min(self.values) < 1:
@@ -601,9 +603,10 @@ def emit_table(system: SalemSystem, grid, tol=DEFAULT_TOL) -> list[TableRow]:
     (so Fraction(5) is 5 and 2.5 is refused), means n uniform points
     spanning [0, 1] inclusive, for n from 2 to `MAX_POINTS` (10**5);
     otherwise an iterable of rationals.  A string is refused rather than
-    read one character at a time."""
+    read one character at a time, and so is a grid of any other kind,
+    such as None."""
     ensure_valid(system)
-    if isinstance(grid, (str, bytes)):
+    if isinstance(grid, (str, bytes)) or not isinstance(grid, (Number, Iterable)):
         raise DomainError(f"a grid is a point count or an iterable of rationals, got {grid!r}")
     if isinstance(grid, Number):
         grid = json_int(grid)

@@ -15,9 +15,13 @@ exact rational reads only the digits the program consumes and sums the
 surviving ones with `numeral._series`, the package's one integer series
 kernel, closed by the remainder; a `DigitString` image is built once
 from the surviving positions of the source's digits and tail.
-Programs can be spelled out or produced by a generator rule (constant
-repetition, an affine index schedule, an explicit table, or a
-congruence-filtered repetition).
+Programs can be spelled out or produced by a generator rule, which is a
+word length and an index schedule: `_rule_length` gives the length (the
+family parameter k, a rule's own count, k admitted by a congruence
+filter, or what a composed family's admission rule phi admits) and
+`_schedule_word` fills it with deletions (a constant index, an affine
+a*j + b, an explicit table, or a composed family's schedule psi).  A
+program keeps only its word.
 
 `normalize_program` rewrites a word into an equivalent one using the
 identities that collapse deletion patterns into pure shift powers:
@@ -36,7 +40,7 @@ open the suffix, reaches the normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -46,6 +50,7 @@ from .numeral import (
     DigitString,
     QSequence,
     _check_unit_interval,
+    _int_digits,
     _series,
     _steps,
     truncated_tail,
@@ -115,100 +120,91 @@ def GEN(m: int) -> Atom:
     return Atom("gen", m)
 
 
+# the plain rule kinds; any other rule with "psi" and "phi" is composed
+_RULE_KINDS = ("const-repeat", "mod-filter", "affine", "table")
+
+
 def _schedule_word(step: dict, count: int) -> tuple[Atom, ...]:
     """The deletions GEN(psi(1)), ..., GEN(psi(count)) of the index
-    schedule psi = `step`, an affine or a table rule.  A schedule is read
-    and checked once, and not at all for a count below 1."""
-    if count < 1:
-        return ()
+    schedule psi = `step`: the constant m of a const-repeat or mod-filter
+    rule (checked at every count, 0 included), a table rule's entries
+    (refused past its end), or a*j + b for an affine rule (a and b are
+    not read for a count below 1).  A schedule is read and checked once."""
     kind = step.get("kind")
-    if kind == "affine":
-        a, b = json_int(step["a"]), json_int(step["b"])
-        if a < 0 or a + b < 1:
-            raise DomainError(
-                f"affine schedule a={a}, b={b} must keep indices >= 1")
-        return tuple(GEN(a * j + b) for j in range(1, count + 1))
+    if kind in ("const-repeat", "mod-filter"):
+        return (GEN(json_int(step["m"])),) * count
     if kind == "table":
         values = json_list(step.get("values", []))
-        n = len(values)
-        word = tuple(GEN(json_int(values[j])) for j in range(min(count, n)))
-        if count > n:
+        if count > len(values):
             raise DomainError(
-                f"table schedule has {n} entries; step {n + 1} undefined")
-        return word
-    raise DomainError(f"schedule kind {kind!r} cannot produce indices")
+                f"table schedule has {len(values)} entries; step {len(values) + 1} undefined")
+        return tuple(GEN(json_int(v)) for v in values[:count])
+    if kind != "affine":
+        raise DomainError(f"schedule kind {kind!r} cannot produce indices")
+    if count < 1:
+        return ()
+    a, b = json_int(step["a"]), json_int(step["b"])
+    if a < 0 or a + b < 1:
+        raise DomainError(f"affine schedule a={a}, b={b} must keep indices >= 1")
+    return tuple(GEN(a * j + b) for j in range(1, count + 1))
 
 
-def _word_length(count) -> int:
-    """A generator word's atom count, for every rule kind.  A negative
-    count is refused; every atom adds at least 1 to the word's required
-    depth, so a count past `MAX_PROGRAM_DEPTH` is refused before the
-    word is built."""
-    count = json_int(count)
-    if count < 0:
-        raise DomainError("repetition count must be >= 0")
-    if count > MAX_PROGRAM_DEPTH:
-        raise DomainError(
-            f"a word of {count} atoms requires a depth past the limit of {MAX_PROGRAM_DEPTH}")
-    return count
-
-
-def _rule_word(rule: dict, k: Optional[int]) -> tuple[Atom, ...]:
-    """The word of a generator rule: a repeated deletion, or an index
-    schedule's deletions (see `_schedule_word`).
-
-    `k` is the family parameter (word length / repetition count); rules
-    that carry their own count use it as a default.
-    """
+def _rule_length(rule: dict, k: Optional[int]) -> int:
+    """The length of a generator rule's word at the family parameter `k`:
+    k itself, or when k is None a const-repeat rule's own "k" or a
+    table's length; for a mod-filter rule, k only if k = 1 (mod c); for
+    a composed family, the length its admission rule `phi` gives, so phi
+    is read for nothing else.  No index is read.  A negative length is
+    refused; every atom adds at least 1 to the word's required depth, so
+    a length past `MAX_PROGRAM_DEPTH` is refused before any atom is
+    built."""
     if not isinstance(rule, dict):
         raise DomainError("generator rule must be an object")
     kind = rule.get("kind")
-    if kind == "const-repeat":
-        count = k if k is not None else rule.get("k")
-        if count is None:
-            raise DomainError("const-repeat rule needs a repetition count")
-        count = _word_length(count)
-        return (GEN(json_int(rule["m"])),) * count
+    if kind not in _RULE_KINDS:
+        if "psi" in rule and "phi" in rule:
+            return _rule_length(rule["phi"], k)
+        raise DomainError(f"unknown generator rule kind {kind!r}")
+    if k is None and kind in ("const-repeat", "table"):  # the rule's own length
+        k = rule.get("k") if kind == "const-repeat" else len(json_list(rule.get("values", [])))
+    if k is None:
+        what = "a word length" if kind == "affine" else "a repetition count"
+        raise DomainError(f"{kind} rule needs {what}")
+    k = json_int(k)
+    if k < 0:
+        raise DomainError("repetition count must be >= 0")
+    if k > MAX_PROGRAM_DEPTH:
+        raise DomainError(
+            f"a word of {k} atoms requires a depth past the limit of {MAX_PROGRAM_DEPTH}")
     if kind == "mod-filter":
-        m, c = json_int(rule["m"]), json_int(rule["c"])
+        c = json_int(rule["c"])
         if c < 1:
             raise DomainError("mod-filter modulus must be >= 1")
-        if k is None:
-            raise DomainError("mod-filter rule needs a repetition count")
-        k = _word_length(k)
         if k % c != 1 % c:
-            raise DomainError(
-                f"count {k} not admitted by mod-filter: need k = 1 (mod {c})")
-        return (GEN(m),) * k
-    if kind == "affine":
-        if k is None:
-            raise DomainError("affine rule needs a word length")
-        return _schedule_word(rule, _word_length(k))
-    if kind == "table":
-        values = json_list(rule.get("values", []))
-        count = _word_length(len(values) if k is None else k)
-        if count > len(values):
-            raise DomainError(
-                f"table rule has {len(values)} entries, requested {count}")
+            raise DomainError(f"count {k} not admitted by mod-filter: need k = 1 (mod {c})")
+    return k
+
+
+def _rule_word(rule: dict, k: Optional[int]) -> tuple[Atom, ...]:
+    """The word of a generator rule: its length (`_rule_length`) filled
+    by an index schedule (`_schedule_word`), the rule itself for a plain
+    kind and `psi` for a composed family.  `psi` may be any schedule, and
+    is not read for an empty word."""
+    count = _rule_length(rule, k)
+    if rule.get("kind") in _RULE_KINDS:
         return _schedule_word(rule, count)
-    if "psi" in rule and "phi" in rule:
-        # composed family: the admission rule `phi` fixes the word length,
-        # the schedule `psi` supplies the deletion indices
-        return _schedule_word(rule["psi"], len(_rule_word(rule["phi"], k)))
-    raise DomainError(f"unknown generator rule kind {kind!r}")
+    return _schedule_word(rule["psi"], count) if count else ()
 
 
 @dataclass(frozen=True)
 class ShiftProgram:
     """A finite word of shift/deletion atoms, applied left to right.
 
-    `generator`, when present, records the rule the word was expanded
-    from (for round-tripping and scans); it does not affect evaluation,
-    and programs compare and hash by their word alone.
+    A program is its word alone: one built by `from_generator` keeps no
+    record of its rule, and `to_json` writes the word.
     """
 
     word: tuple[Atom, ...]
-    generator: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "word", tuple(self.word))
@@ -230,7 +226,7 @@ class ShiftProgram:
     @classmethod
     @json_decoder
     def from_generator(cls, rule: dict, k: Optional[int] = None) -> "ShiftProgram":
-        return cls(_rule_word(rule, k), generator=dict(rule))
+        return cls(_rule_word(rule, k))
 
     @property
     def required_depth(self) -> int:
@@ -243,10 +239,7 @@ class ShiftProgram:
         return None
 
     def to_json(self) -> dict:
-        out = {"word": [a.to_json() for a in self.word]}
-        if self.generator is not None:
-            out["generator"] = self.generator
-        return out
+        return {"word": [a.to_json() for a in self.word]}
 
     @classmethod
     @json_decoder
@@ -254,8 +247,7 @@ class ShiftProgram:
         if not isinstance(obj, dict):
             raise DomainError("program JSON must be an object")
         if "word" in obj:
-            word = tuple(Atom.from_json(a) for a in json_list(obj["word"]))
-            return cls(word, generator=obj.get("generator"))
+            return cls(tuple(Atom.from_json(a) for a in json_list(obj["word"])))
         if "generator" in obj:
             return cls.from_generator(obj["generator"], obj.get("k"))
         raise DomainError("program JSON needs a \"word\" list or a \"generator\" rule")
@@ -409,7 +401,7 @@ def drop_positions(d: DigitString, positions) -> DigitString:
     all still name original positions; its image is built once from the
     surviving positions.
     """
-    pos = sorted(set(map(json_int, positions)), reverse=True)
+    pos = sorted(set(_int_digits(positions)), reverse=True)
     if pos and pos[-1] < 1:
         raise DomainError("digit positions must be >= 1")
     return _image(tuple(map(GEN, pos)), d, d.base)
@@ -447,7 +439,7 @@ def normalize_program(program: ShiftProgram) -> ShiftProgram:
             shifts += 1
         else:
             shifts = 0
-    return ShiftProgram(tuple(word), program.generator)
+    return ShiftProgram(tuple(word))
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,11 @@ REFUSALS = {
                              "expected an integer, got 2.5"),
     "bounds-depth-fraction": (lambda: measure_bounds(shift_below(Q2, 1, F(1, 3)), 12.5),
                               "expected an integer, got 12.5"),
+    # and one int() refuses outright is a DomainError, not int()'s own error
+    "bounds-depth-string": (lambda: measure_bounds(shift_below(Q2, 1, F(1, 3)), "x"),
+                            "expected an integer, got 'x'"),
+    "mc-samples-inf": (lambda: measure_mc(shift_below(Q2, 1, F(1, 3)), float("inf"), 1),
+                       "expected an integer, got inf"),
     # a string of parameters is refused, not read digit by digit
     "scan-params-string": (lambda: limit_scan(sigma_family(Q2, F(1, 3)), "12"),
                            "scan parameters must be integers, not a string: '12'"),

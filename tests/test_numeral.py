@@ -751,9 +751,13 @@ REFUSALS = {
                      "expected an integer, got False"),
     # a string or bytes is refused, not read one character at a time
     "digits-string": (lambda: DigitString(QSequence.constant(16), "12"), DomainError,
-                      "digits are an iterable of integers, got '12'"),
+                      "expected an iterable of integers, got '12'"),
     "pattern-bytes": (lambda: periodic_tail(b"10"), DomainError,
-                      "digits are an iterable of integers, got b'10'"),
+                      "expected an iterable of integers, got b'10'"),
+    "explicit-string": (lambda: QSequence.explicit("23"), DomainError,
+                        "expected an iterable of integers, got '23'"),
+    "periodic-bytes": (lambda: QSequence.periodic(b"23"), DomainError,
+                       "expected an iterable of integers, got b'23'"),
     # a value int() does not take is refused, not left to end in a TypeError
     "expand-depth-none": (lambda: expand(F(1, 3), Q2, None), DomainError,
                           "expected an integer, got None"),

@@ -619,6 +619,9 @@ REFUSALS = {
                       "expected an integer, got 1.5"),
     "list-bool": (lambda: Reorder("list", values=(True, 2)), DomainError,
                   "expected an integer, got True"),
+    # a string is refused, not read one character at a time
+    "list-string": (lambda: Reorder("list", values="31"), DomainError,
+                    "expected an iterable of integers, got '31'"),
     "step-index": (lambda: Reorder().position(0), DomainError,
                    "step index must be >= 1, got 0"),
     "step-past-list": (lambda: Reorder("list", values=(2, 1)).position(3), DomainError,
@@ -687,6 +690,17 @@ REFUSALS = {
     # a value int() does not take is refused, not left to end in a TypeError
     "grid-complex": (lambda: emit_table(fixed(["1/3", "2/3"]), 1j), DomainError,
                      "expected an integer, got 1j"),
+    "grid-none": (lambda: emit_table(fixed(["1/3", "2/3"]), None), DomainError,
+                  "a grid is a point count or an iterable of rationals, got None"),
+    # so is one int() refuses outright: a non-numeric string, inf or nan
+    "mc-samples-inf": (lambda: mc_mean(fixed(["1/3", "2/3"]), float("inf"), 1), DomainError,
+                       "expected an integer, got inf"),
+    "mc-samples-nan": (lambda: mc_mean(fixed(["1/3", "2/3"]), float("nan"), 1), DomainError,
+                       "expected an integer, got nan"),
+    "mc-samples-string": (lambda: mc_mean(fixed(["1/3", "2/3"]), "abc", 1), DomainError,
+                          "expected an integer, got 'abc'"),
+    "reorder-json-word": (lambda: Reorder.from_json({"kind": "list", "values": ["x"]}),
+                          DomainError, "expected an integer, got 'x'"),
 }
 
 

@@ -1,6 +1,7 @@
 """Shift operators, deletion operators, programs, and rewriting."""
 
 import itertools
+import re
 import time
 from fractions import Fraction as F
 
@@ -31,7 +32,8 @@ from cantorshift import (
     shift_n,
     truncated_tail,
 )
-from cantorshift.errors import MAX_PROGRAM_DEPTH
+from cantorshift import shifts
+from cantorshift.errors import MAX_PROGRAM_DEPTH, json_decoder, json_int, json_list
 
 
 @st.composite
@@ -439,6 +441,112 @@ class TestRequiredDepth:
 
 
 # ---------------------------------------------------------------------------
+# Reference generator words: one builder per rule kind
+# ---------------------------------------------------------------------------
+
+def _oracle_word_length(count) -> int:
+    count = json_int(count)
+    if count < 0:
+        raise DomainError("repetition count must be >= 0")
+    if count > MAX_PROGRAM_DEPTH:
+        raise DomainError(
+            f"a word of {count} atoms requires a depth past the limit of {MAX_PROGRAM_DEPTH}")
+    return count
+
+
+def _oracle_schedule_word(step: dict, count: int):
+    """Per-kind reference: the deletions of an affine or a table schedule."""
+    if count < 1:
+        return ()
+    kind = step.get("kind")
+    if kind == "affine":
+        a, b = json_int(step["a"]), json_int(step["b"])
+        if a < 0 or a + b < 1:
+            raise DomainError(
+                f"affine schedule a={a}, b={b} must keep indices >= 1")
+        return tuple(shifts.GEN(a * j + b) for j in range(1, count + 1))
+    if kind == "table":
+        values = json_list(step.get("values", []))
+        n = len(values)
+        word = tuple(shifts.GEN(json_int(values[j])) for j in range(min(count, n)))
+        if count > n:
+            raise DomainError(
+                f"table schedule has {n} entries; step {n + 1} undefined")
+        return word
+    raise DomainError(f"schedule kind {kind!r} cannot produce indices")
+
+
+def _oracle_rule_word(rule: dict, k):
+    """Per-kind reference for a generator rule's word: each kind builds its
+    own word, and a composed family builds phi's whole word to count it."""
+    if not isinstance(rule, dict):
+        raise DomainError("generator rule must be an object")
+    kind = rule.get("kind")
+    if kind == "const-repeat":
+        count = k if k is not None else rule.get("k")
+        if count is None:
+            raise DomainError("const-repeat rule needs a repetition count")
+        count = _oracle_word_length(count)
+        return (shifts.GEN(json_int(rule["m"])),) * count
+    if kind == "mod-filter":
+        m, c = json_int(rule["m"]), json_int(rule["c"])
+        if c < 1:
+            raise DomainError("mod-filter modulus must be >= 1")
+        if k is None:
+            raise DomainError("mod-filter rule needs a repetition count")
+        k = _oracle_word_length(k)
+        if k % c != 1 % c:
+            raise DomainError(
+                f"count {k} not admitted by mod-filter: need k = 1 (mod {c})")
+        return (shifts.GEN(m),) * k
+    if kind == "affine":
+        if k is None:
+            raise DomainError("affine rule needs a word length")
+        return _oracle_schedule_word(rule, _oracle_word_length(k))
+    if kind == "table":
+        values = json_list(rule.get("values", []))
+        count = _oracle_word_length(len(values) if k is None else k)
+        if count > len(values):
+            raise DomainError(
+                f"table rule has {len(values)} entries, requested {count}")
+        return _oracle_schedule_word(rule, count)
+    if "psi" in rule and "phi" in rule:
+        return _oracle_schedule_word(rule["psi"], len(_oracle_rule_word(rule["phi"], k)))
+    raise DomainError(f"unknown generator rule kind {kind!r}")
+
+
+@json_decoder
+def _oracle_program(rule, k=None) -> ShiftProgram:
+    return ShiftProgram(_oracle_rule_word(rule, k))
+
+
+@st.composite
+def _plain_rules(draw, kinds=("const-repeat", "mod-filter", "affine", "table")):
+    """A valid generator rule of one of `kinds`."""
+    kind = draw(st.sampled_from(kinds))
+    rule = {"kind": kind}
+    if kind in ("const-repeat", "mod-filter"):
+        rule["m"] = draw(st.integers(1, 9))
+    if kind == "const-repeat" and draw(st.booleans()):
+        rule["k"] = draw(st.integers(0, 9))
+    if kind == "mod-filter":
+        rule["c"] = draw(st.integers(1, 4))
+    if kind == "affine":
+        rule["a"] = draw(st.integers(0, 3))
+        rule["b"] = draw(st.integers(1 - rule["a"], 5))
+    if kind == "table":
+        rule["values"] = draw(st.lists(st.integers(1, 9), max_size=8))
+    return rule
+
+
+def _composed_rules():
+    """A composed family: a schedule psi the per-kind builders read (affine
+    or table) with any plain phi."""
+    return st.builds(lambda psi, phi: {"psi": psi, "phi": phi},
+                     _plain_rules(("affine", "table")), _plain_rules())
+
+
+# ---------------------------------------------------------------------------
 # Generator rules
 # ---------------------------------------------------------------------------
 
@@ -454,12 +562,10 @@ class TestGeneratorRules:
         assert p.word == (GEN(3), GEN(5), GEN(7))
 
     def test_program_compares_and_hashes_by_its_word(self):
-        # the generator rule is a record of where the word came from, and a
-        # dict: it takes no part in equality or the hash, but is still written
         rule = {"kind": "affine", "a": 1, "b": 1}
         p, same = ShiftProgram.from_generator(rule, 3), ShiftProgram((GEN(2), GEN(3), GEN(4)))
         assert p == same and hash(p) == hash(same)
-        assert p.to_json() == {"word": [{"gen": 2}, {"gen": 3}, {"gen": 4}], "generator": rule}
+        assert p.to_json() == {"word": [{"gen": 2}, {"gen": 3}, {"gen": 4}]}
         spec = GKSetSpec(QSequence.constant(2), p, ConstRhs(F(1, 2)))
         assert {spec} == {GKSetSpec(QSequence.constant(2), same, ConstRhs(F(1, 2)))}
         with pytest.raises(DomainError):
@@ -511,7 +617,6 @@ class TestGeneratorRules:
     def test_json_round_trip_keeps_generator(self):
         p = ShiftProgram.from_generator({"kind": "const-repeat", "m": 2}, 2)
         j = p.to_json()
-        assert j["generator"] == {"kind": "const-repeat", "m": 2}
         assert ShiftProgram.from_json(j) == p
         assert ShiftProgram.from_json(
             {"generator": {"kind": "const-repeat", "m": 2}, "k": 2}).word == p.word
@@ -521,6 +626,53 @@ class TestGeneratorRules:
         assert ShiftProgram.from_json(p.to_json()) == p
         with pytest.raises(DomainError):
             ShiftProgram.from_json({"nonsense": 1})
+
+    def test_program_json_is_its_word(self):
+        # a program keeps no record of its rule; a "generator" beside a
+        # "word" is ignored like any unknown key
+        p = ShiftProgram.from_generator({"kind": "affine", "a": 1, "b": 1}, 2)
+        assert p.to_json() == {"word": [{"gen": 2}, {"gen": 3}]}
+        assert ShiftProgram.from_json(
+            {"word": [{"sigma": None}], "generator": {"kind": "affine", "a": 1, "b": 1}}
+        ).word == (SIGMA,)
+        assert ShiftProgram.from_json({"word": [], "generator": "junk"}).word == ()
+
+    def test_composed_constant_schedule(self):
+        # psi may be any schedule: a const-repeat one repeats its m
+        rule = {"psi": {"kind": "const-repeat", "m": 2}, "phi": {"kind": "affine", "a": 1, "b": 1}}
+        for k in range(6):
+            assert ShiftProgram.from_generator(rule, k).word == (GEN(2),) * k
+
+    def test_admission_rule_is_read_for_its_length_only(self, monkeypatch):
+        # one GEN per atom of the word; the per-kind builders also build
+        # phi's word of 1000 atoms, only to count them
+        calls = []
+        monkeypatch.setattr(shifts, "GEN", lambda m: calls.append(m) or GEN(m))
+        rule = {"psi": {"kind": "affine", "a": 1, "b": 1},
+                "phi": {"kind": "affine", "a": 1, "b": 1}}
+        assert ShiftProgram.from_generator(rule, 1000).word == tuple(map(GEN, range(2, 1002)))
+        assert len(calls) == 1000
+        calls.clear()
+        assert _oracle_program(rule, 1000).word == tuple(map(GEN, range(2, 1002)))
+        assert len(calls) == 2000
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(_plain_rules(), _composed_rules()), st.one_of(st.none(), st.integers(-2, 12)))
+    def test_word_equals_the_per_kind_builders(self, rule, k):
+        try:
+            want = _oracle_program(rule, k).word
+        except DomainError as exc:
+            message = str(exc)
+            if "entries, requested" in message:
+                if "psi" in rule:  # phi is read for its length alone
+                    return
+                # a table past its length names the step the schedule lacks
+                n = len(rule["values"])
+                message = f"table schedule has {n} entries; step {n + 1} undefined"
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                ShiftProgram.from_generator(rule, k)
+            return
+        assert ShiftProgram.from_generator(rule, k).word == want
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +691,8 @@ REFUSALS = {
     "table-past-end": (lambda: ShiftProgram.from_generator(
                            _composed({"kind": "table", "values": [2]}), 2),
                        "table schedule has 1 entries; step 2 undefined"),
-    "schedule-kind": (lambda: ShiftProgram.from_generator(
-                          _composed({"kind": "const-repeat", "m": 2}), 1),
-                      "schedule kind 'const-repeat' cannot produce indices"),
+    "schedule-kind": (lambda: ShiftProgram.from_generator(_composed({"kind": "spiral"}), 1),
+                      "schedule kind 'spiral' cannot produce indices"),
     "rule-not-object": (lambda: ShiftProgram.from_generator([2], 1),
                         "generator rule must be an object"),
     "const-repeat-no-count": (lambda: ShiftProgram.from_generator(
@@ -606,6 +757,9 @@ REFUSALS = {
     "position-fraction": (lambda: drop_positions(expand_exact(F(1, 3), QSequence.constant(2)),
                                                  [1.5]),
                           "expected an integer, got 1.5"),
+    "position-string": (lambda: drop_positions(expand_exact(F(1, 3), QSequence.constant(2)),
+                                               "12"),
+                        "expected an iterable of integers, got '12'"),
     # so do the shift counts
     "shift-count-fraction": (lambda: shift_n(F(1, 3), QSequence.constant(2), 2.5),
                              "expected an integer, got 2.5"),
@@ -685,7 +839,7 @@ def normalize_oracle(program: ShiftProgram) -> ShiftProgram:
                 word[i:j + need] = [SIGMA] * (last + n - 1)
                 changed = True
                 break
-    return ShiftProgram(tuple(word), program.generator)
+    return ShiftProgram(tuple(word))
 
 
 class TestNormalize:
@@ -701,13 +855,10 @@ class TestNormalize:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.just(SIGMA), st.builds(GEN, st.integers(1, 12))),
-                    max_size=30),
-           st.sampled_from([None, {"kind": "const-repeat", "m": 2}]))
-    def test_equals_oracle(self, word, generator):
-        p = ShiftProgram(tuple(word), generator)
-        out = normalize_program(p)
-        assert out == normalize_oracle(p)
-        assert out.generator == generator
+                    max_size=30))
+    def test_equals_oracle(self, word):
+        p = ShiftProgram(tuple(word))
+        assert normalize_program(p) == normalize_oracle(p)
 
     def test_alternating_word_collapses(self):
         # every GEN(3) sees at least two shifts once the ones to its

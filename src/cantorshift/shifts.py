@@ -133,12 +133,9 @@ def _schedule_word(step: dict, count: int) -> tuple[Atom, ...]:
     kind = step.get("kind")
     if kind in ("const-repeat", "mod-filter"):
         return (GEN(json_int(step["m"])),) * count
-    if kind == "table":
-        values = json_list(step.get("values", []))
-        if count > len(values):
-            raise DomainError(
-                f"table schedule has {len(values)} entries; step {len(values) + 1} undefined")
-        return tuple(GEN(json_int(v)) for v in values[:count])
+    if kind == "table":  # `_rule_length` refuses a count past the entries
+        values = json_list(step.get("values", []))[:_rule_length(step, count)]
+        return tuple(GEN(json_int(v)) for v in values)
     if kind != "affine":
         raise DomainError(f"schedule kind {kind!r} cannot produce indices")
     if count < 1:
@@ -152,12 +149,12 @@ def _schedule_word(step: dict, count: int) -> tuple[Atom, ...]:
 def _rule_length(rule: dict, k: Optional[int]) -> int:
     """The length of a generator rule's word at the family parameter `k`:
     k itself, or when k is None a const-repeat rule's own "k" or a
-    table's length; for a mod-filter rule, k only if k = 1 (mod c); for
-    a composed family, the length its admission rule `phi` gives, so phi
-    is read for nothing else.  No index is read.  A negative length is
-    refused; every atom adds at least 1 to the word's required depth, so
-    a length past `MAX_PROGRAM_DEPTH` is refused before any atom is
-    built."""
+    table's length; for a table, k only up to its number of entries; for
+    a mod-filter rule, k only if k = 1 (mod c); for a composed family,
+    the length its admission rule `phi` gives, so phi is read for
+    nothing else.  No index is read.  A negative length is refused;
+    every atom adds at least 1 to the word's required depth, so a length
+    past `MAX_PROGRAM_DEPTH` is refused before any atom is built."""
     if not isinstance(rule, dict):
         raise DomainError("generator rule must be an object")
     kind = rule.get("kind")
@@ -165,8 +162,9 @@ def _rule_length(rule: dict, k: Optional[int]) -> int:
         if "psi" in rule and "phi" in rule:
             return _rule_length(rule["phi"], k)
         raise DomainError(f"unknown generator rule kind {kind!r}")
+    n = len(json_list(rule.get("values", []))) if kind == "table" else None
     if k is None and kind in ("const-repeat", "table"):  # the rule's own length
-        k = rule.get("k") if kind == "const-repeat" else len(json_list(rule.get("values", [])))
+        k = rule.get("k") if kind == "const-repeat" else n
     if k is None:
         what = "a word length" if kind == "affine" else "a repetition count"
         raise DomainError(f"{kind} rule needs {what}")
@@ -182,6 +180,8 @@ def _rule_length(rule: dict, k: Optional[int]) -> int:
             raise DomainError("mod-filter modulus must be >= 1")
         if k % c != 1 % c:
             raise DomainError(f"count {k} not admitted by mod-filter: need k = 1 (mod {c})")
+    if kind == "table" and k > n:
+        raise DomainError(f"table schedule has {n} entries; step {n + 1} undefined")
     return k
 
 

@@ -664,10 +664,9 @@ class TestGeneratorRules:
         except DomainError as exc:
             message = str(exc)
             if "entries, requested" in message:
-                if "psi" in rule:  # phi is read for its length alone
-                    return
-                # a table past its length names the step the schedule lacks
-                n = len(rule["values"])
+                # a table past its length, as a rule or as a composed
+                # family's phi, names the step the schedule lacks
+                n = len(rule.get("phi", rule)["values"])
                 message = f"table schedule has {n} entries; step {n + 1} undefined"
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 ShiftProgram.from_generator(rule, k)
@@ -691,6 +690,10 @@ REFUSALS = {
     "table-past-end": (lambda: ShiftProgram.from_generator(
                            _composed({"kind": "table", "values": [2]}), 2),
                        "table schedule has 1 entries; step 2 undefined"),
+    "admission-table-past-end": (lambda: ShiftProgram.from_generator(
+                                     {"psi": {"kind": "affine", "a": 1, "b": 1},
+                                      "phi": {"kind": "table", "values": [2, 3]}}, 3),
+                                 "table schedule has 2 entries; step 3 undefined"),
     "schedule-kind": (lambda: ShiftProgram.from_generator(_composed({"kind": "spiral"}), 1),
                       "schedule kind 'spiral' cannot produce indices"),
     "rule-not-object": (lambda: ShiftProgram.from_generator([2], 1),

@@ -20,7 +20,12 @@ independent and uniform, so its image is uniform on [0, 1] and
 mu{P(z) < x} = clamp(x, 0, 1) for every base and program (1 minus that
 for "ge"); the walk brackets this value.  A `ProgramOnZ` threshold is a
 second image of the same z, not independent of the first, and its
-boundary {P(z) = R(z)} can carry positive mass.
+boundary {P(z) = R(z)} can carry positive mass, but only when the two
+image denominators are equal.  Then the images of a rank-d cylinder
+share one tail, so P(z) - R(z) is constant on it, and a tied cylinder
+lies inside "ge": the walk and the sampler classify every cylinder by
+this one rule, and the bracket is exact at every d past the digits the
+programs consume.
 
 A program image over a rank-d cylinder is itself an interval with
 rational endpoints: the digits surviving the program contribute a known
@@ -150,7 +155,7 @@ class GKSetSpec:
     on both sides, so two images with equal partial sums and equal
     denominators agree on the whole cylinder (q=3, GEN(2) GEN(3)
     against two shifts ties on a set of measure 1/9).  Such a tie
-    belongs to "ge".
+    belongs to "ge", in `measure_bounds` and `measure_mc` alike.
     """
 
     q: QSequence
@@ -250,24 +255,26 @@ def _resolve_rhs(spec: GKSetSpec, qv):
 
 
 def _scaled_difference(spec: GKSetSpec, qv):
-    """(e, below, above, tie) for the scaled difference of the two images
-    over the base values `qv` = (q_1, ..., q_depth).
+    """(e, below, above) for the scaled difference of the two images over
+    the base values `qv` = (q_1, ..., q_depth).
 
     With left weights wl_s over dl and right ones wr_s over dr (see
     `_resolve_rhs`), e_s = (wl_s*dr - wr_s*dl)/g for the gcd g of the
     unscaled values.  A rank-depth cylinder with digits c_s, whose sum
     S = sum c_s*e_s, lies inside "lt" iff S <= below and inside "ge"
-    iff S >= above.  `tie` is whether S = 0 means equal images over the
-    whole cylinder: a program threshold over an equal denominator.
+    iff S >= above.  A program threshold over an equal denominator has
+    above = 0: both images share one tail, so S = 0 means equal images
+    over the whole cylinder, a tie inside "ge", and no S lies strictly
+    between the thresholds.
     """
     wl, dl = _image_weights(spec.lhs.word, qv)
     wr, base_r, dr, tail_r = _resolve_rhs(spec, qv)
     diff = [a * dr - b * dl for a, b in zip(wl, wr)]
     # every sum is a multiple of g, so the thresholds round inwards
     g = gcd(*diff) or 1
+    tie = isinstance(spec.rhs, ProgramOnZ) and dl == dr
     return ([e // g for e in diff], (base_r * dl - dr) // g,
-            -(-(base_r + tail_r) * dl // g),
-            isinstance(spec.rhs, ProgramOnZ) and dl == dr)
+            0 if tie else -(-(base_r + tail_r) * dl // g))
 
 
 def measure_bounds(spec: GKSetSpec, depth: int) -> MeasureBounds:
@@ -279,7 +286,11 @@ def measure_bounds(spec: GKSetSpec, depth: int) -> MeasureBounds:
 
     With e_s = wl_s*dr - wr_s*dl, a rank-`depth` cylinder with digits
     c_s lies inside "lt" iff sum c_s*e_s <= base_r*dl - dr, inside "ge"
-    iff sum c_s*e_s >= (base_r + tail_r)*dl, and straddles otherwise.
+    iff sum c_s*e_s >= (base_r + tail_r)*dl, and straddles otherwise;
+    for a `ProgramOnZ` threshold over an equal denominator (dl = dr) the
+    images share one tail, so a tied cylinder, sum c_s*e_s = 0, lies
+    inside "ge" and none straddles: the bracket is exact, lower = upper
+    with decided_mass 1, at every depth.
     Cost: positions are walked in decreasing (q_s - 1)*|e_s| order,
     and a node is counted wholesale once its partial sum plus the
     positive and negative terms still to come lies on one side of a
@@ -297,7 +308,7 @@ def measure_bounds(spec: GKSetSpec, depth: int) -> MeasureBounds:
             f"depth {depth} too shallow: programs consume {req} digits, "
             f"need depth >= {req + 1}", required=req + 1)
     qv = spec.q.values(0, depth)
-    diff, below, above, _ = _scaled_difference(spec, qv)
+    diff, below, above = _scaled_difference(spec, qv)
     # a position with e = 0 moves no sum: it multiplies every count and
     # the total alike, so it drops out of every fraction below
     steps = []
@@ -411,10 +422,9 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     cylinder denominator would pass 2**62.  A sample is a hit iff its
     cylinder lies inside the set as `measure_bounds` classifies it: its
     scaled image difference S = sum c_s*e_s is <= below for "lt" and
-    >= above for "ge".  A straddling cylinder is a miss, with one
-    exception: a tie with a `ProgramOnZ` threshold over an equal
-    denominator (S = 0) agrees for every tail, so it is a hit for "ge"
-    however wide the cylinder.
+    >= above for "ge", with the thresholds of `_scaled_difference` (so a
+    tied cylinder over an equal denominator is a hit for "ge").  A
+    straddling cylinder is a miss.
 
     S is summed in int64, one position at a time over a row of the
     chunk's samples: |S| stays below the cylinder denominator (at most
@@ -464,13 +474,13 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
         raise DomainError(f"extra depth must be >= 1, got {extra_depth}")
     depth = _mc_depth(spec.q, spec.required_depth, extra_depth)
     qv = spec.q.values(0, depth)
-    steps, below, above, tie = _scaled_difference(spec, qv)
+    steps, below, above = _scaled_difference(spec, qv)
     if spec.relation == "lt":
         top = below
     else:
-        # S >= above becomes -S <= -above; a tie, S = 0, counts as "ge"
+        # S >= above becomes -S <= -above
         steps = [-e for e in steps]
-        top = 0 if tie else -above
+        top = -above
     # every sum, partial or whole, lies in (-2**62, 2**62), so clamping
     # the threshold changes no comparison and keeps `sure` and `open`
     # below in int64

@@ -560,7 +560,7 @@ def expand(x: Fraction, q: QSequence, depth: int,
     to `probe_limit` steps (default: enough to always decide for small
     denominators, capped at depth + 4096).  `depth` runs from 1 to
     `MAX_EXPAND_DEPTH` (10**6), and an explicit `probe_limit` to at most
-    `MAX_PROBE` (10**6).
+    `MAX_PROBE` (10**7).
 
     x = 1 is represented as the all-maximal-digit string.
     """
@@ -583,12 +583,17 @@ def expand(x: Fraction, q: QSequence, depth: int,
 def expand_exact(x: Fraction, q: QSequence) -> DigitString:
     """Fully resolved expansion of a rational: ZERO, PERIODIC, or MAX tail.
 
-    Unlike `expand` this never truncates; the scan bound is derived from
-    the denominator of x, so large denominators cost proportionally.
+    Unlike `expand` this never truncates.  The scan bound is derived
+    from the denominator of x, so large denominators cost
+    proportionally, up to `MAX_PROBE` (10**7) digits: an x whose
+    preperiod plus period is longer is refused with a DomainError that
+    names the limit.
     """
     _check_unit_interval(x)
-    exact = _resolve(x, q, _decision_bound(x, q))[1]
-    assert exact is not None, "state scan must terminate or recur within bound"
+    exact = _resolve(x, q, min(_decision_bound(x, q), MAX_PROBE))[1]
+    if exact is None:
+        raise DomainError(f"the expansion of {x} does not close within the limit of "
+                          f"{MAX_PROBE} digits")
     return exact
 
 
@@ -613,14 +618,15 @@ def classify_rationality(x: Fraction, q: QSequence,
                          probe_depth: Optional[int] = None) -> ClassifyResult:
     """Decide whether x has a terminating expansion in base q.
 
-    With the default probe depth the answer is always decided; an explicit
-    smaller probe may return "undecided".  An explicit probe runs to at
-    most `MAX_PROBE` (10**6) steps; the default one is not capped.
+    With the default probe depth the answer is decided unless x's
+    preperiod plus period passes `MAX_PROBE` (10**7) digits, where the
+    scan stops; then, as with an explicit probe too small for x, it is
+    "undecided".  An explicit probe runs to at most `MAX_PROBE` steps.
     """
     _check_unit_interval(x)
     probe_depth = _check_probe(probe_depth)
     if probe_depth is None:
-        probe_depth = _decision_bound(x, q)
+        probe_depth = min(_decision_bound(x, q), MAX_PROBE)
     exact = _resolve(x, q, probe_depth)[1]
     if exact is None:
         return ClassifyResult("undecided", probe_depth=probe_depth)

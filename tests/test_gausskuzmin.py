@@ -325,25 +325,26 @@ ATOMS = st.sampled_from([SIGMA, GEN(2), GEN(3)])
 PROGRAMS = st.lists(ATOMS, max_size=3).map(lambda w: ShiftProgram(tuple(w)))
 # 4 and 8 take raw words, 2**32 takes them unshifted (sampling depth 1),
 # 2**33 takes the bounded 64-bit draw
-BASES = st.sampled_from([Q2, Q3, QSequence.constant(4), QSequence.constant(8),
-                         QSequence.periodic([2, 3]), QSequence.explicit([3, 2, 4]),
-                         QSequence.constant(2**32), QSequence.constant(2**33)])
+CONSTANT_BASES = [Q2, Q3, QSequence.constant(4), QSequence.constant(8),
+                  QSequence.constant(2**32), QSequence.constant(2**33)]
+BASES = st.sampled_from(CONSTANT_BASES + [QSequence.periodic([2, 3]),
+                                          QSequence.explicit([3, 2, 4])])
 FRACTIONS = st.fractions(min_value=0, max_value=1, max_denominator=50)
 
 
 @st.composite
-def mc_specs(draw):
-    """Specs with a constant, `ProgramOnX` or `ProgramOnZ` threshold.
-    A "tie" threshold has as many atoms as the left side, so over a
-    constant base the two image denominators are equal and a tie has
-    positive mass."""
-    q = draw(BASES)
+def mc_specs(draw, bases=BASES, kinds=("const", "x", "z", "tie")):
+    """Specs over `bases` with a threshold of one of `kinds`: a constant,
+    `ProgramOnX` or `ProgramOnZ` one.  A "tie" threshold has as many
+    atoms as the left side, so over a constant base the two image
+    denominators are equal and a tie has positive mass."""
+    q = draw(bases)
     # a base of 2**32 or more samples one digit, which a program of z may
     # not consume
     programs_of_z = st.just(ShiftProgram(())) if q.at(1) >= 2**32 else PROGRAMS
     lhs = draw(programs_of_z)
     relation = draw(st.sampled_from(["lt", "ge"]))
-    kind = draw(st.sampled_from(["const", "x", "z", "tie"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "const":
         rhs = ConstRhs(draw(FRACTIONS))
     elif kind == "x":
@@ -521,7 +522,10 @@ class TestSamplingKernel:
 def measure_bounds_by_position(spec, depth):
     """The cylinder walk before it tracked the scaled difference: both
     image numerators, digit positions in order, only positions neither
-    side reads collapsed.  A test oracle for `measure_bounds`."""
+    side reads collapsed.  A leaf of a program threshold over an equal
+    denominator whose two numerators are equal is a tie: both images
+    share one tail, so it lies inside "ge".  A test oracle for
+    `measure_bounds`."""
     req = spec.required_depth
     if depth < req + 1:
         raise InsufficientDepthError(
@@ -540,6 +544,7 @@ def measure_bounds_by_position(spec, depth):
         rem_r[i] = rem_r[i + 1] + (qv[i] - 1) * wr[i]
         leaves[i] = leaves[i + 1] * qv[i]
     want_lt = spec.relation == "lt"
+    tie = isinstance(spec.rhs, ProgramOnZ) and dl == dr
     inside = straddle = 0
     stack = [(0, 0, base_r, 1)]
     while stack:
@@ -550,6 +555,9 @@ def measure_bounds_by_position(spec, depth):
         elif acc_l * dr >= (acc_r + rem_r[i] + tail_r) * dl:
             if not want_lt:
                 inside += mult * leaves[i]
+        elif i == depth and tie and acc_l == acc_r:
+            if not want_lt:
+                inside += mult
         elif i == depth:
             straddle += mult
         elif wl[i] == 0 and wr[i] == 0:
@@ -565,7 +573,9 @@ def measure_bounds_by_position(spec, depth):
 def measure_bounds_by_leaf(spec, depth):
     """Classify every rank-`depth` cylinder on its own.  Each image
     interval runs from the program applied to the cylinder's digits
-    followed by zeros to the same digits followed by maximal digits."""
+    followed by zeros to the same digits followed by maximal digits.
+    Two equal intervals of two programs of z are the same image over
+    the whole cylinder, so that tie lies inside "ge"."""
     q = spec.q
 
     def image(program, digits):
@@ -585,7 +595,7 @@ def measure_bounds_by_leaf(spec, depth):
         total += 1
         if hi_l <= lo_r:
             inside += spec.relation == "lt"
-        elif lo_l >= hi_r:
+        elif lo_l >= hi_r or isinstance(rhs, ProgramOnZ) and (lo_l, hi_l) == (lo_r, hi_r):
             inside += spec.relation == "ge"
         else:
             straddle += 1
@@ -646,6 +656,55 @@ class TestWalk:
         assert measure_bounds(spec, depth) == measure_bounds_by_position(spec, depth)
 
 
+# the "tie" kind of `mc_specs` over a constant base: every spec has two
+# equal image denominators
+TIE_KIND = mc_specs(st.sampled_from(CONSTANT_BASES), ("tie",))
+
+
+def with_relation(spec, relation):
+    return GKSetSpec(spec.q, spec.lhs, spec.rhs, relation)
+
+
+class TestTies:
+    """Over an equal denominator both images of a rank-d cylinder past
+    `required_depth` share one tail, so a tied cylinder lies inside "ge"
+    and no cylinder straddles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=TIE_KIND)
+    def test_bracket_is_exact_at_every_depth(self, spec):
+        for relation in ("lt", "ge"):
+            s = with_relation(spec, relation)
+            near, far = (measure_bounds(s, s.required_depth + extra) for extra in (1, 5))
+            assert near.lower == near.upper == far.lower == far.upper
+            assert near.decided_mass == far.decided_mass == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=TIE_KIND, extra=st.integers(1, 5))
+    def test_relations_sum_to_one(self, spec, extra):
+        lt, ge = (measure_bounds(with_relation(spec, relation), spec.required_depth + extra)
+                  for relation in ("lt", "ge"))
+        assert lt.lower + ge.lower == lt.upper + ge.upper == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=TIE_KIND)
+    def test_sampler_agrees_with_the_exact_value(self, spec):
+        for relation in ("lt", "ge"):
+            s = with_relation(spec, relation)
+            exact = measure_bounds(s, s.required_depth + 1).lower
+            r = measure_mc(s, 4000, 1)
+            assert abs(r.estimate - exact) <= 4 * r.std_err
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=WALK_BASES, word=WALK_WORDS, extra=st.integers(1, 6))
+    def test_a_program_against_itself(self, q, word, extra):
+        # every cylinder is a tie: the lt set is empty
+        for relation, value in (("lt", 0), ("ge", 1)):
+            spec = GKSetSpec(q, word, ProgramOnZ(word), relation)
+            b = measure_bounds(spec, spec.required_depth + extra)
+            assert (b.lower, b.upper, b.decided_mass) == (value, value, 1)
+
+
 def run_cli(*argv):
     """Run the CLI in a fresh interpreter; a walk that turns exponential
     again fails on the timeout instead of hanging the suite."""
@@ -666,8 +725,8 @@ class TestDeepWalks:
     while the walk went by position."""
 
     @pytest.mark.parametrize("name, depth, want", [
-        ("tie-q3", 60, '{"decided_mass": "8/9", "depth": 60, "lower": "4/9", "upper": "5/9"}'),
-        ("gen2-vs-sigma-q2", 40, '{"decided_mass": "1/2", "depth": 40, "lower": "1/4", "upper": "3/4"}'),
+        ("tie-q3", 60, '{"decided_mass": "1/1", "depth": 60, "lower": "4/9", "upper": "4/9"}'),
+        ("gen2-vs-sigma-q2", 40, '{"decided_mass": "1/1", "depth": 40, "lower": "1/4", "upper": "1/4"}'),
     ], ids=["tie-q3", "gen2-vs-sigma-q2"])
     def test_tie_bounds(self, name, depth, want):
         q, lhs, rhs = TIE_SPECS[name]

@@ -3,6 +3,7 @@
 import sys
 import tracemalloc
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -236,6 +237,23 @@ class TestExpand:
             with pytest.raises(DomainError, match=f"probe {MAX_PROBE + 1} exceeds "
                                                   f"the limit of {MAX_PROBE}$"):
                 call()
+
+    def test_explicit_probe_up_to_the_cap_is_accepted(self):
+        x, q = F(1, 3), QSequence.constant(2)
+        assert expand(x, q, 4, probe_limit=MAX_PROBE) == expand(x, q, 4)
+        assert classify_rationality(x, q, probe_depth=MAX_PROBE).kind == "q-irrational"
+
+    def test_default_scans_stop_at_the_cap(self, monkeypatch):
+        # the binary period of 1/1000003 is 1000002: past a cap of 1000
+        # digits the default probe answers "undecided", as an explicit
+        # probe too small for x does, and a short period still closes
+        q = QSequence.constant(2)
+        monkeypatch.setattr(numeral, "MAX_PROBE", 1000)
+        r = classify_rationality(F(1, 1000003), q)
+        assert (r.kind, r.probe_depth) == ("undecided", 1000)
+        assert classify_rationality(F(1, 1000003), q, probe_depth=1000) == r
+        assert classify_rationality(F(1, 7), q).kind == "q-irrational"
+        assert expand_exact(F(1, 7), q).tail == periodic_tail((0, 0, 1))
 
     def test_out_of_range(self):
         for bad in (F(-1, 2), F(3, 2)):
@@ -672,6 +690,15 @@ class TestParseExponentCap:
 
 Q2 = QSequence.constant(2)
 
+
+def under_scan_cap(call):
+    """`call` run with every expansion scan capped at 1000 digits."""
+    def capped():
+        with mock.patch.object(numeral, "MAX_PROBE", 1000):
+            return call()
+    return capped
+
+
 # name -> (call, error type, exact message): one case per refusal branch
 # that no other test runs
 REFUSALS = {
@@ -761,6 +788,11 @@ REFUSALS = {
     # a value int() does not take is refused, not left to end in a TypeError
     "expand-depth-none": (lambda: expand(F(1, 3), Q2, None), DomainError,
                           "expected an integer, got None"),
+    # an exact expansion reads at most `MAX_PROBE` digits: the binary
+    # period of 1/1000003 is 1000002
+    "expand-exact-past-cap": (under_scan_cap(lambda: expand_exact(F(1, 1000003), Q2)),
+                              DomainError, "the expansion of 1/1000003 does not close "
+                                           "within the limit of 1000 digits"),
 }
 
 

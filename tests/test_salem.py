@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import cantorshift.numeral as numeral
 import cantorshift.salem as salem_module
 from cantorshift import (
     MAX_TAIL,
@@ -605,6 +606,15 @@ class TestValidation:
 
 ONE_COLUMN = SalemSystem.matrix([[F(1, 3), F(2, 3)]])
 
+
+def under_scan_cap(call):
+    """`call` run with every expansion scan capped at 1000 digits."""
+    def capped():
+        with mock.patch.object(numeral, "MAX_PROBE", 1000):
+            return call()
+    return capped
+
+
 # name -> (call, error type, exact message): one case per refusal branch
 REFUSALS = {
     "reorder-kind": (lambda: Reorder("spiral"), DomainError,
@@ -701,6 +711,12 @@ REFUSALS = {
                           "expected an integer, got 'abc'"),
     "reorder-json-word": (lambda: Reorder.from_json({"kind": "list", "values": ["x"]}),
                           DomainError, "expected an integer, got 'x'"),
+    # a point's exact expansion reads at most `MAX_PROBE` digits (here
+    # 1000): the binary period of 1/1000003 is 1000002
+    "point-past-scan-cap": (under_scan_cap(lambda: evaluate(F(1, 1000003), 2,
+                                                            fixed(["1/3", "2/3"]))),
+                            DomainError, "the expansion of 1/1000003 does not close "
+                                         "within the limit of 1000 digits"),
 }
 
 

@@ -451,8 +451,9 @@ def _fail(code: int, kind: str, exc: Exception, **extra) -> int:
 
 def main(argv=None) -> int:
     global _parser
-    # exact values at long periods have denominators of many thousand
-    # digits, past the interpreter's default int -> str limit
+    # `json.loads` reads the integers of a JSON argument with `int`, and
+    # one may have more digits than the interpreter's default int <-> str
+    # limit (`numeral` converts rationals past it on its own)
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     if _parser is None:

@@ -39,6 +39,7 @@ iterator over the prefix and the repeated cycle instead.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, cycle
@@ -74,25 +75,83 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# `Fraction`'s string grammar (as of Python 3.11), read by
+# `parse_rational` for a text past the interpreter's int <-> str limit
+_RATIONAL = r"""\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)
+    (?:/(?P<den>\d+(?:_\d+)*)
+     |(?:\.(?P<dec>\d*|\d+(?:_\d+)*))?(?:e(?P<esign>[-+]?)(?P<exp>\d+(?:_\d+)*))?)\s*"""
+
+
+def _decimal_str(n: int) -> str:
+    """str(n), also past the interpreter's int -> str limit: there the
+    digits are split in two halves, each converted on its own."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _decimal_str(-n)
+        k = n.bit_length() * 3 // 20  # about half of n's decimal digits
+        hi, lo = divmod(n, 10**k)
+        return _decimal_str(hi) + _decimal_str(lo).zfill(k)
+
+
+def _decimal_int(digits: str) -> int:
+    """int(digits) for unsigned decimal digits and underscores, also
+    past the interpreter's str -> int limit, where the digits are split
+    alike."""
+    digits = digits.replace("_", "")
+    try:
+        return int(digits)
+    except ValueError:
+        k = len(digits) // 2
+        return _decimal_int(digits[:-k]) * 10**k + _decimal_int(digits[-k:])
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den", integer, or decimal notation into a Fraction.
 
     A decimal exponent larger than `errors.MAX_EXPONENT` in size is
-    refused before any power of ten is built."""
+    refused before any power of ten is built.  A text longer than the
+    interpreter's int <-> str limit is read by `Fraction`'s grammar with
+    its digits converted by `_decimal_int`, so that it gives the value
+    that `Fraction` gives with the limit lifted."""
+    text = str(text)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    m = limit and len(text) > limit and re.fullmatch(_RATIONAL, text, re.X | re.I)
+    if m:
+        return _long_rational(text, m)
     try:
         # a superset of the exponents `Fraction` reads (it takes
         # underscores from Python 3.11 on)
-        exp = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", str(text), re.IGNORECASE)
+        exp = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
         if exp is None or abs(int(exp.group(1))) <= MAX_EXPONENT:
-            return Fraction(str(text))
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational number: {text!r}") from exc
     raise DomainError(f"decimal exponent in {text!r} exceeds the limit of {MAX_EXPONENT}")
 
 
+def _long_rational(text: str, m: re.Match) -> Fraction:
+    """The value of a `_RATIONAL` match, as `Fraction` computes it."""
+    num, den, dec, exp = (_decimal_int(m[g] or "0") for g in ("num", "den", "dec", "exp"))
+    if m["den"] is not None and not den:
+        raise DomainError(f"not a rational number: {text!r}")
+    if exp > MAX_EXPONENT:
+        raise DomainError(f"decimal exponent in {text!r} exceeds the limit of {MAX_EXPONENT}")
+    if m["den"] is None:  # num.dec times 10**exp, or over it for "e-"
+        scale = 10 ** len((m["dec"] or "").replace("_", ""))
+        num, den = num * scale + dec, scale
+        if m["esign"] == "-":
+            den *= 10**exp
+        else:
+            num *= 10**exp
+    return Fraction(-num if m["sign"] == "-" else num, den)
+
+
 def format_rational(x: Fraction) -> str:
-    """Render a Fraction as "num/den" (always with a denominator)."""
-    return f"{x.numerator}/{x.denominator}"
+    """Render a Fraction as "num/den" (always with a denominator), also
+    past the interpreter's int -> str limit."""
+    return f"{_decimal_str(x.numerator)}/{_decimal_str(x.denominator)}"
 
 
 # ---------------------------------------------------------------------------

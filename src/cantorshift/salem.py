@@ -62,7 +62,6 @@ from .errors import (
     json_list,
 )
 from .numeral import (
-    ONE,
     ZERO,
     DigitString,
     QSequence,
@@ -476,21 +475,25 @@ def _eval_stage(d: DigitString, system: SalemSystem, tol: Fraction,
         return EvalResult(_close(steps[stage:], K - stage), ZERO,
                           K - stage + (T if t.kind == "periodic" else 0))
 
-    # tolerance path: take steps until the remainder bound sinks below
-    # tol, or the system runs out of steps (then the finite sum is
-    # exact); each step's digit is read as it is taken, so a truncated
-    # string raises at its first missing digit
+    # tolerance path: take steps until the remainder bound r = rn / rd
+    # sinks below tol * (1 - m) = tn / td, or the system runs out of
+    # steps (then the finite sum is exact); each step's digit is read as
+    # it is taken, so a truncated string raises at its first missing
+    # digit.  rn and rd are the unreduced products of the column maxima's
+    # numerators and denominators, reduced once at the end
     m = system.global_max
-    target = tol * (1 - m)
-    r = ONE
+    tn, td = (tol * (1 - m)).as_integer_ratio()
+    rn = rd = 1
     k = stage
     steps = []
-    while (limit is None or k < limit) and r >= target:
+    while (limit is None or k < limit) and rn * td >= tn * rd:
         k += 1
         n, i = system._step(k)
         steps.append(system._step_rows[i][d.digit(n)])
-        r *= system._column_max[i]
-    bound = ZERO if limit is not None and k >= limit else r / (1 - m)
+        c = system._column_max[i]
+        rn *= c.numerator
+        rd *= c.denominator
+    bound = ZERO if limit is not None and k >= limit else Fraction(rn, rd) / (1 - m)
     return EvalResult(Fraction(*_series(steps)[::2]), bound, k - stage)
 
 
@@ -638,9 +641,10 @@ _MC_CAP = 20_000
 _MC_CHUNK = 65536  # most rows of digits one chunk draws
 _MC_BLOCK_BYTES = 64 * 2**20  # cap on one chunk's digit block, and on one row
 _MC_ROWS = 4096  # rows summed together: their float buffers stay in L2
-# terms between checks for a block whose rows are all frozen, so that no
-# later term can move a row's float sum (see mc_mean)
-_MC_LIVE_EVERY = 64
+# terms between checks for frozen rows, whose float sums no later term
+# can move: a block drops them once they are at least half of its live
+# rows, and stops once every row is frozen (see mc_mean)
+_MC_LIVE_EVERY = 16
 
 
 def _words32(rng, n: int):
@@ -725,15 +729,22 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
     The rows of a chunk are summed in blocks of 4096: each term
     shifts the block's digit column once into a reused index buffer
     and looks up beta and p into two reused float buffers, so the
-    running values and products stay in cache.  Every 64 terms a block
-    stops once each of its rows is frozen: |prod| * 2**55 <= |v| for the
-    row's running product prod and value v, which also covers a product
-    that has underflowed to 0.  Every p and beta of a valid system lies
-    in [-1, 1] as a float, so |prod| never grows and no later term
-    exceeds |v| * 2**-55, less than a quarter ulp of v.  v + term then
-    rounds back to v, also for a negative term when v is a power of two,
-    and v = 0 gains only a signed zero.  The float operations on each row
-    are the ones of the plain per-term loop, in the same order.
+    running values and products stay in cache.  Every 16 terms a block
+    checks which of its live rows are frozen: |prod| * 2**55 <= |v| for
+    the row's running product prod and value v, which also covers a
+    product that has underflowed to 0.  Every p and beta of a valid
+    system lies in [-1, 1] as a float, so |prod| never grows and no
+    later term exceeds |v| * 2**-55, less than a quarter ulp of v.
+    v + term then rounds back to v, also for a negative term when v is a
+    power of two, and v = 0 gains only a signed zero.  So a frozen row's
+    sum can never move again.  When at least half of the live rows are
+    frozen, their values go back to the chunk's values, and the block
+    carries on with copies of the live rows' values, products and digit
+    rows alone; it stops once no row is live.  Each copy has at most
+    half the rows of the one before, so together the copies hold less
+    than one block of digits.  The float operations on each row that is
+    still summed are the ones of the plain per-term loop, in the same
+    order, so the result is that loop's, bit for bit.
     """
     ensure_valid(system)
     samples, seed = json_int(samples), json_int(seed)
@@ -798,16 +809,25 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
             elif size == 8:
                 spare = rng.integers(0, q, size=n, dtype=np.int64)
             block, spare = spare[:n].reshape(k, maxpos), spare[n:]
-            v = vals[r0:r0 + k]
+            out = v = vals[r0:r0 + k]
+            live = None  # the rows of v in the block, once rows are dropped
             idx, b, p, prod = idx_buf[:k], b_buf[:k], p_buf[:k], prod_buf[:k]
             prod.fill(1.0)
             for t, (b_col, p_col, j) in enumerate(steps):
                 if t and not t % _MC_LIVE_EVERY:
-                    # frozen iff |v| - |prod| * 2**55 >= 0; the float
-                    # difference keeps the sign of the exact one
+                    # a row moves iff |v| < |prod| * 2**55, both exact
                     np.multiply(np.abs(prod, out=p), 2.0**55, out=p)
-                    if np.subtract(np.abs(v, out=b), p, out=b).min() >= 0:
-                        break
+                    moving = np.less(np.abs(v, out=b), p)
+                    nlive = np.count_nonzero(moving)
+                    if 2 * nlive <= len(v):  # at least half are frozen
+                        if not nlive:
+                            break
+                        if live is not None:  # v is a copy: its values go back
+                            out[live] = v
+                        keep = np.flatnonzero(moving)
+                        live = keep if live is None else live[keep]
+                        v, prod, block = v[keep], prod[keep], block[keep]
+                        idx, b, p = idx_buf[:nlive], b_buf[:nlive], p_buf[:nlive]
                 np.right_shift(block[:, j], shift, out=idx)
                 # every digit lies in [0, q), so "clip" never moves one
                 np.take(b_col, idx, out=b, mode="clip")
@@ -815,6 +835,8 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
                 b *= prod
                 v += b
                 prod *= p
+            if live is not None:
+                out[live] = v
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += mrows

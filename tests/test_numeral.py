@@ -2,12 +2,13 @@
 
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction as F
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantorshift import (
     MAX_TAIL,
@@ -654,6 +655,66 @@ def test_rational_formatting():
     assert parse_rational("0.25") == F(1, 4)
     with pytest.raises(DomainError):
         parse_rational("x/y")
+
+
+needs_str_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                     reason="this interpreter has no int <-> str limit")
+
+
+@contextmanager
+def str_limit(digits):
+    """The interpreter's int <-> str limit set to `digits` (0: none) for
+    a block, and restored after it: the CLI tests lift it for the whole
+    process, and 4300 is the default a library user has."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def parse_outcome(text):
+    """`parse_rational(text)`, or the message it refuses the text with."""
+    try:
+        return parse_rational(text)
+    except DomainError as exc:
+        return str(exc)
+
+
+def digit_runs():
+    """Decimal digits, often more than 4300 of them: a short pattern
+    repeated to a drawn length."""
+    return st.builds(lambda pattern, n: (pattern * n)[:n],
+                     st.text("0123456789", min_size=1, max_size=8), st.integers(1, 6000))
+
+
+@needs_str_limit
+class TestPastTheStrLimit:
+    def test_format_and_parse_long_rationals(self):
+        x = F(-(7**6000), 3**9000 + 2)
+        with str_limit(0):
+            want = format_rational(x)
+        with str_limit(4300):
+            with pytest.raises(ValueError):
+                str(x.numerator)  # the limit is in force
+            assert format_rational(x) == want
+            assert parse_rational(want) == x
+            assert parse_rational("1/" + "7" * 5000) == F(1, 7 * (10**5000 - 1) // 9)
+
+    @settings(max_examples=40, deadline=None)
+    @example(num="1" * 5000, digits="2" * 5000, rest=".{}e-7", sign="-")
+    @example(num="0" * 4000 + "3", digits="7" * 5000, rest="/{}", sign="")
+    @given(num=digit_runs(), digits=digit_runs(),
+           rest=st.sampled_from(["", "/{}", ".{}", ".{}e-7", "e{}", "/0{}", "/{}e3", " / {}"]),
+           sign=st.sampled_from(["", "-", " +"]))
+    def test_parse_matches_fraction_with_the_limit_lifted(self, num, rest, digits, sign):
+        # an exponent keeps at most 4 digits, so it may pass the cap or not
+        text = sign + num + rest.format(digits if "e" not in rest else digits[:4])
+        with str_limit(0):
+            want = parse_outcome(text)
+        with str_limit(4300):
+            assert parse_outcome(text) == want
 
 
 class TestParseExponentCap:

@@ -363,7 +363,8 @@ def tolerance_systems(draw):
 @st.composite
 def tolerance_points(draw):
     """A system, a digit string the tolerance path sums for it, a
-    tolerance and a stage."""
+    tolerance and a stage.  Half of the tolerances put the stopping
+    test exactly at, or just beside, the bound after some step."""
     s, finite = draw(tolerance_systems())
     digit = st.integers(0, s.q - 1)
     depth = draw(st.integers(0, 80))
@@ -375,8 +376,20 @@ def tolerance_points(draw):
             "max": MAX_TAIL}.get(kind) or periodic_tail(
                 tuple(draw(st.lists(digit, min_size=1, max_size=5))))
     d = DigitString(QSequence.constant(s.q), prefix, tail)
-    tol = F(draw(st.integers(1, 9)), 10 ** draw(st.integers(1, 12)))
-    return s, d, tol, draw(st.integers(0, 5))
+    stage = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        return s, d, F(draw(st.integers(1, 9)), 10 ** draw(st.integers(1, 12))), stage
+    # tol * (1 - m) at, or one part in 10**30 to either side of, the
+    # remainder bound after j more steps: a bound equal to tol * (1 - m)
+    # is not below it, so one more step is taken
+    limit = s.stage_limit()
+    r = F(1)
+    for k in range(stage + 1, stage + draw(st.integers(0, 30)) + 1):
+        if limit is not None and k > limit:
+            break
+        r *= max(abs(p) for p in s.p_row(s.reorder.position(k)))
+    side = draw(st.sampled_from([-1, 0, 1]))
+    return s, d, r / (1 - s.global_max) * (1 + F(side, 10**30)), stage
 
 
 HALVES = SalemSystem.fixed([F(1, 2), F(1, 2)])
@@ -385,7 +398,7 @@ SKEW_LAST = SalemSystem.matrix([[F(1, 2), F(1, 2)]] * 20 + [[F(9, 10), F(1, 10)]
 
 
 class TestTolerancePath:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(tolerance_points())
     # tol 1/8: after 4 steps the remainder factor r = 1/16 equals
     # tol * (1 - 1/2), which is not below it, so a fifth step is summed
@@ -1031,8 +1044,10 @@ class TestMcBlocks:
     @settings(max_examples=60, deadline=None)
     @given(system=mc_systems(), samples=st.integers(2, 9000),
            seed=st.integers(0, 2**31), chunk=st.sampled_from([None, 1, 100, 2500, 5000]),
-           rows=st.sampled_from([None, 1, 7, 1000]))
-    def test_matches_per_column_loop(self, system, samples, seed, chunk, rows):
+           rows=st.sampled_from([None, 1, 7, 1000]), every=st.sampled_from([1, 2, 16, 64]))
+    def test_matches_per_column_loop(self, system, samples, seed, chunk, rows, every):
+        # `every` is the cadence of the frozen-row checks: at 1 a block
+        # may drop rows at every term
         kw = {} if chunk is None else {"chunk": chunk}
         rows = salem_module._MC_ROWS if rows is None else rows
         # both loops make one numpy pass per term and block (or chunk):
@@ -1041,7 +1056,8 @@ class TestMcBlocks:
         terms = mc_mean(system, 2, 0).terms
         samples = min(samples, max(2, 10000 // terms * min(rows, chunk or rows)))
         want = mc_mean_per_column(system, samples, seed, **kw)
-        with mock.patch.object(salem_module, "_MC_ROWS", rows):
+        with mock.patch.object(salem_module, "_MC_ROWS", rows), \
+                mock.patch.object(salem_module, "_MC_LIVE_EVERY", every):
             assert mc_mean_at_chunk(system, samples, seed, chunk) == want
 
     @settings(max_examples=80, deadline=None)
@@ -1132,8 +1148,26 @@ class TestMcBlocks:
         assert take.call_count < 2 * r.terms
         assert r == mc_mean_per_column(system, samples, 5)
 
+    @pytest.mark.parametrize("system, samples, indices", [
+        # a row freezes after about 32 of the 219 terms, and every row of
+        # this block by term 64: a block that summed all of its rows up to
+        # the check at term 64 would take 2 * 4096 * 64 indices
+        (fixed(["9/10", "1/10"]), 4096, lambda n: n < 3 * (2 * 4096 * 64) // 4),
+        # 54 terms: fewer than half of the rows freeze by the last check,
+        # at term 48, so none is dropped and every row takes beta and p
+        # once per term
+        (fixed(["1/3", "2/3"]), 5000, lambda n: n == 2 * 5000 * 54),
+    ], ids=["9/10", "1/3"])
+    def test_frozen_rows_leave_their_block(self, system, samples, indices):
+        with mock.patch.object(np, "take", wraps=np.take) as take:
+            r = mc_mean(system, samples, 1)
+        assert indices(sum(len(c.args[1]) for c in take.call_args_list))
+        assert r == mc_mean_per_column(system, samples, 1)
+
     def test_short_signed_and_matrix_systems(self):
-        # fewer than 64 terms: no block is checked, every term is summed
+        # 43 and 40 terms: the checks at terms 16 and 32 find fewer than
+        # half of the rows frozen, so no row is dropped and every term is
+        # summed
         for s in (fixed(["3/5", "-1/5", "3/5"]),
                   SalemSystem.matrix([[F(k + 1, 2 * k + 3), F(k + 2, 2 * k + 3)]
                                       for k in range(40)])):

@@ -39,7 +39,6 @@ iterator over the prefix and the repeated cycle instead.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, cycle
@@ -75,10 +74,11 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-# `Fraction`'s string grammar (as of Python 3.11), read by
-# `parse_rational` for a text past the interpreter's int <-> str limit
+# The text `parse_rational` reads: `Fraction`'s string grammar as of
+# Python 3.12 (underscores between digits, spaces around "/"), on every
+# interpreter
 _RATIONAL = r"""\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)
-    (?:/(?P<den>\d+(?:_\d+)*)
+    (?:\s*/\s*(?P<den>\d+(?:_\d+)*)
      |(?:\.(?P<dec>\d*|\d+(?:_\d+)*))?(?:e(?P<esign>[-+]?)(?P<exp>\d+(?:_\d+)*))?)\s*"""
 
 
@@ -99,10 +99,10 @@ def _decimal_int(digits: str) -> int:
     """int(digits) for unsigned decimal digits and underscores, also
     past the interpreter's str -> int limit, where the digits are split
     alike."""
-    digits = digits.replace("_", "")
     try:
-        return int(digits)
+        return int(digits)  # which reads the underscores itself
     except ValueError:
+        digits = digits.replace("_", "")
         k = len(digits) // 2
         return _decimal_int(digits[:-k]) * 10**k + _decimal_int(digits[-k:])
 
@@ -110,41 +110,35 @@ def _decimal_int(digits: str) -> int:
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den", integer, or decimal notation into a Fraction.
 
-    A decimal exponent larger than `errors.MAX_EXPONENT` in size is
-    refused before any power of ten is built.  A text longer than the
-    interpreter's int <-> str limit is read by `Fraction`'s grammar with
-    its digits converted by `_decimal_int`, so that it gives the value
-    that `Fraction` gives with the limit lifted."""
+    The text is read by `_RATIONAL`, the grammar `Fraction` reads from
+    Python 3.12 on, whichever interpreter runs: "1_000 / 3", " -2.5e-3 "
+    and "3." are read, "1/2e5" and "0x10" are not.  A decimal exponent
+    larger than `errors.MAX_EXPONENT` in size is refused before any
+    power of ten is built.  Digits past the interpreter's int <-> str
+    limit are read as they are with the limit lifted."""
     text = str(text)
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    m = limit and len(text) > limit and re.fullmatch(_RATIONAL, text, re.X | re.I)
-    if m:
-        return _long_rational(text, m)
-    try:
-        # a superset of the exponents `Fraction` reads (it takes
-        # underscores from Python 3.11 on)
-        exp = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
-        if exp is None or abs(int(exp.group(1))) <= MAX_EXPONENT:
-            return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a rational number: {text!r}") from exc
-    raise DomainError(f"decimal exponent in {text!r} exceeds the limit of {MAX_EXPONENT}")
-
-
-def _long_rational(text: str, m: re.Match) -> Fraction:
-    """The value of a `_RATIONAL` match, as `Fraction` computes it."""
-    num, den, dec, exp = (_decimal_int(m[g] or "0") for g in ("num", "den", "dec", "exp"))
-    if m["den"] is not None and not den:
+    m = re.fullmatch(_RATIONAL, text, re.VERBOSE | re.IGNORECASE)
+    if m is None:
         raise DomainError(f"not a rational number: {text!r}")
-    if exp > MAX_EXPONENT:
-        raise DomainError(f"decimal exponent in {text!r} exceeds the limit of {MAX_EXPONENT}")
-    if m["den"] is None:  # num.dec times 10**exp, or over it for "e-"
-        scale = 10 ** len((m["dec"] or "").replace("_", ""))
-        num, den = num * scale + dec, scale
-        if m["esign"] == "-":
-            den *= 10**exp
-        else:
-            num *= 10**exp
+    num = _decimal_int(m["num"] or "0")
+    if m["den"] is not None:
+        den = _decimal_int(m["den"])
+        if not den:
+            raise DomainError(f"not a rational number: {text!r}")
+    else:  # num.dec times 10**exp, or over it for "e-"
+        den = 1
+        if m["dec"]:
+            den = 10 ** len(m["dec"].replace("_", ""))
+            num = num * den + _decimal_int(m["dec"])
+        if m["exp"]:
+            exp = _decimal_int(m["exp"])
+            if exp > MAX_EXPONENT:
+                raise DomainError(
+                    f"decimal exponent in {text!r} exceeds the limit of {MAX_EXPONENT}")
+            if m["esign"] == "-":
+                den *= 10**exp
+            else:
+                num *= 10**exp
     return Fraction(-num if m["sign"] == "-" else num, den)
 
 

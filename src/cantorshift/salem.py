@@ -645,6 +645,8 @@ _MC_ROWS = 4096  # rows summed together: their float buffers stay in L2
 # can move: a block drops them once they are at least half of its live
 # rows, and stops once every row is frozen (see mc_mean)
 _MC_LIVE_EVERY = 16
+# most bytes of digit rows a block moves at once when it drops rows
+_MC_MOVE_BYTES = 2**20
 
 
 def _words32(rng, n: int):
@@ -739,12 +741,12 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
     power of two, and v = 0 gains only a signed zero.  So a frozen row's
     sum can never move again.  When at least half of the live rows are
     frozen, their values go back to the chunk's values, and the block
-    carries on with copies of the live rows' values, products and digit
-    rows alone; it stops once no row is live.  Each copy has at most
-    half the rows of the one before, so together the copies hold less
-    than one block of digits.  The float operations on each row that is
-    still summed are the ones of the plain per-term loop, in the same
-    order, so the result is that loop's, bit for bit.
+    carries on with the live rows alone: copies of their values and
+    products, and their digit rows moved to the front of the block's
+    own digits, at most 1 MiB of them at a time, so no second block of
+    digits is held.  It stops once no row is live.  The float operations
+    on each row that is still summed are the ones of the plain per-term
+    loop, in the same order, so the result is that loop's, bit for bit.
     """
     ensure_valid(system)
     samples, seed = json_int(samples), json_int(seed)
@@ -785,6 +787,7 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
     # any other q <= 127 takes the whole chunk's int8 digits in one draw
     whole = size == 1 and not raw
     rows = min(_MC_ROWS, chunk, samples)
+    move = max(1, _MC_MOVE_BYTES // (maxpos * size))  # digit rows moved at once
     idx_buf = np.empty(rows, dtype=np.intp)
     b_buf, p_buf, prod_buf = np.empty(rows), np.empty(rows), np.empty(rows)
     rng = np.random.default_rng(seed)
@@ -826,7 +829,14 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
                             out[live] = v
                         keep = np.flatnonzero(moving)
                         live = keep if live is None else live[keep]
-                        v, prod, block = v[keep], prod[keep], block[keep]
+                        v, prod = v[keep], prod[keep]
+                        # the live digit rows move to the front of the
+                        # block, `move` rows at a time: keep[i] >= i, so
+                        # no row is overwritten before it is read
+                        front = block[:nlive]
+                        for a in range(0, nlive, move):
+                            front[a:a + move] = block[keep[a:a + move]]
+                        block = front
                         idx, b, p = idx_buf[:nlive], b_buf[:nlive], p_buf[:nlive]
                 np.right_shift(block[:, j], shift, out=idx)
                 # every digit lies in [0, q), so "clip" never moves one

@@ -1044,10 +1044,13 @@ class TestMcBlocks:
     @settings(max_examples=60, deadline=None)
     @given(system=mc_systems(), samples=st.integers(2, 9000),
            seed=st.integers(0, 2**31), chunk=st.sampled_from([None, 1, 100, 2500, 5000]),
-           rows=st.sampled_from([None, 1, 7, 1000]), every=st.sampled_from([1, 2, 16, 64]))
-    def test_matches_per_column_loop(self, system, samples, seed, chunk, rows, every):
+           rows=st.sampled_from([None, 1, 7, 1000]), every=st.sampled_from([1, 2, 16, 64]),
+           move=st.sampled_from([None, 1]))
+    def test_matches_per_column_loop(self, system, samples, seed, chunk, rows, every, move):
         # `every` is the cadence of the frozen-row checks: at 1 a block
-        # may drop rows at every term
+        # may drop rows at every term.  `move` 1 moves a block's live
+        # digit rows one row at a time
+        move = salem_module._MC_MOVE_BYTES if move is None else move
         kw = {} if chunk is None else {"chunk": chunk}
         rows = salem_module._MC_ROWS if rows is None else rows
         # both loops make one numpy pass per term and block (or chunk):
@@ -1057,7 +1060,8 @@ class TestMcBlocks:
         samples = min(samples, max(2, 10000 // terms * min(rows, chunk or rows)))
         want = mc_mean_per_column(system, samples, seed, **kw)
         with mock.patch.object(salem_module, "_MC_ROWS", rows), \
-                mock.patch.object(salem_module, "_MC_LIVE_EVERY", every):
+                mock.patch.object(salem_module, "_MC_LIVE_EVERY", every), \
+                mock.patch.object(salem_module, "_MC_MOVE_BYTES", move):
             assert mc_mean_at_chunk(system, samples, seed, chunk) == want
 
     @settings(max_examples=80, deadline=None)

@@ -18,8 +18,12 @@ A constant or `ProgramOnX` threshold x needs no walk for its exact
 value: under Lebesgue measure the digits a program keeps are
 independent and uniform, so its image is uniform on [0, 1] and
 mu{P(z) < x} = clamp(x, 0, 1) for every base and program (1 minus that
-for "ge"); the walk brackets this value.  A `ProgramOnZ` threshold is a
-second image of the same z, not independent of the first, and its
+for "ge").  Its bracket is counted, not walked: the image of a rank-d
+cylinder is one of the intervals [N, N+1]/D over the product D of the
+surviving base values, each N equally often, so the images below x,
+above x and across it are counted by two integer divisions, and the
+width is 0 or 1/D.  A `ProgramOnZ` threshold is a second image of
+the same z, not independent of the first, and its
 boundary {P(z) = R(z)} can carry positive mass, but only when the two
 image denominators are equal.  Then the images of a rank-d cylinder
 share one tail, so P(z) - R(z) is constant on it, and a tied cylinder
@@ -291,8 +295,21 @@ def measure_bounds(spec: GKSetSpec, depth: int) -> MeasureBounds:
     images share one tail, so a tied cylinder, sum c_s*e_s = 0, lies
     inside "ge" and none straddles: the bracket is exact, lower = upper
     with decided_mass 1, at every depth.
-    Cost: positions are walked in decreasing (q_s - 1)*|e_s| order,
-    and a node is counted wholesale once its partial sum plus the
+
+    A constant or `ProgramOnX` threshold c = n/d is counted, not walked.
+    The surviving digits number the left images [N, N+1]/D, with D the
+    product of the surviving base values, and every N in [0, D) labels
+    the same number of cylinders.  So image N lies inside "lt" iff
+    (N + 1)*d <= n*D, that is N < floor(n*D/d), and inside "ge" iff
+    N*d >= n*D, that is N >= ceil(n*D/d): floor(n*D/d) and
+    D - ceil(n*D/d) images, each count clamped to [0, D].  At most one image
+    straddles, so the width is 1/D, or 0 when c*D is an integer or c
+    lies outside (0, 1).  The cost is that of D, one product of the
+    base values.
+
+    Cost of a `ProgramOnZ` threshold: positions are walked in
+    decreasing (q_s - 1)*|e_s| order, and a node is counted wholesale
+    once its partial sum plus the
     positive and negative terms still to come lies on one side of a
     threshold or strictly between the two, so only nodes whose range of
     sums crosses a threshold are expanded.  Positions with e_s = 0 are
@@ -308,43 +325,51 @@ def measure_bounds(spec: GKSetSpec, depth: int) -> MeasureBounds:
             f"depth {depth} too shallow: programs consume {req} digits, "
             f"need depth >= {req + 1}", required=req + 1)
     qv = spec.q.values(0, depth)
-    diff, below, above = _scaled_difference(spec, qv)
-    # a position with e = 0 moves no sum: it multiplies every count and
-    # the total alike, so it drops out of every fraction below
-    steps = []
-    for qs, e in zip(qv, diff):
-        if e:
-            span = (qs - 1) * e
-            steps.append((abs(span), span, qs, e))
-    steps.sort()
+    if not isinstance(spec.rhs, ProgramOnZ):
+        # left images [N, N+1]/D, each N in [0, D) equally often, against n/d
+        total = _image_weights(spec.lhs.word, qv)[1]
+        _, n, d, _ = _resolve_rhs(spec, qv)
+        low = min(max(n * total // d, 0), total)
+        high = total - min(max(-(-n * total // d), 0), total)
+        straddle = total - low - high
+    else:
+        diff, below, above = _scaled_difference(spec, qv)
+        # a position with e = 0 moves no sum: it multiplies every count and
+        # the total alike, so it drops out of every fraction below
+        steps = []
+        for qs, e in zip(qv, diff):
+            if e:
+                span = (qs - 1) * e
+                steps.append((abs(span), span, qs, e))
+        steps.sort()
 
-    # the walk takes positions from the end of `steps`; a node with r
-    # positions left and partial sum acc has leaves[r] leaves, whose
-    # sums span [acc + down[r], acc + up[r]]
-    up, down, leaves = [0], [0], [1]
-    for _, span, qs, _ in steps:
-        up.append(up[-1] + span if span > 0 else up[-1])
-        down.append(down[-1] + span if span < 0 else down[-1])
-        leaves.append(leaves[-1] * qs)
+        # the walk takes positions from the end of `steps`; a node with r
+        # positions left and partial sum acc has leaves[r] leaves, whose
+        # sums span [acc + down[r], acc + up[r]]
+        up, down, leaves = [0], [0], [1]
+        for _, span, qs, _ in steps:
+            up.append(up[-1] + span if span > 0 else up[-1])
+            down.append(down[-1] + span if span < 0 else down[-1])
+            leaves.append(leaves[-1] * qs)
 
-    low = high = straddle = 0
-    stack = [(len(steps), 0)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        r, acc = pop()
-        hi, lo = acc + up[r], acc + down[r]
-        if hi <= below:
-            low += leaves[r]
-        elif lo >= above:
-            high += leaves[r]
-        elif below < lo and hi < above:
-            straddle += leaves[r]
-        else:
-            _, _, qs, e = steps[r - 1]
-            for c in range(qs):
-                push((r - 1, acc + c * e))
+        low = high = straddle = 0
+        stack = [(len(steps), 0)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            r, acc = pop()
+            hi, lo = acc + up[r], acc + down[r]
+            if hi <= below:
+                low += leaves[r]
+            elif lo >= above:
+                high += leaves[r]
+            elif below < lo and hi < above:
+                straddle += leaves[r]
+            else:
+                _, _, qs, e = steps[r - 1]
+                for c in range(qs):
+                    push((r - 1, acc + c * e))
+        total = leaves[-1]
 
-    total = leaves[-1]
     inside = low if spec.relation == "lt" else high
     return MeasureBounds(Fraction(inside, total),
                          Fraction(inside + straddle, total),
@@ -573,7 +598,9 @@ def limit_scan(family: Callable[[int], GKSetSpec], params,
     rejects (e.g. counts a congruence rule does not admit) produce a
     row carrying the error instead of aborting the scan.  The default
     depth is the digits consumed plus six, giving a bracket width of at
-    most the corresponding cylinder measure.  At most `MAX_PARAMS`
+    most the corresponding cylinder measure; for a constant or
+    `ProgramOnX` threshold the width is exactly 0 or 1/D, with D the
+    left image denominator at that depth.  At most `MAX_PARAMS`
     (10**5) parameters are taken; a longer iterable is refused before
     any row is computed, and so is a parameter that is not an integer
     (`errors.json_int`: 2 and 2.0 read as 2, 2.5 is refused).

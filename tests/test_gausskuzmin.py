@@ -647,6 +647,34 @@ class TestWalk:
         assume(spec.q.partial_product(depth) <= 1000)
         assert measure_bounds(spec, depth) == measure_bounds_by_leaf(spec, depth)
 
+    @settings(max_examples=100, deadline=None)
+    @given(q=WALK_BASES, lhs=WALK_WORDS, extra=st.integers(1, 6), data=st.data())
+    def test_thresholds_on_image_boundaries(self, q, lhs, extra, data):
+        # c = k/D on the ends of the left image cylinders [N, N+1]/D and
+        # just outside [0, 1], where the counted bracket's floor and
+        # ceiling meet, so no cylinder straddles: as a constant, as the
+        # identity at x = c and as a shift of a point whose shift is c
+        depth = lhs.required_depth + extra
+        D = _image_weights(lhs.word, q.values(0, depth))[1]
+        ks = {-1, 0, 1, D - 1, D, D + 1} | set(
+            data.draw(st.lists(st.integers(-1, D + 1), max_size=6)))
+        q1 = q.at(1)
+        for k in sorted(ks):
+            c = F(k, D)
+            rhss = [ConstRhs(c)]
+            if 0 <= c <= 1:
+                rhss.append(ProgramOnX(ShiftProgram(()), c))
+            if 0 <= c < 1:
+                x = (q1 - 1 + c) / q1
+                assert apply_program(ShiftProgram((SIGMA,)), x, q) == c
+                rhss.append(ProgramOnX(ShiftProgram((SIGMA,)), x))
+            for rhs in rhss:
+                for relation in ("lt", "ge"):
+                    spec = GKSetSpec(q, lhs, rhs, relation)
+                    b = measure_bounds(spec, depth)
+                    assert b == measure_bounds_by_position(spec, depth)
+                    assert b.width == 0
+
     @pytest.mark.parametrize("name", sorted(TIE_SPECS))
     @pytest.mark.parametrize("relation", ["lt", "ge"])
     def test_tie_specs_match_walk_by_position(self, name, relation):
@@ -734,6 +762,18 @@ class TestDeepWalks:
                 "rhs": {"programOnZ": program_json(rhs)}}
         r = run_cli("gk", "bounds", "--depth", str(depth), "--spec", json.dumps(spec))
         assert (r.returncode, r.stdout, r.stderr) == (0, want + "\n", "")
+
+    def test_deep_constant_bracket(self):
+        # the shift's images [N, N+1]/D, D = 2**9999, against 1/3: N < D//3
+        # lie below it, and image D//3 straddles it
+        spec = {"q": 2, "lhs": program_json((SIGMA,)), "rhs": {"const": "1/3"}}
+        r = run_cli("gk", "bounds", "--depth", "10000", "--spec", json.dumps(spec))
+        assert (r.returncode, r.stderr) == (0, "")
+        D = 2**9999
+        want = {"lower": F(D // 3, D), "upper": F(D // 3 + 1, D), "decided_mass": F(D - 1, D)}
+        got = json.loads(r.stdout)
+        assert got == {"depth": 10000, **{k: f"{v.numerator}/{v.denominator}"
+                                          for k, v in want.items()}}
 
     def test_affine_scan_against_a_shift(self):
         r = run_cli("gk", "scan", "--q", "2",

@@ -451,13 +451,16 @@ def _fail(code: int, kind: str, exc: Exception, **extra) -> int:
 
 def main(argv=None) -> int:
     global _parser
-    # `json.loads` reads the integers of a JSON argument with `int`, and
-    # one may have more digits than the interpreter's default int <-> str
-    # limit (`numeral` converts rationals past it on its own)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     if _parser is None:
         _parser = _build_parser()
+    # `json.loads` reads the integers of a JSON argument with `int`, and
+    # one may have more digits than the interpreter's default int <-> str
+    # limit (`numeral` converts rationals past it on its own).  The limit
+    # is lifted for this call only
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         args = _parser.parse_args(argv)
         args.func(args)
@@ -473,6 +476,9 @@ def main(argv=None) -> int:
         return _fail(2, "invalid-system", exc, violation=v and asdict(v))
     except ValueError as exc:  # DomainError and stray parse errors
         return _fail(2, "domain", exc)
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(before)
 
 
 if __name__ == "__main__":

@@ -60,10 +60,11 @@ class InsufficientDepthError(ValueError):
     goes and raises at the first missing position, so there `required` is
     only a lower bound: the depth-6 string of 1/3 under the weights
     (1/3, 2/3) reports 7, but depth 54 is the first that succeeds.  This is
-    on purpose: finding the least depth first would plan the whole sum,
-    tens of thousands of Fraction steps for weights near 1, before the
-    error.  A step past the end of a finite schedule is a DomainError
-    instead: no deeper string would help.
+    on purpose: finding the least depth first would plan the whole sum
+    before the error, and for weights near 1 that is tens of thousands
+    of steps, each multiplying the integer remainder bound and comparing
+    it with the tolerance.  A step past the end of a finite schedule is
+    a DomainError instead: no deeper string would help.
     """
 
     def __init__(self, message, required=None):

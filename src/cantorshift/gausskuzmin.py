@@ -399,7 +399,7 @@ class McMeasure:
 
 
 _INT64_LIMIT = 2**62
-_MC_CHUNK = 65536  # most samples one chunk draws, and most raw words one draw takes
+_MC_CHUNK = 65536  # most samples one chunk draws
 _MC_CHECK = 256  # a check is due once the positions since the last split a cylinder this many ways
 
 
@@ -477,16 +477,13 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     so such a row is m words from `_words32` shifted down by 32 - k
     instead.  The words are drawn as 64-bit ones, with the generator's
     buffered half word carried into and out of the draw, which leaves
-    the stream where the bounded draws would.  Consecutive such rows
-    share one draw of at most 65536 words, since their words follow one
-    another in the stream.  Other bases keep the bounded draw.  Once
-    every sample of a chunk other than the last is decided, the chunk
-    still reads each remaining row at the same site: it draws a bounded
-    row, which may reject words, slices a raw row off a shared draw
-    that already covers it, and passes any other raw row's words with
-    one `_skip32`; so the next chunk reads the same stream.  The last
-    chunk stops drawing once every sample is decided.  So neither the
-    checks nor their schedule change a result.
+    the stream where the bounded draws would.  Other bases keep the
+    bounded draw.  Once every sample of a chunk other than the last is
+    decided, the chunk still reads each remaining row at the same site:
+    it draws a bounded row, which may reject words, and passes a raw
+    row's words with one `_skip32`; so the next chunk reads the same
+    stream.  The last chunk stops drawing once every sample is decided.
+    So neither the checks nor their schedule change a result.
     """
     samples, seed, extra_depth = json_int(samples), json_int(seed), json_int(extra_depth)
     if samples < 1:
@@ -510,16 +507,15 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
     # the threshold changes no comparison and keeps `sure` and `open`
     # below in int64
     top = min(max(top, -_INT64_LIMIT), _INT64_LIMIT)
-    # (q, shift, step, raw rows from here on, sure, open) per position;
-    # q = 2**k <= 2**32 takes the top k bits of a raw word, any other q
-    # the bounded draw.  A sample whose sum so far is at most `sure` is
-    # a hit whatever the later digits, one above `open` is a miss
+    # (q, shift, step, sure, open) per position; q = 2**k <= 2**32 takes
+    # the top k bits of a raw word, any other q the bounded draw.  A
+    # sample whose sum so far is at most `sure` is a hit whatever the
+    # later digits, one above `open` is a miss
     rows = []
-    run = up = down = 0
+    up = down = 0
     for v, e in zip(reversed(qv), reversed(steps)):
         raw = v & (v - 1) == 0 and v <= 2**32
-        run = run + 1 if raw else 0
-        rows.append((v, 33 - v.bit_length() if raw else None, e, run, top - up, top - down))
+        rows.append((v, 33 - v.bit_length() if raw else None, e, top - up, top - down))
         if e > 0:
             up += (v - 1) * e
         else:
@@ -541,20 +537,15 @@ def measure_mc(spec: GKSetSpec, samples: int, seed: int,
         n, keep, drawn = m, None, 1
         sums = sums_buf[:m]
         sums.fill(0)
-        words = ()
-        for q, shift, e, run, sure, open_ in rows:
+        for q, shift, e, sure, open_ in rows:
             if not n and done == samples:
                 break  # nothing reads the stream after the last chunk
             # once every sample is decided the row is still read here, so
             # that the next chunk reads the stream where it would after it
             if shift is None:
                 row = rng.integers(0, q, size=m)
-            elif n or len(words):
-                if not len(words):
-                    # this raw row and the raw rows after it share one draw
-                    # of at most 65536 words
-                    words = _words32(rng, min(run, max(1, _MC_CHUNK // m)) * m)
-                row, words = words[:m], words[m:]
+            elif n:
+                row = _words32(rng, m)
             else:
                 _skip32(rng, m)
             if not n:

@@ -640,7 +640,9 @@ class McMean:
 _MC_CAP = 20_000
 _MC_CHUNK = 65536  # most rows of digits one chunk draws
 _MC_BLOCK_BYTES = 64 * 2**20  # cap on one chunk's digit block, and on one row
-_MC_ROWS = 4096  # rows summed together: their float buffers stay in L2
+# rows summed together: their float buffers stay in L2.  A multiple of
+# 4, so a raw block that is not a chunk's last is whole 32-bit words
+_MC_ROWS = 4096
 # terms between checks for frozen rows, whose float sums no later term
 # can move: a block drops them once they are at least half of its live
 # rows, and stops once every row is frozen (see mc_mean)
@@ -718,11 +720,12 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
     So such a block takes raw 32-bit words from `_words32`, one byte per
     digit: half as many 64-bit words, read low half first, with the
     generator's buffered half word used first and an odd last half
-    buffered again.  The bytes of its last word that the block does not
-    read go to the next block of the chunk, which draws only what they
-    do not cover, and the chunk's last block drops them, as the chunk
-    draw does.  So the stream continues where the chunk draw would leave
-    it.  The top bits are shifted down only in the columns a block sums.
+    buffered again.  A chunk has more than one block only in blocks of
+    4096 rows, so each block but a chunk's last reads a whole number of
+    words; the chunk's last block drops the bytes of its last word that
+    it does not read, as the chunk draw does.  So the stream continues
+    where the chunk draw would leave it.  The top bits are shifted down
+    only in the columns a block sums.
     Any other q <= 127 draws the whole chunk at once, which may hold up
     to 64 MiB: numpy's int8 draw drops the unused bytes of its last
     32-bit word on every call, and it rejects some bytes, so a block's
@@ -799,16 +802,13 @@ def mc_mean(system: SalemSystem, samples: int, seed: int) -> McMean:
         # drawn digits, in row order, that no block has read yet: the
         # whole chunk's int8 draw, a raw block's bytes or a block's int64
         # draw.  Each block reads its rows from here
-        spare = (rng.integers(0, q, size=mrows * maxpos, dtype=np.int8) if whole
-                 else np.empty(0, dtype=np.uint8))
+        spare = rng.integers(0, q, size=mrows * maxpos, dtype=np.int8) if whole else None
         vals = np.zeros(mrows)
         for r0 in range(0, mrows, rows):
             k = min(rows, mrows - r0)
             n = k * maxpos
-            if raw and n > len(spare):
-                words = _words32(rng, -(-(n - len(spare)) // 4))
-                got = words.astype("<u4", copy=False).view(np.uint8)
-                spare = np.concatenate((spare, got)) if len(spare) else got
+            if raw:
+                spare = _words32(rng, -(-n // 4)).astype("<u4", copy=False).view(np.uint8)
             elif size == 8:
                 spare = rng.integers(0, q, size=n, dtype=np.int64)
             block, spare = spare[:n].reshape(k, maxpos), spare[n:]

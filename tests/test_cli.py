@@ -803,6 +803,24 @@ class TestSharedParser:
             assert call_main(argv)[:2] == (0, want)
         assert len(calls) == 1
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this interpreter has no int <-> str limit")
+    @pytest.mark.parametrize("argv, code", [
+        (README_EXAMPLES[0][0], 0),
+        (["shift", "--x", "1/0", "--q", "2", "--n", "1"], 2),
+        (["expand"], 1),
+        (["-h"], 0),
+    ], ids=["result", "domain-error", "usage-error", "help"])
+    def test_str_limit_is_restored(self, argv, code):
+        # `main` lifts the int <-> str limit for its own call only
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert call_main(argv)[0] == code
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(before)
+
     @settings(max_examples=200, deadline=timedelta(seconds=5))
     @given(argv=fuzzed_argv())
     def test_fuzzed_calls_keep_the_contract_and_leave_no_state(self, argv):

@@ -6,6 +6,12 @@
   and its width is that of at most one image cylinder.
 - Salem evaluation at a rational point sums one term per digit of the
   preperiod and of one period of its exact expansion.
+- The cylinder walk of a tie spec (a program of z over an equal
+  denominator) has as many positions to branch on past the digits the
+  programs read as at the first free digit, so its tree does not grow
+  with depth, and its bracket stays exact.
+- Not met yet: a rational program image sums a number of series steps
+  bounded by the word, not by the depth it reads.
 """
 
 from fractions import Fraction as F
@@ -14,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cantorshift.gausskuzmin as gk_module
+import cantorshift.shifts as shifts_module
 from cantorshift import (
     GEN,
     SIGMA,
@@ -27,10 +34,12 @@ from cantorshift import (
     apply_program,
     evaluate,
     expand_exact,
+    gen_shift,
     measure_bounds,
 )
 from cantorshift.errors import MAX_BOUNDS_DEPTH
-from cantorshift.gausskuzmin import _image_weights
+from cantorshift.gausskuzmin import _image_weights, _scaled_difference
+from test_gausskuzmin import tie_spec
 
 BASES = st.sampled_from([QSequence.constant(2), QSequence.constant(3),
                          QSequence.constant(10), QSequence.periodic([2, 3]),
@@ -95,3 +104,39 @@ class TestSalemTerms:
         e = expand_exact(x, QSequence.constant(q))
         r = evaluate(x, q, SalemSystem.fixed(w))
         assert r.terms == len(e.prefix) + len(e.tail.period)
+
+
+# (positions with e_s != 0, exact "lt" measure) of the tie specs
+TIE_WALKS = {"tie-q3": (3, F(4, 9)), "gen2-vs-sigma-q2": (2, F(1, 4))}
+
+
+class TestTieWalk:
+    @pytest.mark.parametrize("name", TIE_WALKS)
+    def test_branching_positions_do_not_grow_with_depth(self, name):
+        # both images read the same tail past the programs' digits, so
+        # every later position has e_s = 0 and the walk skips it
+        spec, (nonzero, measure) = tie_spec(name, "lt"), TIE_WALKS[name]
+        for extra in (1, 10, 50):
+            depth = spec.required_depth + extra
+            steps = _scaled_difference(spec, spec.q.values(0, depth))[0]
+            assert sum(e != 0 for e in steps) == nonzero
+            b = measure_bounds(spec, depth)
+            assert (b.lower, b.upper, b.decided_mass) == (measure, measure, 1)
+
+
+class TestRationalImageSteps:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the run map sums one "
+                       "series step per run of surviving digits, not per digit")
+    @pytest.mark.parametrize("m", [10**3, 10**4])
+    def test_deleting_one_digit_sums_a_few_steps(self, monkeypatch, m):
+        counted = []
+        real = shifts_module._series
+
+        def series(steps):
+            steps = list(steps)
+            counted.append(len(steps))
+            return real(steps)
+
+        monkeypatch.setattr(shifts_module, "_series", series)
+        gen_shift(F(1, 3), QSequence.constant(2), m)
+        assert sum(counted) <= 8

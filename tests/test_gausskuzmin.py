@@ -390,7 +390,7 @@ class TestSamplingKernel:
     def test_odd_chunks_hand_the_buffered_half_on(self, q, samples):
         # chunks of 7 samples: a raw-word row draws 7 words and leaves a
         # buffered half, which the next row (bounded or raw) takes first;
-        # in a last chunk of 1 or 3 samples, 7 or 2 raw rows share a draw
+        # a last chunk of 1 or 3 samples draws rows of 1 or 3 words
         spec = GKSetSpec(q, ShiftProgram((SIGMA,)), ProgramOnZ(ShiftProgram((GEN(2),))))
         want = measure_mc_by_columns(spec, samples, 11, 20, chunk=7)
         with mock.patch.object(gk_module, "_MC_CHUNK", 7):
@@ -421,7 +421,7 @@ class TestSamplingKernel:
         # 33 rows of 7 words.  A chunk draws rows until its samples are
         # decided and passes each remaining row with its own `_skip32` of
         # 7 words, whose odd count draws one word to buffer a half; the
-        # last chunk of 3 draws two rows at a time and stops
+        # last chunk of 3 draws one row of 3 words at a time and stops
         spec, drawn, skipped = shift_below(Q2, 1, F(1, 3)), [], []
         real = gk_module._skip32
 
@@ -434,7 +434,7 @@ class TestSamplingKernel:
                 mock.patch.object(gk_module, "_skip32", skip):
             r = measure_mc(spec, 5 * 7 + 3, 11)
         assert r == measure_mc_by_columns(spec, 5 * 7 + 3, 11, chunk=7)
-        assert len(skipped) == 137 and set(skipped) == {7} and set(drawn) == {1, 6, 7}
+        assert len(skipped) == 137 and set(skipped) == {7} and set(drawn) == {1, 3, 7}
         assert 7 * drawn.count(7) + sum(skipped) == 5 * 33 * 7
         assert drawn.count(7) < 5 * 33 // 2
 

@@ -699,8 +699,8 @@ needs_str_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
 @contextmanager
 def str_limit(digits):
     """The interpreter's int <-> str limit set to `digits` (0: none) for
-    a block, and restored after it: the CLI tests lift it for the whole
-    process, and 4300 is the default a library user has."""
+    a block, and restored after it; 4300 is the default a library user
+    has."""
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(digits)
     try:

@@ -1012,7 +1012,21 @@ def mc_systems(draw):
     return SalemSystem.fixed(draw(weight_tuples(q)), reorder=reorder)
 
 
+def block_rows(q, more=()):
+    """Small block sizes to patch into `_MC_ROWS` for base q, and `more`.
+    A block of raw words (q = 2**k <= 64) that is not a chunk's last must
+    read whole 32-bit words, as 4096 rows do, so its rows are a multiple
+    of 4; the int8 chunk draw and the int64 block draw allow any size."""
+    raw = q <= 64 and q & (q - 1) == 0
+    return st.sampled_from([*([4, 8, 12] if raw else [1, 3, 7]), *more])
+
+
 class TestMcBlocks:
+    def test_rows_are_whole_words(self):
+        # a raw block reads one byte per digit, so 4096 rows or any other
+        # multiple of 4 end every block but a chunk's last on a word
+        assert salem_module._MC_ROWS % 4 == 0
+
     @pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 54 * 7])
     def test_raw_words_give_the_bounded_digits(self, q, n):
@@ -1044,15 +1058,15 @@ class TestMcBlocks:
     @settings(max_examples=60, deadline=None)
     @given(system=mc_systems(), samples=st.integers(2, 9000),
            seed=st.integers(0, 2**31), chunk=st.sampled_from([None, 1, 100, 2500, 5000]),
-           rows=st.sampled_from([None, 1, 7, 1000]), every=st.sampled_from([1, 2, 16, 64]),
+           data=st.data(), every=st.sampled_from([1, 2, 16, 64]),
            move=st.sampled_from([None, 1]))
-    def test_matches_per_column_loop(self, system, samples, seed, chunk, rows, every, move):
+    def test_matches_per_column_loop(self, system, samples, seed, chunk, data, every, move):
         # `every` is the cadence of the frozen-row checks: at 1 a block
         # may drop rows at every term.  `move` 1 moves a block's live
         # digit rows one row at a time
         move = salem_module._MC_MOVE_BYTES if move is None else move
         kw = {} if chunk is None else {"chunk": chunk}
-        rows = salem_module._MC_ROWS if rows is None else rows
+        rows = data.draw(block_rows(system.q, (salem_module._MC_ROWS, 1000)))
         # both loops make one numpy pass per term and block (or chunk):
         # cap those passes so that small blocks and 20000-term systems
         # stay quick
@@ -1067,36 +1081,19 @@ class TestMcBlocks:
     @settings(max_examples=80, deadline=None)
     @given(q=st.sampled_from([2, 3, 4, 8, 64, 128, 200]), data=st.data(),
            last=st.sampled_from([1, 3, 5, 7, 13, 61]), samples=st.integers(2, 300),
-           seed=st.integers(0, 2**31), chunk=st.sampled_from([1, 5, 100]),
-           rows=st.sampled_from([1, 3, 7]))
-    def test_blocks_read_the_chunk_stream(self, q, data, last, samples, seed, chunk, rows):
-        # each block draws its own digits: a row of an odd number of
-        # one-byte digits leaves part of a 32-bit word to the next block
-        # of the chunk, and q >= 128 draws int64 digits block by block
+           seed=st.integers(0, 2**31), chunk=st.sampled_from([1, 5, 100]))
+    def test_blocks_read_the_chunk_stream(self, q, data, last, samples, seed, chunk):
+        # each block draws its own digits: a power-of-two block of an
+        # odd number of positions reads whole 32-bit words, since its
+        # rows are a multiple of 4, and q >= 128 draws int64 digits
+        # block by block
+        rows = data.draw(block_rows(q))
         positions = data.draw(st.lists(st.integers(1, last), max_size=8)) + [last]
         system = SalemSystem.fixed(data.draw(weight_tuples(q)),
                                    reorder=Reorder("list", values=tuple(positions)))
         want = mc_mean_per_column(system, samples, seed, chunk=chunk)
         with mock.patch.object(salem_module, "_MC_ROWS", rows):
             assert mc_mean_at_chunk(system, samples, seed, chunk) == want
-
-    def test_spare_bytes_may_cover_whole_blocks(self):
-        # blocks of one one-byte digit: a word's last three bytes are the
-        # next three blocks, which draw nothing; a chunk of 10 rows takes
-        # 3 words and drops the last two bytes
-        s = fixed(["1/3", "2/3"], reorder=Reorder("list", values=(1,)))
-        drawn = []
-        real = salem_module._words32
-
-        def words(rng, n):
-            drawn.append(n)
-            return real(rng, n)
-
-        with mock.patch.object(salem_module, "_MC_ROWS", 1), \
-                mock.patch.object(salem_module, "_words32", words):
-            r = mc_mean_at_chunk(s, 25, 9, 10)
-        assert drawn == [1, 1, 1] * 2 + [1, 1]
-        assert r == mc_mean_per_column(s, 25, 9, chunk=10)
 
     def test_memory_is_one_block(self, monkeypatch):
         # 40000 rows of 219 one-byte digits: every draw takes at most one
